@@ -1,9 +1,10 @@
 // Serving throughput: a synthetic JSON-lines job stream through
 // serve_jobs() (src/serve/server.h) at increasing worker counts. Reports
-// jobs/sec, completion-latency percentiles (p50/p99) and shared-cache hit
-// rates per worker count, and *asserts* byte-identity of the full
-// response stream across every worker count — the serving determinism
-// contract (docs/SERVING.md) — exiting nonzero on any divergence.
+// jobs/sec, completion-latency percentiles (p50/p99) split into queue
+// wait and service time, and shared-cache hit rates per worker count,
+// and *asserts* byte-identity of the full response stream across every
+// worker count — the serving determinism contract (docs/SERVING.md) —
+// exiting nonzero on any divergence.
 //
 // The stream is built through the real serializer (write_job_line) and
 // mixes plain jobs, objective variants, a traced job and a malformed
@@ -135,6 +136,10 @@ int main(int argc, char** argv) {
     w.field("jobs_per_sec", round2(s.jobs_per_sec));
     w.field("p50_ms", round2(s.p50_ms));
     w.field("p99_ms", round2(s.p99_ms));
+    w.field("wait_p50_ms", round2(s.wait_p50_ms));
+    w.field("wait_p99_ms", round2(s.wait_p99_ms));
+    w.field("service_p50_ms", round2(s.service_p50_ms));
+    w.field("service_p99_ms", round2(s.service_p99_ms));
     w.field("design_cache_hit_rate",
             round2(hit_rate(s.cache.design_hits, s.cache.design_misses)));
     w.field("arch_cache_hit_rate",
@@ -144,9 +149,12 @@ int main(int argc, char** argv) {
     w.end();
     std::printf(
         "workers %d  %3ld jobs (%3ld done, %ld rejected)  %7.2f jobs/s  "
-        "p50 %7.1f ms  p99 %7.1f ms  cache d/a/rr %.2f/%.2f/%.2f\n",
+        "p50 %7.1f ms  p99 %7.1f ms  wait p50/p99 %7.1f/%7.1f ms  "
+        "service p50/p99 %6.1f/%6.1f ms  cache d/a/rr %.2f/%.2f/%.2f\n",
         row.workers, s.jobs, s.done, s.rejected, s.jobs_per_sec, s.p50_ms,
-        s.p99_ms, hit_rate(s.cache.design_hits, s.cache.design_misses),
+        s.p99_ms, s.wait_p50_ms, s.wait_p99_ms, s.service_p50_ms,
+        s.service_p99_ms,
+        hit_rate(s.cache.design_hits, s.cache.design_misses),
         hit_rate(s.cache.arch_hits, s.cache.arch_misses),
         hit_rate(s.cache.rr_hits, s.cache.rr_misses));
   }

@@ -101,17 +101,22 @@ RrGraph ServeCaches::make(const GridSize& grid, const ArchParams& arch) {
   // without the unbind, whether this job hit or missed (a fact about its
   // siblings) would land in its trace report and break byte-determinism.
   TraceRequestScope unbind(nullptr);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = rr_graphs_.find(key);
-  if (it != rr_graphs_.end()) {
-    ++stats_.rr_hits;
-    NM_TRACE_COUNT("serve.cache.rr_hits", 1);
-    return it->second->clone_for_reuse();
+  std::shared_ptr<const RrGraph> prototype;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = rr_graphs_.find(key);
+    if (it != rr_graphs_.end()) {
+      ++stats_.rr_hits;
+      NM_TRACE_COUNT("serve.cache.rr_hits", 1);
+      prototype = it->second;
+    } else {
+      ++stats_.rr_misses;
+      NM_TRACE_COUNT("serve.cache.rr_misses", 1);
+      prototype = std::make_shared<const RrGraph>(grid, arch);
+      rr_graphs_.emplace(key, prototype);
+    }
   }
-  ++stats_.rr_misses;
-  NM_TRACE_COUNT("serve.cache.rr_misses", 1);
-  auto prototype = std::make_shared<const RrGraph>(grid, arch);
-  rr_graphs_.emplace(key, prototype);
+  // The prototype is immutable, so concurrent jobs copy it in parallel.
   return prototype->clone_for_reuse();
 }
 

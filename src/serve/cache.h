@@ -19,12 +19,13 @@
 //             byte-identical), so the flow may widen its copy in place
 //             while the prototype stays pristine.
 //
-// Thread safety: one mutex per cache map; a miss builds *under* the lock.
-// That serializes concurrent first builds of the same key — deliberately:
-// it guarantees exactly one miss per distinct key regardless of job
-// interleaving, which keeps the hit/miss counters (and BENCH_serve.json)
-// deterministic for a fixed job stream at any worker count. Hits are a
-// lock + shared_ptr copy.
+// Thread safety: one mutex guards all three maps; a miss builds *under*
+// the lock. That serializes concurrent first builds of the same key —
+// deliberately: it guarantees exactly one miss per distinct key
+// regardless of job interleaving, which keeps the hit/miss counters (and
+// BENCH_serve.json) deterministic for a fixed job stream at any worker
+// count. Hits are a lock + shared_ptr copy; make()'s clone_for_reuse()
+// copy of the immutable prototype happens after the lock is released.
 //
 // Determinism: cache state never leaks into response bytes. Counters are
 // recorded through NM_TRACE_COUNT (serve.cache.* sites) and surface only

@@ -3,11 +3,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <istream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -19,16 +27,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-      .count();
+double ms_between(Clock::time_point t0, Clock::time_point t1) {
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
+
+double ms_since(Clock::time_point t0) { return ms_between(t0, Clock::now()); }
 
 // One non-blank input line waiting to run.
 struct PendingJob {
   std::string text;
   int line_no = 0;  // 1-based input line number
-  Clock::time_point arrival;
+  long seq = 0;     // 0-based position among non-blank lines (emit order)
+  Clock::time_point arrival;  // when the reader took the line off the input
 };
 
 enum class JobStatus { kDone, kRejected, kDeadline, kFailed };
@@ -47,7 +57,9 @@ struct JobOutcome {
   std::string response;  // one complete line, no trailing newline
   JobStatus status = JobStatus::kFailed;
   bool feasible = false;
-  double latency_ms = 0.0;  // arrival -> response built (done jobs only)
+  // Done jobs only: arrival -> start -> response built.
+  double wait_ms = 0.0;
+  double service_ms = 0.0;
 };
 
 constexpr int kServeVersion = 1;
@@ -78,6 +90,7 @@ class JobRunner {
 
   // Never throws: every failure mode becomes a typed response line.
   JobOutcome run(const PendingJob& pending) const {
+    const Clock::time_point started = Clock::now();
     ServeJob job;
     try {
       job = parse_job_line(pending.text, pending.line_no);
@@ -92,7 +105,8 @@ class JobRunner {
     // answered without running; once admitted it always runs to completion
     // (docs/SERVING.md "Deadlines"). The check reads the wall clock, so a
     // deadlined job has exactly two possible response byte forms.
-    if (job.deadline_ms > 0.0 && ms_since(pending.arrival) > job.deadline_ms)
+    if (job.deadline_ms > 0.0 &&
+        ms_between(pending.arrival, started) > job.deadline_ms)
       return error_outcome(pending, id, JobStatus::kDeadline, "deadline",
                            "deadline of " + json_number(job.deadline_ms) +
                                " ms expired before the job started");
@@ -151,12 +165,16 @@ class JobRunner {
     JobOutcome o;
     o.status = JobStatus::kDone;
     o.feasible = r.feasible;
-    o.latency_ms = ms_since(pending.arrival);
+    const Clock::time_point built = Clock::now();
+    o.wait_ms = ms_between(pending.arrival, started);
+    o.service_ms = ms_between(started, built);
     JsonWriter w(/*compact=*/true);
     begin_response(&w, id, pending.line_no, JobStatus::kDone, r.feasible,
                    exit_code_for(r), flow_error_kind_name(r.error_kind),
                    r.message);
-    w.field("elapsed_ms", options_.include_timings ? o.latency_ms : 0.0);
+    w.field("elapsed_ms", options_.include_timings
+                              ? ms_between(pending.arrival, built)
+                              : 0.0);
     w.key("report");
     w.raw(r.report.to_json(options_.include_timings, /*compact=*/true));
     w.end();
@@ -201,6 +219,28 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[idx];
 }
 
+// p50 and p99 of `values` (any order).
+std::pair<double, double> p50_p99(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {percentile(values, 0.50), percentile(values, 0.99)};
+}
+
+void tally(const JobOutcome& o, ServeSummary* s) {
+  ++s->jobs;
+  switch (o.status) {
+    case JobStatus::kDone:
+      ++s->done;
+      if (o.feasible) ++s->feasible;
+      s->latencies_ms.push_back(o.wait_ms + o.service_ms);
+      s->wait_ms.push_back(o.wait_ms);
+      s->service_ms.push_back(o.service_ms);
+      break;
+    case JobStatus::kRejected: ++s->rejected; break;
+    case JobStatus::kDeadline: ++s->deadline_expired; break;
+    case JobStatus::kFailed: ++s->failed; break;
+  }
+}
+
 }  // namespace
 
 ServeSummary serve_jobs(std::istream& in, std::ostream& out,
@@ -212,74 +252,131 @@ ServeSummary serve_jobs(std::istream& in, std::ostream& out,
       options.threads > 0 ? options.threads : ThreadPool::hardware_threads();
   const PoolSlice slice =
       slice_pool(total_threads, options.workers > 0 ? options.workers : 1);
-  ThreadPool pool(slice.jobs);
   JobRunner runner(options, caches, slice.threads_per_job);
 
   ServeSummary summary;
   const auto start = Clock::now();
 
-  // Jobs are read in chunks a few times the worker count: big enough to
-  // keep every slot busy, small enough that responses stream out while
-  // later input is still being read.
-  const int chunk_target = std::max(64, 8 * slice.jobs);
-  std::string line;
-  bool eof = false;
-  int line_no = 0;
-  while (!eof) {
-    std::vector<PendingJob> chunk;
-    while (static_cast<int>(chunk.size()) < chunk_target) {
-      if (!std::getline(in, line)) {
-        eof = true;
-        break;
+  // Streaming admission. The calling thread reads lines, stamps each one's
+  // arrival as it comes off the input and queues it at once; slice.jobs
+  // worker threads take queued jobs in input order. The reader keeps
+  // reading ahead while jobs run (at one worker too), so deadlines count
+  // from read time. Backpressure: at most `window` jobs are read but not
+  // yet emitted; past that the reader stops reading until the oldest
+  // in-flight response is out.
+  const long window = std::max(64, 8 * slice.jobs);
+  std::mutex queue_mu;
+  std::condition_variable job_ready;  // workers: a job queued, or closed
+  std::condition_variable slot_free;  // reader: in_flight fell, or closed
+  std::deque<PendingJob> queue;
+  long in_flight = 0;
+  bool closed = false;  // input ended or the stream failed
+  std::exception_ptr failure;  // first stream-level failure, rethrown
+
+  auto fail = [&](std::exception_ptr e) {
+    {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      if (!failure) failure = e;
+      closed = true;
+    }
+    job_ready.notify_all();
+    slot_free.notify_all();
+  };
+
+  // Ordered streaming commit: workers finish in any order, but a response
+  // is written only once every earlier response is out, so the output
+  // order is the input order by construction. Each line is flushed as it
+  // is written, so an interactive client gets its answer without closing
+  // its end of the stream.
+  std::mutex emit_mu;
+  std::map<long, JobOutcome> finished;
+  long next_emit = 0;
+  auto commit = [&](long seq, JobOutcome o) {
+    long emitted = 0;
+    {
+      std::lock_guard<std::mutex> lock(emit_mu);
+      finished.emplace(seq, std::move(o));
+      for (auto it = finished.begin();
+           it != finished.end() && it->first == next_emit;
+           it = finished.erase(it), ++next_emit, ++emitted) {
+        out << it->second.response << '\n';
+        out.flush();
+        tally(it->second, &summary);
       }
+    }
+    if (emitted == 0) return;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      in_flight -= emitted;
+    }
+    slot_free.notify_one();
+  };
+
+  // Workers record into the caller's request-scoped trace collector, the
+  // same binding ThreadPool tasks inherit.
+  TraceCollector* trace = current_request_trace_collector();
+  auto work = [&] {
+    TraceRequestScope scope(trace);
+    for (;;) {
+      PendingJob job;
+      {
+        std::unique_lock<std::mutex> lock(queue_mu);
+        job_ready.wait(lock, [&] { return closed || !queue.empty(); });
+        if (failure || queue.empty()) return;
+        job = std::move(queue.front());
+        queue.pop_front();
+      }
+      try {
+        commit(job.seq, runner.run(job));
+      } catch (...) {
+        fail(std::current_exception());
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> workers;
+  try {
+    for (int i = 0; i < slice.jobs; ++i) workers.emplace_back(work);
+    std::string line;
+    int line_no = 0;
+    long seq = 0;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(queue_mu);
+        slot_free.wait(lock, [&] { return closed || in_flight < window; });
+        if (closed) break;
+      }
+      if (!std::getline(in, line)) break;
+      const Clock::time_point arrival = Clock::now();
       ++line_no;
       if (line.empty()) continue;  // blank separator lines, no response
-      chunk.push_back({line, line_no, Clock::now()});
-    }
-    if (chunk.empty()) continue;
-
-    // Ordered streaming commit: workers finish in any order, but a
-    // response is written only once every earlier response in the chunk
-    // is out, so the output order is the input order by construction.
-    std::vector<JobOutcome> outcomes(chunk.size());
-    std::vector<bool> ready(chunk.size(), false);
-    std::size_t next_emit = 0;
-    std::mutex emit_mu;
-    pool.parallel_for(static_cast<int>(chunk.size()), [&](int i) {
-      JobOutcome o = runner.run(chunk[static_cast<std::size_t>(i)]);
-      std::lock_guard<std::mutex> lock(emit_mu);
-      outcomes[static_cast<std::size_t>(i)] = std::move(o);
-      ready[static_cast<std::size_t>(i)] = true;
-      while (next_emit < ready.size() && ready[next_emit]) {
-        out << outcomes[next_emit].response << '\n';
-        ++next_emit;
+      {
+        std::lock_guard<std::mutex> lock(queue_mu);
+        queue.push_back({std::move(line), line_no, seq++, arrival});
+        ++in_flight;
       }
-    });
-    out.flush();
-
-    for (const JobOutcome& o : outcomes) {
-      ++summary.jobs;
-      switch (o.status) {
-        case JobStatus::kDone:
-          ++summary.done;
-          if (o.feasible) ++summary.feasible;
-          summary.latencies_ms.push_back(o.latency_ms);
-          break;
-        case JobStatus::kRejected: ++summary.rejected; break;
-        case JobStatus::kDeadline: ++summary.deadline_expired; break;
-        case JobStatus::kFailed: ++summary.failed; break;
-      }
+      job_ready.notify_one();
     }
+  } catch (...) {
+    fail(std::current_exception());
   }
+  {
+    std::lock_guard<std::mutex> lock(queue_mu);
+    closed = true;
+  }
+  job_ready.notify_all();
+  for (std::thread& t : workers) t.join();
+  if (failure) std::rethrow_exception(failure);
 
   summary.wall_seconds = ms_since(start) / 1000.0;
   if (summary.wall_seconds > 0.0)
     summary.jobs_per_sec =
         static_cast<double>(summary.jobs) / summary.wall_seconds;
-  std::vector<double> sorted = summary.latencies_ms;
-  std::sort(sorted.begin(), sorted.end());
-  summary.p50_ms = percentile(sorted, 0.50);
-  summary.p99_ms = percentile(sorted, 0.99);
+  std::tie(summary.p50_ms, summary.p99_ms) = p50_p99(summary.latencies_ms);
+  std::tie(summary.wait_p50_ms, summary.wait_p99_ms) =
+      p50_p99(summary.wait_ms);
+  std::tie(summary.service_p50_ms, summary.service_p99_ms) =
+      p50_p99(summary.service_ms);
   summary.cache = caches->stats();
   return summary;
 }

@@ -4,9 +4,17 @@
 // streams.
 //
 // Contract highlights (the full version lives in docs/SERVING.md):
+//   * Streaming admission: the calling thread reads lines and stamps each
+//     one's arrival the moment it comes off the input; the job is queued
+//     at once and the next free worker starts it. Reading continues while
+//     jobs run (at one worker too), up to a bounded in-flight window of
+//     max(64, 8 * workers) jobs read but not yet emitted; past that the
+//     reader stops until the oldest response is out (backpressure).
 //   * One response line per non-blank input line, in input order —
-//     responses stream as soon as every earlier line's response is out,
-//     regardless of which worker finishes first.
+//     each response is written and flushed as soon as every earlier
+//     line's response is out, regardless of which worker finishes first.
+//     A client that sends one line gets its answer without closing the
+//     stream.
 //   * Byte-determinism: for a fixed input stream and ServeOptions, every
 //     response line is byte-identical at any worker/thread count and any
 //     job interleaving. Everything interleaving-dependent (wall-clock,
@@ -15,7 +23,8 @@
 //     masked the same way, report.threads is normalized to 0, and cache
 //     counters only surface in the ServeSummary. Jobs with a deadline are
 //     the one documented exception — each has exactly two well-defined
-//     byte forms (ran, or expired at admission).
+//     byte forms (ran, or expired at admission). The deadline counts
+//     from the line's read-time arrival.
 //   * A malformed or failing job produces a typed error response and the
 //     stream continues; nothing a job does can kill its siblings.
 #pragma once
@@ -58,18 +67,28 @@ struct ServeSummary {
   long failed = 0;     // internal errors (exit_code 3)
   double wall_seconds = 0.0;
   double jobs_per_sec = 0.0;
-  double p50_ms = 0.0;  // completion latencies of `done` jobs
+  // Per `done` job: latency = queue wait (read-time arrival -> a worker
+  // starts it) + service (start -> response built). Vectors hold one
+  // entry per done job in input order.
+  double p50_ms = 0.0;
   double p99_ms = 0.0;
-  std::vector<double> latencies_ms;  // per done job, completion order
+  double wait_p50_ms = 0.0;
+  double wait_p99_ms = 0.0;
+  double service_p50_ms = 0.0;
+  double service_p99_ms = 0.0;
+  std::vector<double> latencies_ms;
+  std::vector<double> wait_ms;
+  std::vector<double> service_ms;
   ServeCaches::Stats cache;
 };
 
-// Reads JSON-lines jobs from `in` until EOF, runs them on
-// slice_pool(threads, workers), writes one response line per job to
-// `out` in input order. `caches` may be shared across calls (e.g. the
-// bench's warm runs); null uses a private cache for this call. Blank
-// input lines are skipped. Never throws on job content; only stream-
-// level failures (bad streams) surface to the caller.
+// Reads JSON-lines jobs from `in` until EOF, starting each as soon as it
+// is read on one of slice_pool(threads, workers).jobs worker threads, and
+// writes one response line per job to `out` in input order. `caches` may
+// be shared across calls (e.g. the bench's warm runs); null uses a
+// private cache for this call. Blank input lines are skipped. Never
+// throws on job content; only stream-level failures (bad streams)
+// surface to the caller, after every worker has stopped.
 ServeSummary serve_jobs(std::istream& in, std::ostream& out,
                         const ServeOptions& options,
                         ServeCaches* caches = nullptr);

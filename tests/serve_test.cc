@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstddef>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -144,6 +149,112 @@ TEST(ServeJobLine, StrictParserRejectsHostileLines) {
   reject("{\"circuit\":\"a\",\"objective\":\"fast\"}");  // bad token
 }
 
+// An in-memory stream pair that plays a client: the input side hands out
+// one line per read and, in lockstep mode, releases line k+1 only once k
+// response lines have been written (and reports EOF only after the last
+// response), like a client that waits for each answer with its end of the
+// stream held open. The output side records, for every response line,
+// how many input lines had been read when it was written. A watchdog
+// bounds every wait: if a response never comes, the input reports EOF
+// and timed_out() turns true, so a server that withholds responses until
+// more input arrives fails the test instead of hanging it.
+class ClientStreams {
+ public:
+  ClientStreams(std::vector<std::string> lines, bool lockstep)
+      : in_buf_(this), out_buf_(this), in_(&in_buf_), out_(&out_buf_),
+        lines_(std::move(lines)), lockstep_(lockstep) {}
+  ClientStreams(const ClientStreams&) = delete;
+  ClientStreams& operator=(const ClientStreams&) = delete;
+
+  std::istream& in() { return in_; }
+  std::ostream& out() { return out_; }
+  bool timed_out() const { return timed_out_; }
+  const std::string& output() const { return output_; }
+  // reads_at_response()[k]: input lines read when response k was written.
+  const std::vector<std::size_t>& reads_at_response() const {
+    return reads_at_response_;
+  }
+
+ private:
+  static constexpr std::chrono::seconds kWatchdog{120};
+
+  class InBuf : public std::streambuf {
+   public:
+    explicit InBuf(ClientStreams* s) : s_(s) {}
+
+   protected:
+    int_type underflow() override {
+      std::unique_lock<std::mutex> lock(s_->mu_);
+      const std::size_t k = s_->next_line_;
+      if (s_->lockstep_ &&
+          !s_->cv_.wait_for(lock, kWatchdog,
+                            [&] { return s_->responses_ >= k; })) {
+        s_->timed_out_ = true;
+        return traits_type::eof();
+      }
+      if (k == s_->lines_.size()) return traits_type::eof();
+      current_ = s_->lines_[k] + "\n";
+      ++s_->next_line_;
+      setg(current_.data(), current_.data(),
+           current_.data() + current_.size());
+      return traits_type::to_int_type(current_[0]);
+    }
+
+   private:
+    ClientStreams* s_;
+    std::string current_;
+  };
+
+  class OutBuf : public std::streambuf {
+   public:
+    explicit OutBuf(ClientStreams* s) : s_(s) {}
+
+   protected:
+    int_type overflow(int_type c) override {
+      if (traits_type::eq_int_type(c, traits_type::eof()))
+        return traits_type::not_eof(c);
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+      return c;
+    }
+    std::streamsize xsputn(const char* p, std::streamsize n) override {
+      std::lock_guard<std::mutex> lock(s_->mu_);
+      for (std::streamsize i = 0; i < n; ++i) {
+        s_->output_.push_back(p[i]);
+        if (p[i] != '\n') continue;
+        s_->reads_at_response_.push_back(s_->next_line_);
+        ++s_->responses_;
+      }
+      s_->cv_.notify_all();
+      return n;
+    }
+
+   private:
+    ClientStreams* s_;
+  };
+
+  InBuf in_buf_;
+  OutBuf out_buf_;
+  std::istream in_;
+  std::ostream out_;
+  const std::vector<std::string> lines_;
+  const bool lockstep_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t next_line_ = 0;
+  std::size_t responses_ = 0;
+  bool timed_out_ = false;
+  std::string output_;
+  std::vector<std::size_t> reads_at_response_;
+};
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
 TEST(ServeStream, OneResponsePerNonBlankLineInInputOrder) {
   std::string input;
   for (int i = 0; i < 4; ++i)
@@ -157,6 +268,18 @@ TEST(ServeStream, OneResponsePerNonBlankLineInInputOrder) {
   EXPECT_EQ(run.summary.jobs, 4);
   EXPECT_EQ(run.summary.done, 4);
   EXPECT_EQ(run.summary.feasible, 4);
+  // Every done job splits its latency into queue wait + service time.
+  ASSERT_EQ(run.summary.wait_ms.size(), 4u);
+  ASSERT_EQ(run.summary.service_ms.size(), 4u);
+  ASSERT_EQ(run.summary.latencies_ms.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_GE(run.summary.wait_ms[i], 0.0);
+    EXPECT_GT(run.summary.service_ms[i], 0.0);
+    EXPECT_DOUBLE_EQ(run.summary.latencies_ms[i],
+                     run.summary.wait_ms[i] + run.summary.service_ms[i]);
+  }
+  EXPECT_LE(run.summary.wait_p50_ms, run.summary.wait_p99_ms);
+  EXPECT_LE(run.summary.service_p50_ms, run.summary.service_p99_ms);
 
   // Responses come back in input order: line numbers strictly ascend and
   // skip the blank line (1, 3, 4, 5).
@@ -221,6 +344,81 @@ TEST(ServeStream, ShuffledJobOrderGivesSameResponsesPerJob) {
   EXPECT_EQ(strip_line_field(forward[0]), strip_line_field(shuffled[1]));
   EXPECT_EQ(strip_line_field(forward[3]), strip_line_field(shuffled[2]));
   EXPECT_EQ(strip_line_field(forward[1]), strip_line_field(shuffled[3]));
+}
+
+TEST(ServeStream, InteractiveClientGetsEachResponseBeforeSendingMore) {
+  // Each line goes in only after the previous response came out, with
+  // the input held open until the last response: a server that waited
+  // for more input (or for EOF) before starting a job would trip the
+  // watchdog.
+  std::vector<std::string> lines;
+  for (std::uint64_t seed : {20, 21, 22})
+    lines.push_back(write_job_line(quick_job(seed)));
+  lines.push_back("not json");
+  const std::string batch = run_serve(join_lines(lines), /*workers=*/1).output;
+
+  for (int workers : {1, 4}) {
+    ClientStreams client(lines, /*lockstep=*/true);
+    ServeOptions options;
+    options.workers = workers;
+    options.threads = 4;
+    const ServeSummary summary =
+        serve_jobs(client.in(), client.out(), options);
+    ASSERT_FALSE(client.timed_out())
+        << "workers " << workers << ": a response never came while the "
+        << "input was held open";
+    EXPECT_EQ(summary.jobs, 4);
+    // Same bytes as the batch run of the same stream.
+    EXPECT_EQ(client.output(), batch) << "workers " << workers;
+  }
+}
+
+TEST(ServeStream, StreamLongerThanTheInFlightWindowIsByteIdentical) {
+  // 80 lines against the in-flight window of max(64, 8 * workers) = 64:
+  // a real job every tenth line keeps the window full while cheap
+  // rejected lines stream past it.
+  constexpr std::size_t kWindow = 64;
+  std::vector<std::string> lines;
+  for (int i = 0; i < 80; ++i) {
+    if (i % 10 == 0) {
+      ServeJob job = quick_job(static_cast<std::uint64_t>(i));
+      if (i % 20 == 10) job.objective = Objective::kMinDelay;
+      lines.push_back(write_job_line(job));
+    } else if (i % 2 == 1) {
+      lines.push_back("line " + std::to_string(i) + " is not json");
+    } else {
+      lines.push_back("{\"circuit\":\"bench:no_such_circuit\"}");
+    }
+  }
+  ASSERT_GT(lines.size(), kWindow);
+
+  std::string reference;
+  for (int workers : {1, 2, 4}) {
+    ClientStreams client(lines, /*lockstep=*/false);
+    ServeOptions options;
+    options.workers = workers;
+    options.threads = 4;
+    const ServeSummary summary =
+        serve_jobs(client.in(), client.out(), options);
+    EXPECT_EQ(summary.jobs, 80);
+    EXPECT_EQ(summary.done, 8);
+    EXPECT_EQ(summary.rejected, 72);
+    if (workers == 1)
+      reference = client.output();
+    else
+      EXPECT_EQ(client.output(), reference) << "workers " << workers;
+    EXPECT_EQ(lines_of(client.output()).size(), 80u);
+
+    // Backpressure: the reader is never more than the window ahead of
+    // the responses already written (response k needs line k, so
+    // reads[k] > k).
+    const std::vector<std::size_t>& reads = client.reads_at_response();
+    ASSERT_EQ(reads.size(), 80u);
+    std::size_t ahead = 0;
+    for (std::size_t k = 0; k < reads.size(); ++k)
+      ahead = std::max(ahead, reads[k] - k);
+    EXPECT_LE(ahead, kWindow) << "workers " << workers;
+  }
 }
 
 TEST(ServeErrors, MalformedLinesAreTypedAndDontKillTheStream) {

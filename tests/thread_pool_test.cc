@@ -19,20 +19,44 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 }
 
 TEST(ThreadPool, DegeneratePoolsRunInline) {
-  for (int n : {0, 1}) {
+  // ThreadPool(1) is always inline; ThreadPool(0) resolves to
+  // hardware_threads() and is inline only on a single-core host.
+  for (int n : {1, 0}) {
     ThreadPool pool(n);
-    EXPECT_GE(pool.num_threads(), n == 0 ? 1 : 1);
+    const int resolved = n > 0 ? n : ThreadPool::hardware_threads();
+    EXPECT_EQ(pool.num_threads(), resolved);
+    const bool inline_pool = resolved == 1;
     const std::thread::id caller = std::this_thread::get_id();
     std::thread::id ran_on;
     std::future<void> f = pool.submit([&] { ran_on = std::this_thread::get_id(); });
-    // Inline execution: the task already ran, on the calling thread.
-    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-    EXPECT_EQ(ran_on, caller);
+    if (inline_pool) {
+      // Inline execution: the task already ran, on the calling thread.
+      EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+      EXPECT_EQ(ran_on, caller);
+    } else {
+      f.get();
+      EXPECT_NE(ran_on, caller);
+    }
 
+    std::mutex mu;
     std::vector<int> order;
-    for (int i = 0; i < 8; ++i) pool.submit([&, i] { order.push_back(i); });
+    std::vector<std::future<void>> futures;
+    for (int i = 0; i < 8; ++i) {
+      futures.push_back(pool.submit([&, i] {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(i);
+      }));
+      // Inline pools finish each task before submit() returns.
+      if (inline_pool) {
+        EXPECT_EQ(order.size(), static_cast<std::size_t>(i + 1));
+      }
+    }
+    for (auto& fut : futures) fut.get();
     ASSERT_EQ(order.size(), 8u);
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    if (inline_pool) {
+      for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    }
   }
 }
 

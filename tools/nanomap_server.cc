@@ -126,9 +126,15 @@ int main(int argc, char** argv) {
                  summary.done, summary.feasible, summary.rejected,
                  summary.deadline_expired, summary.failed);
     std::fprintf(stderr,
-                 "latency p50 %.1f ms, p99 %.1f ms; cache hits/misses: "
-                 "design %ld/%ld, arch %ld/%ld, rr %ld/%ld\n",
-                 summary.p50_ms, summary.p99_ms, summary.cache.design_hits,
+                 "latency p50 %.1f ms, p99 %.1f ms (queue wait p50 %.1f ms, "
+                 "p99 %.1f ms; service p50 %.1f ms, p99 %.1f ms)\n",
+                 summary.p50_ms, summary.p99_ms, summary.wait_p50_ms,
+                 summary.wait_p99_ms, summary.service_p50_ms,
+                 summary.service_p99_ms);
+    std::fprintf(stderr,
+                 "cache hits/misses: design %ld/%ld, arch %ld/%ld, "
+                 "rr %ld/%ld\n",
+                 summary.cache.design_hits,
                  summary.cache.design_misses, summary.cache.arch_hits,
                  summary.cache.arch_misses, summary.cache.rr_hits,
                  summary.cache.rr_misses);
