@@ -1,10 +1,10 @@
-// Wall-clock speedup of the parallel flow stages vs. --threads, on a
-// >= 500-LUT random circuit. Reports the multi-seed annealing stage (the
-// dominant hot path) and the batched PathFinder stage, and verifies on
+// Wall-clock speedup of the multi-seed annealing stage (the dominant hot
+// path) vs. --threads, on a >= 500-LUT random circuit. Each placement is
+// then routed (sequentially — routing has no parallel stage) to verify on
 // the fly that every thread count produced byte-identical results — the
 // determinism contract this parallelism is allowed to exist under.
 //
-// Usage: parallel_speedup [luts-per-plane] [restarts] [route-batch]
+// Usage: parallel_speedup [luts-per-plane] [restarts]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +28,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   const int luts = argc > 1 ? std::atoi(argv[1]) : 600;
   const int restarts = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int batch = argc > 3 ? std::atoi(argv[3]) : 8;
 
   RandomDagSpec spec;
   spec.num_planes = 1;
@@ -53,9 +52,8 @@ int main(int argc, char** argv) {
   std::printf("circuit: %d LUTs -> %d SMBs, %zu nets, %d folding cycles\n",
               spec.luts_per_plane, cd.num_smbs, cd.nets.size(),
               cd.num_cycles);
-  std::printf("hardware threads: %d; placement restarts: %d; route batch: "
-              "%d\n\n",
-              ThreadPool::hardware_threads(), restarts, batch);
+  std::printf("hardware threads: %d; placement restarts: %d\n\n",
+              ThreadPool::hardware_threads(), restarts);
   if (ThreadPool::hardware_threads() == 1)
     std::printf("NOTE: single hardware thread — expect speedup ~1.0x here; "
                 "the table demonstrates determinism, not scaling.\n\n");
@@ -64,9 +62,8 @@ int main(int argc, char** argv) {
   po.seed = 42;
   po.restarts = restarts;
 
-  std::printf("%-8s %14s %14s %10s %10s\n", "threads", "place-secs",
-              "route-secs", "place-x", "route-x");
-  double place_t1 = 0.0, route_t1 = 0.0;
+  std::printf("%-8s %14s %10s\n", "threads", "place-secs", "place-x");
+  double place_t1 = 0.0;
   std::vector<int> reference_sites;
   long reference_wires = -1;
   for (int threads : {1, 2, 4}) {
@@ -77,15 +74,10 @@ int main(int argc, char** argv) {
     double place_s = seconds_since(t0);
 
     RrGraph rr(placed.placement.grid, fo.arch);
-    RouterOptions ro;
-    ro.batch_size = batch;
-    t0 = std::chrono::steady_clock::now();
-    RoutingResult routed = route_design(cd, placed.placement, rr, ro, &pool);
-    double route_s = seconds_since(t0);
+    RoutingResult routed = route_design(cd, placed.placement, rr);
 
     if (threads == 1) {
       place_t1 = place_s;
-      route_t1 = route_s;
       reference_sites = placed.placement.site_of_smb;
       reference_wires = routed.usage.total();
     } else {
@@ -98,8 +90,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("%-8d %14.3f %14.3f %9.2fx %9.2fx\n", threads, place_s,
-                route_s, place_t1 / place_s, route_t1 / route_s);
+    std::printf("%-8d %14.3f %9.2fx\n", threads, place_s,
+                place_t1 / place_s);
   }
   std::printf("\nresults byte-identical across all thread counts: yes\n");
   return 0;

@@ -3,9 +3,8 @@
 // (route_nets_reference), on congested narrowed-channel random DAGs.
 // Besides the wall-clock comparison, every run *asserts* byte-identity —
 // trees, delays, iteration counts — between the reference and the
-// incremental router at batch_size 1 and 4, each at 1 and 4 pool
-// threads, so the benchmark doubles as an end-to-end identity check and
-// exits nonzero on any divergence.
+// incremental router, cold and warm, so the benchmark doubles as an
+// end-to-end identity check and exits nonzero on any divergence.
 //
 // Three scenarios per circuit (schema in docs/FORMATS.md):
 //   converge  one cold route_design call with full budgets — measures the
@@ -21,15 +20,6 @@
 //             every folding cycle replays from cache, and the result is
 //             asserted byte-identical to the cold reference run. This is
 //             the headline incremental speedup.
-//   spec      the cold converge call with speculative batching on, at
-//             pool widths 1 and 4 — identical bytes by construction, so
-//             on a single-core host the two columns document parity and
-//             on a multi-core host the t4 column shows the speedup;
-//   sibling   a cold route donates its RouteState to a channel-widened
-//             copy of the graph (the explorer warm-chain hand-off): the
-//             whole-cycle cache misses (capacities changed), and the
-//             per-net geometric cache serves every still-clean search —
-//             the hit-rate columns come from this scenario.
 //
 //   ./bench/route_throughput [--smoke] [out.json]   (default BENCH_route.json)
 #include <algorithm>
@@ -122,41 +112,17 @@ bool identical(const RoutingResult& a, const RoutingResult& b) {
          a.usage.len4 == b.usage.len4 && a.usage.global == b.usage.global;
 }
 
-// Reference vs kernel at batch_size {1,4} x pool threads {1,4}: all six
-// results byte-identical per batch size (the batch size changes the
-// negotiation schedule; the router implementation and the thread count
-// never change a byte). The warm replay path is checked too: a second
-// route_design call against the populated RouteState must reproduce the
-// cold result exactly.
+// Reference vs kernel: the cold kernel route must be byte-identical to
+// the reference, and so must a second route_design call against the
+// populated RouteState, which replays every folding cycle.
 bool check_identity(const Physical& ph, const RrGraph& rr,
-                    const RouterOptions& base) {
-  ThreadPool pool1(1), pool4(4);
-  for (int batch : {1, 4}) {
-    RouterOptions opts = base;
-    opts.batch_size = batch;
-    RoutingResult want = route_nets_reference(ph.cd, ph.p, rr, opts, &pool1);
-    if (!identical(want, route_nets_reference(ph.cd, ph.p, rr, opts, &pool4)))
-      return false;
-    for (ThreadPool* pool : {&pool1, &pool4}) {
-      RouteState state;
-      if (!identical(want,
-                     route_design(ph.cd, ph.p, rr, opts, pool, &state)))
-        return false;
-      RoutingResult warm = route_design(ph.cd, ph.p, rr, opts, pool, &state);
-      if (!identical(want, warm)) return false;
-      if (warm.reuse.cycles_reused != ph.cd.num_cycles) return false;
-    }
-    // Speculation engages only at batch_size 1 (it *is* the batch-1
-    // schedule, reordered); both modes must bracket the reference.
-    if (batch == 1) {
-      RouterOptions off = opts;
-      off.speculative = false;
-      for (ThreadPool* pool : {&pool1, &pool4})
-        if (!identical(want, route_design(ph.cd, ph.p, rr, off, pool)))
-          return false;
-    }
-  }
-  return true;
+                    const RouterOptions& opts) {
+  RoutingResult want = route_nets_reference(ph.cd, ph.p, rr, opts);
+  RouteState state;
+  if (!identical(want, route_design(ph.cd, ph.p, rr, opts, &state)))
+    return false;
+  RoutingResult warm = route_design(ph.cd, ph.p, rr, opts, &state);
+  return identical(want, warm) && warm.reuse.cycles_reused == ph.cd.num_cycles;
 }
 
 // The recovery-ladder walk the flow performs when budgets are starved:
@@ -219,13 +185,6 @@ struct Row {
   int ladder_rung = 0;          // winning rung index
   long ladder_reused = 0;       // ladder walk, net searches skipped
   long skipped_nets = 0;        // converge scenario, clean-net skips
-  double spec_t1_ms = 0.0;      // spec scenario, speculative cold, pool 1
-  double spec_t4_ms = 0.0;      // spec scenario, speculative cold, pool 4
-  long spec_batches = 0;        // multi-net batches per speculative call
-  long spec_conflicts = 0;      // commit-time losers per speculative call
-  double sibling_ms = 0.0;      // sibling scenario, donated-state route
-  long sibling_hits = 0;        // per-net cache hits in the sibling route
-  long sibling_misses = 0;      // per-net cache misses in the sibling route
   bool identical = false;
 };
 
@@ -250,34 +209,17 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   });
   row.converged = last.success;
   row.worst_iterations = last.worst_iterations;
-  RouterOptions seq = full;  // the kernel column is the sequential path
-  seq.speculative = false;
   row.kernel_ms = measure_ms(reps, [&] {
-    last = route_design(ph.cd, ph.p, rr, seq);
+    last = route_design(ph.cd, ph.p, rr, full);
   });
   row.skipped_nets = last.reuse.nets_skipped;
-
-  // Speculative cold converge at pool widths 1 and 4. The batch/conflict
-  // schedule is a pure function of the problem, so both runs report the
-  // same counters and the same bytes; only the wall clock may differ.
-  {
-    ThreadPool pool1(1), pool4(4);
-    row.spec_t1_ms = measure_ms(reps, [&] {
-      last = route_design(ph.cd, ph.p, rr, full, &pool1);
-    });
-    row.spec_t4_ms = measure_ms(reps, [&] {
-      last = route_design(ph.cd, ph.p, rr, full, &pool4);
-    });
-    row.spec_batches = last.reuse.spec_batches;
-    row.spec_conflicts = last.reuse.spec_conflicts;
-  }
 
   // Warm replay: populate the state once, then measure repeat calls.
   {
     RouteState state;
-    route_design(ph.cd, ph.p, rr, full, nullptr, &state);
+    route_design(ph.cd, ph.p, rr, full, &state);
     row.warm_ms = measure_ms(reps, [&] {
-      last = route_design(ph.cd, ph.p, rr, full, nullptr, &state);
+      last = route_design(ph.cd, ph.p, rr, full, &state);
     });
     row.warm_reused = last.reuse.cycles_reused;
   }
@@ -306,35 +248,13 @@ Row measure(const std::string& name, int planes, int luts, int depth,
            warm.arch().len4_tracks != rung.arch.len4_tracks ||
            warm.arch().global_tracks != rung.arch.global_tracks))
         warm.widen_channels(rung.arch);
-      last = route_design(ph.cd, ph.p, warm, rung.router, nullptr, &state);
+      last = route_design(ph.cd, ph.p, warm, rung.router, &state);
       skipped += last.reuse.nets_skipped;
       if (last.success) break;
     }
     row.ladder_reused = skipped;
   });
 
-  // Sibling hand-off: a cold route populates the RouteState, the channels
-  // widen by one track each (compat-sig preserved), and a donated copy of
-  // the state routes the widened graph. Whole-cycle replay is impossible
-  // (capacities changed under the cycle signatures), so every still-clean
-  // search is served by the per-net geometric cache instead. Each rep
-  // re-copies the donor so the timed call always takes the per-net path.
-  {
-    RrGraph shared(ph.p.grid, arch);
-    RouteState donor;
-    route_design(ph.cd, ph.p, shared, full, nullptr, &donor);
-    ArchParams widened = arch;
-    widened.len1_tracks += 1;
-    widened.len4_tracks += 1;
-    widened.global_tracks += 1;
-    shared.widen_channels(widened);
-    row.sibling_ms = measure_ms(reps, [&] {
-      RouteState adopted = donor;
-      last = route_design(ph.cd, ph.p, shared, full, nullptr, &adopted);
-    });
-    row.sibling_hits = last.reuse.net_cache_hits;
-    row.sibling_misses = last.reuse.net_cache_misses;
-  }
   return row;
 }
 
@@ -404,36 +324,20 @@ int main(int argc, char** argv) {
     w.field("ladder_winning_rung", r.ladder_rung);
     w.field("ladder_skipped_net_searches", r.ladder_reused);
     w.field("cold_skipped_net_searches", r.skipped_nets);
-    w.field("spec_cold_t1_ms", round2(r.spec_t1_ms));
-    w.field("spec_cold_t4_ms", round2(r.spec_t4_ms));
-    w.field("spec_batches", r.spec_batches);
-    w.field("spec_conflicts", r.spec_conflicts);
-    w.field("sibling_warm_ms", round2(r.sibling_ms));
-    w.field("net_cache_hits", r.sibling_hits);
-    w.field("net_cache_misses", r.sibling_misses);
-    w.field("net_cache_hit_rate",
-            round2(r.sibling_hits + r.sibling_misses > 0
-                       ? static_cast<double>(r.sibling_hits) /
-                             static_cast<double>(r.sibling_hits +
-                                                 r.sibling_misses)
-                       : 0.0));
     w.field("identical_routing", r.identical);
     w.end();
     std::printf(
         "%-16s luts %4d nets %4d cycles %2d wi %2d  "
         "cold %7.2f -> %7.2f ms (%5.2fx)  warm %7.3f ms (%6.2fx, %ld "
         "cycles replayed)  ladder %7.2f -> %7.2f ms (%5.2fx, rung %d)  "
-        "spec %7.2f / %7.2f ms (%ld batches, %ld losers)  "
-        "sibling %7.3f ms (%ld/%ld net-cache hits)  identical %s\n",
+        "identical %s\n",
         r.name.c_str(), r.luts, r.nets, r.cycles, r.worst_iterations,
         r.ref_ms, r.kernel_ms,
         r.kernel_ms > 0 ? r.ref_ms / r.kernel_ms : 0.0, r.warm_ms,
         r.warm_ms > 0 ? r.ref_ms / r.warm_ms : 0.0, r.warm_reused,
         r.ladder_ref_ms, r.ladder_kernel_ms,
         r.ladder_kernel_ms > 0 ? r.ladder_ref_ms / r.ladder_kernel_ms : 0.0,
-        r.ladder_rung, r.spec_t1_ms, r.spec_t4_ms, r.spec_batches,
-        r.spec_conflicts, r.sibling_ms, r.sibling_hits,
-        r.sibling_hits + r.sibling_misses, r.identical ? "yes" : "NO");
+        r.ladder_rung, r.identical ? "yes" : "NO");
   }
   w.end();
   w.end();

@@ -13,9 +13,9 @@
 //
 // Determinism contract: a spec with all rates zero and no loaded map is
 // inactive and must leave every stage byte-identical to the defect-free
-// flow. An *active* spec contributes its content signature to the RR
-// graph's compat_sig so route caches can never replay a path through a
-// newly-defective resource.
+// flow. An *active* spec's content signature joins the equality checks
+// that guard in-place channel widening and the serving caches' fabric
+// keys, so no cached graph or route crosses a differing defect mask.
 //
 // This header is included by arch/nature.h; it must not include it back.
 // All queries therefore take plain ints and the local wire-kind enum.

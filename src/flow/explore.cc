@@ -57,11 +57,8 @@ std::vector<CandidatePoint> enumerate_candidates(
 
 // Chains of candidates that may legally share warm-start state: same
 // folding level, arch equal in everything but the channel track counts.
-// Chain members donate the schedule, the RR graph + cycle cache (under
-// the strict identity rules in nanomap_flow.h), and — unconditionally —
-// the router's per-net geometric cache, which self-validates per use and
-// so survives placement and channel-width differences between siblings.
-// Grouping is a pure function of the candidate list (first-match in index
+// Chain members donate the schedule and the RR graph + cycle cache (under
+// the strict identity rules in nanomap_flow.h). Grouping is a pure function of the candidate list (first-match in index
 // order), so chain shapes — and with them every warm-start decision — are
 // identical in serial and parallel mode. With warm starts off every
 // candidate is its own chain (maximum parallelism, all cold).

@@ -395,22 +395,17 @@ class FlowEngine {
     // placement is byte-identical to the one they were built against and
     // the graph can be widened in place to rung 0's arch (after which the
     // PR 6 replay admissibility rules guarantee byte-identical routing).
-    // The RouteState itself rides along even when the graph cannot: its
-    // cycle entries are keyed by graph uid (they simply stop matching)
-    // and its per-net entries by geometry + compat signature with live
-    // admission checks, so a chain sibling with a different placement or
-    // channel widths still harvests every still-valid net route. The
+    // The cache's entries are keyed by the donor graph's uid, so without
+    // the graph they could never match and are dropped with it. The
     // donor slot is consumed either way — on success this climb's final
     // state is published back for the next chain member.
     if (warm_) {
-      if (warm_->rr_valid) {
+      if (warm_->rr_valid && warm_->rr &&
+          placements_equal(placed.placement, warm_->rr_placement) &&
+          can_widen_in_place(warm_->rr->arch(), rungs.front().arch)) {
+        rr = std::move(warm_->rr);
         route_state = std::move(warm_->route_state);
-        if (warm_->rr &&
-            placements_equal(placed.placement, warm_->rr_placement) &&
-            can_widen_in_place(warm_->rr->arch(), rungs.front().arch)) {
-          rr = std::move(warm_->rr);
-          warm_->stats.route_state_adopted = true;
-        }
+        warm_->stats.route_state_adopted = true;
       }
       warm_->rr.reset();
       warm_->route_state = RouteState{};
@@ -445,7 +440,7 @@ class FlowEngine {
         }
         rr_nodes = rr->size();
         *routed = route_design(cand.clustered, placed.placement, *rr,
-                               rung.router, &pool_, &route_state);
+                               rung.router, &route_state);
       });
       if (!ok) {
         *fatal = true;
@@ -823,7 +818,6 @@ void validate_flow_options(const FlowOptions& o) {
     reject("placement.timing_weight", "must be >= 0");
   if (o.router.max_iterations < 1)
     reject("router.max_iterations", "must be >= 1");
-  if (o.router.batch_size < 1) reject("router.batch_size", "must be >= 1");
   if (!(o.router.initial_pres_fac > 0.0))
     reject("router.initial_pres_fac", "must be > 0");
   if (!(o.router.pres_fac_mult > 0.0))

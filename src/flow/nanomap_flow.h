@@ -99,8 +99,6 @@ struct ExploreCandidateOutcome {
   double area_delay_product = 0.0;
   bool warm_schedule = false;     // schedule+cluster adopted from a donor
   bool warm_route_state = false;  // RR graph + cycle cache adopted
-                                  // (the per-net route cache also rides
-                                  // along chains without this being set)
   bool on_pareto_front = false;
   bool winner = false;
   double cpu_seconds = 0.0;  // wall-clock; masked by to_json(false)
@@ -251,13 +249,13 @@ struct FlowOptions {
   bool refine_schedule = true;  // post-scheduling rebalancing sweeps
   std::uint64_t seed = 42;
   // Worker threads for the parallel stages (multi-seed placement
-  // restarts, whole-placement cost evaluation, batched PathFinder
-  // reroutes). 0 = hardware concurrency. The thread count only changes
-  // wall-clock time: the same (input, seed) produces byte-identical
-  // placement, routing, and bitmap at any setting (see
+  // restarts, whole-placement cost evaluation, the FDS kernel). Routing
+  // is sequential. 0 = hardware concurrency. The thread count only
+  // changes wall-clock time: the same (input, seed) produces
+  // byte-identical placement, routing, and bitmap at any setting (see
   // tests/determinism_test.cc), and threads = 1 runs the serial code
-  // paths exactly. How much parallel *work* exists is controlled
-  // separately by placement.restarts and router.batch_size.
+  // paths exactly. How much parallel placement *work* exists is
+  // controlled separately by placement.restarts.
   int threads = 0;
   PlacementOptions placement;
   RouterOptions router;
@@ -281,8 +279,8 @@ struct FlowOptions {
   RrGraphProvider* rr_provider = nullptr;
 };
 
-// Rejects out-of-range options (negative threads, batch_size < 1,
-// max_iterations < 1, negative constraints, ...) with an InputError whose
+// Rejects out-of-range options (negative threads, max_iterations < 1,
+// negative constraints, ...) with an InputError whose
 // message names the offending field. run_nanomap calls this before doing
 // any work; callers wanting exit-code 2 semantics can call it themselves.
 void validate_flow_options(const FlowOptions& options);
@@ -403,12 +401,8 @@ bool arch_equal_ignoring_channel_tracks(const ArchParams& a,
 //    tracks, everything else equal). The graph is then widened to the
 //    candidate's *exact* capacities and the PR 6 replay admissibility
 //    rules take over, so a warm route is byte-identical to a cold one.
-//  * route_state: always adopted from a valid donor. Cycle entries are
-//    keyed by graph uid, so without the donor graph they simply stop
-//    matching; the per-net geometric cache (DESIGN.md §5i) is keyed by
-//    net geometry + graph compat signature and re-validated against live
-//    occupancy at every use, so it transfers across placements and
-//    channel variants while staying result-neutral by construction.
+//  * route_state: adopted together with rr, never alone — its cycle
+//    entries are keyed by the donor graph's uid and match no other graph.
 struct FlowWarmStart {
   ScheduledCandidate schedule;
   ArchParams schedule_arch;  // arch `schedule` was computed under

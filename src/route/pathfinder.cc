@@ -13,15 +13,6 @@
 //     widenings, where capacity growth can only alter costs the cached
 //     negotiation never read (it converged in one iteration and never saw
 //     an over-capacity term).
-//   * A single net's congestion-clean search (read no history, no present
-//     term) is replayed from a per-net geometric cache whenever its whole
-//     read-set is still clean — across cycles, calls and compat-equal
-//     graphs (DESIGN.md §5i).
-//   * At the sequential schedule, footprint-disjoint runs of nets search
-//     concurrently and are admitted at commit time only when every cost
-//     they read is provably unchanged; anything else re-routes in place,
-//     sequentially (options.speculative — results, stats and counters are
-//     byte-identical to speculation off at any thread count).
 #include "route/pathfinder.h"
 
 #include <algorithm>
@@ -52,35 +43,21 @@ struct QueueEntry {
   bool operator>(const QueueEntry& other) const { return cost > other.cost; }
 };
 
-// Per-route scratch for one A* wavefront. Each concurrently routed net of
-// a batch owns its private SearchState (indexed by batch slot), so the
-// only shared router state during a batch is the read-only occupancy /
-// history snapshot.
+// Scratch for one A* wavefront, left fully reset after every net search
+// so one instance serves a whole folding cycle.
 struct SearchState {
   std::vector<int> parent;
   std::vector<double> best_cost;
   std::vector<double> delay_at;
   std::vector<char> in_tree;
-  // Speculative searches run before their net's occupancy is ripped, so
-  // the slot carries a membership mask of the net's own current tree and
-  // the cost function subtracts it — reproducing exactly the snapshot a
-  // sequential rip-then-search would read. Set and cleared around each
-  // speculative search (all-zero otherwise).
-  std::vector<char> own_mask;
 
   explicit SearchState(int nodes)
       : parent(static_cast<std::size_t>(nodes), -1),
         best_cost(static_cast<std::size_t>(nodes),
                   std::numeric_limits<double>::infinity()),
         delay_at(static_cast<std::size_t>(nodes), 0.0),
-        in_tree(static_cast<std::size_t>(nodes), 0),
-        own_mask(static_cast<std::size_t>(nodes), 0) {}
+        in_tree(static_cast<std::size_t>(nodes), 0) {}
 };
-
-// Longest run a speculative batch may cover. Bounds the quadratic
-// footprint-disjointness test and the per-batch scratch; large enough
-// that any realistic pool is saturated.
-constexpr int kMaxSpecBatch = 32;
 
 // Sink SMBs of one net ordered farthest-from-driver first (classic
 // heuristic), ties by SMB index — a pure function of the placement, so
@@ -106,10 +83,8 @@ std::vector<int> sinks_farthest_first(const ClusteredDesign& cd,
 class CycleRouter {
  public:
   CycleRouter(const ClusteredDesign& cd, const Placement& placement,
-              const RrGraph& rr, const RouterOptions& options,
-              ThreadPool* pool, RouteState* state)
-      : cd_(cd), placement_(placement), rr_(rr), options_(options),
-        pool_(pool), state_(state) {
+              const RrGraph& rr, const RouterOptions& options)
+      : cd_(cd), placement_(placement), rr_(rr), options_(options) {
     occ_.assign(static_cast<std::size_t>(rr.size()), 0);
     hist_.assign(static_cast<std::size_t>(rr.size()), 0.0);
     node_stamp_.assign(static_cast<std::size_t>(rr.size()), 0);
@@ -117,99 +92,31 @@ class CycleRouter {
 
   // Routes all nets of one folding cycle; returns residual overuse count.
   //
-  // Nets are processed in fixed-size batches: rip up the whole batch,
-  // reroute every member against the occupancy frozen at batch start
-  // (this is the parallel section), then commit occupancies in net order.
-  // Batch composition depends only on net order and options.batch_size,
-  // and each reroute reads only the frozen snapshot plus its private
-  // SearchState — so the result is identical at any thread count, and
-  // batch_size = 1 reproduces the classical sequential PathFinder
-  // negotiation exactly.
+  // Classical sequential PathFinder negotiation: each iteration rips up
+  // and reroutes every net in net order against the occupancy the nets
+  // before it just committed, then bumps history on overused nodes.
   //
-  // Incremental skip: a batch member whose last search provably reads the
-  // same costs again (no touched node re-stamped, no pres_fac sensitivity)
+  // Incremental skip: a net whose last search provably reads the same
+  // costs again (no touched node re-stamped, no pres_fac sensitivity)
   // keeps its previous tree and NetRoute instead of re-running A* — the
   // rip-up/commit of its unchanged occupancy still happens, so every other
   // net sees exactly the snapshot the seed router would produce.
   long route_cycle(const std::vector<int>& net_indices,
                    const std::vector<std::vector<int>>& sorted_sinks,
-                   const std::vector<std::vector<std::int64_t>>& net_sigs,
                    std::vector<NetRoute>* out, int* iterations_used,
                    RouteReuseStats* stats, bool* cycle_saw_over) {
     const int num_nets = static_cast<int>(net_indices.size());
     std::vector<std::vector<int>> trees(net_indices.size());
     std::vector<NetRoute> routes(net_indices.size());
-    const int batch = std::max(1, options_.batch_size);
-    // Speculation replaces the strictly sequential schedule only — a
-    // batch_size > 1 schedule is already parallel, and the condition is a
-    // pure function of the options, so engagement (and with it every
-    // counter) never depends on the pool or its thread count.
-    const bool spec = options_.speculative && batch == 1 && num_nets > 1;
-    const int slots = spec ? std::min(kMaxSpecBatch, num_nets)
-                           : std::min(batch, std::max(num_nets, 1));
-    std::vector<std::unique_ptr<SearchState>> states(
-        static_cast<std::size_t>(slots));
+    std::unique_ptr<SearchState> ss;  // allocated at the first search
 
     touched_.assign(net_indices.size(), {});
     routed_stamp_.assign(net_indices.size(), -1);
     searched_pres_fac_.assign(net_indices.size(), 0.0);
     net_saw_pres_.assign(net_indices.size(), 0);
-    net_saw_hist_.assign(net_indices.size(), 0);
-    std::vector<char> dirty(static_cast<std::size_t>(batch), 1);
-    std::vector<char> from_cache(static_cast<std::size_t>(batch), 0);
-    std::vector<std::vector<int>> old_trees(static_cast<std::size_t>(batch));
     bool saw_over = false;
 
     double pres_fac = options_.initial_pres_fac;
-
-    // One committed search in the sequential-semantic schedule: the
-    // per-net cache first, A* on miss. Returns true when served from the
-    // cache. `own` is the speculative own-tree mask (null when the net's
-    // occupancy is already ripped).
-    auto search_net = [&](std::size_t ni, SearchState* ss, const char* own,
-                          NetRoute* route, std::vector<int>* tree,
-                          std::vector<int>* net_touched, char* saw_pres,
-                          char* saw_hist) {
-      if (try_net_cache(net_sigs[ni], net_indices[ni], sorted_sinks[ni],
-                        own, route, tree, net_touched, saw_pres, saw_hist))
-        return true;
-      *route = route_net(net_indices[ni], sorted_sinks[ni], pres_fac, tree,
-                         ss, net_touched, saw_pres, saw_hist, own);
-      return false;
-    };
-    auto count_cache = [&](bool hit) {
-      if (hit) {
-        ++stats->net_cache_hits;
-        NM_TRACE_COUNT("route.net_cache_hits", 1);
-      } else {
-        ++stats->net_cache_misses;
-        NM_TRACE_COUNT("route.net_cache_misses", 1);
-      }
-    };
-
-    // Speculative scheduling state: current footprint per net slot
-    // (terminals before the first search, the committed tree after) and
-    // the versioned batch-start occupancy save.
-    if (spec) {
-      bs_occ_.assign(static_cast<std::size_t>(rr_.size()), 0);
-      bs_ver_.assign(static_cast<std::size_t>(rr_.size()), 0);
-      batch_seq_ = 0;
-      footprint_.resize(net_indices.size());
-      for (std::size_t ni = 0; ni < net_indices.size(); ++ni)
-        footprint_[ni] = terminal_footprint(net_indices[ni],
-                                            sorted_sinks[ni]);
-    }
-    // Per-batch speculative scratch (slot k of the current batch).
-    std::vector<char> spec_dirty(spec ? states.size() : 0, 0);
-    std::vector<char> spec_hit(spec ? states.size() : 0, 0);
-    std::vector<char> spec_saw_pres(spec ? states.size() : 0, 0);
-    std::vector<char> spec_saw_hist(spec ? states.size() : 0, 0);
-    std::vector<NetRoute> spec_routes(spec ? states.size() : 0);
-    std::vector<std::vector<int>> spec_trees(spec ? states.size() : 0);
-    std::vector<std::vector<int>> spec_touched(spec ? states.size() : 0);
-    std::vector<int> old_tree;  // per-member scratch of the spec commit
-    int batch_ord = 0;  // unique per batch across iterations (loser log)
-
     long overused = 0;
     int iter = 0;
     for (iter = 1; iter <= options_.max_iterations; ++iter) {
@@ -217,166 +124,25 @@ class CycleRouter {
       // iteration (that is what keeps the snapshots seed-identical); only
       // the A* searches are skipped.
       NM_TRACE_VALUE("route.rip_ups_per_iter", num_nets);
-      if (spec) {
-        // Speculative sequential schedule. Footprint-disjoint runs route
-        // concurrently against the iteration's live snapshot (reads only:
-        // nothing mutates occ_/hist_ during the parallel section), then
-        // members commit strictly in net order. A member's speculative
-        // result is adopted only when every node its search read provably
-        // costs the same at its commit point as it did at batch start
-        // (equal clamped overuse; history is iteration-constant) — then
-        // the adopted search is bit-identical to the sequential one by
-        // the same replay argument as the incremental skip. Anything else
-        // re-routes sequentially right there, so the commit sequence —
-        // and every stamp, stat and counter along it — is byte-identical
-        // to the non-speculative schedule.
-        const std::vector<int> ends =
-            speculative_batch_ends(footprint_, kMaxSpecBatch);
-        int start = 0;
-        for (int end : ends) {
-          const int bn = end - start;
-          if (bn > 1) {
-            ++stats->spec_batches;
-            NM_TRACE_COUNT("route.spec_batches", 1);
-            for (int k = 0; k < bn; ++k)
-              spec_dirty[static_cast<std::size_t>(k)] =
-                  is_dirty(static_cast<std::size_t>(start + k), pres_fac)
-                      ? 1
-                      : 0;
-            pool_for_each(pool_, bn, [&](int k) {
-              if (!spec_dirty[static_cast<std::size_t>(k)]) return;
-              const std::size_t ni = static_cast<std::size_t>(start + k);
-              std::unique_ptr<SearchState>& state =
-                  states[static_cast<std::size_t>(k)];
-              if (!state) state = std::make_unique<SearchState>(rr_.size());
-              char* own = state->own_mask.data();
-              for (int n : trees[ni])
-                own[static_cast<std::size_t>(n)] = 1;
-              spec_hit[static_cast<std::size_t>(k)] =
-                  search_net(ni, state.get(), own,
-                             &spec_routes[static_cast<std::size_t>(k)],
-                             &spec_trees[static_cast<std::size_t>(k)],
-                             &spec_touched[static_cast<std::size_t>(k)],
-                             &spec_saw_pres[static_cast<std::size_t>(k)],
-                             &spec_saw_hist[static_cast<std::size_t>(k)])
-                      ? 1
-                      : 0;
-              for (int n : trees[ni])
-                own[static_cast<std::size_t>(n)] = 0;
-            });
-            ++batch_seq_;
-          }
-          for (int k = 0; k < bn; ++k) {
-            const std::size_t ni = static_cast<std::size_t>(start + k);
-            const std::size_t sk = static_cast<std::size_t>(k);
-            // Mirrors one step of the sequential per-net schedule exactly
-            // (dirty eval, rip, search, stamp, diff, commit).
-            const bool live_dirty = is_dirty(ni, pres_fac);
-            NM_TRACE_COUNT("route.reroutes", live_dirty ? 1 : 0);
-            stats->nets_rerouted += live_dirty ? 1 : 0;
-            stats->nets_skipped += live_dirty ? 0 : 1;
-            for (int n : trees[ni]) {
-              if (bn > 1) save_batch_start(n);
-              --occ_[static_cast<std::size_t>(n)];
-            }
-            if (live_dirty) {
-              old_tree = std::move(trees[ni]);
-              trees[ni].clear();
-              bool adopted = false;
-              if (bn > 1 && spec_dirty[sk] &&
-                  spec_valid(spec_touched[sk], old_tree)) {
-                trees[ni] = std::move(spec_trees[sk]);
-                routes[ni] = std::move(spec_routes[sk]);
-                touched_[ni] = std::move(spec_touched[sk]);
-                net_saw_pres_[ni] = spec_saw_pres[sk];
-                net_saw_hist_[ni] = spec_saw_hist[sk];
-                count_cache(spec_hit[sk] != 0);
-                adopted = true;
-              }
-              if (!adopted) {
-                if (bn > 1) {
-                  // Speculation loser (or a member an earlier commit made
-                  // dirty): negotiate live, in net order.
-                  ++stats->spec_conflicts;
-                  NM_TRACE_COUNT("route.spec_conflicts", 1);
-                  if (options_.spec_loser_log)
-                    options_.spec_loser_log->push_back(
-                        {batch_ord, net_indices[ni]});
-                }
-                std::unique_ptr<SearchState>& state = states[sk];
-                if (!state)
-                  state = std::make_unique<SearchState>(rr_.size());
-                count_cache(search_net(ni, state.get(), nullptr,
-                                       &routes[ni], &trees[ni],
-                                       &touched_[ni], &net_saw_pres_[ni],
-                                       &net_saw_hist_[ni]));
-              }
-              routed_stamp_[ni] = stamp_;
-              searched_pres_fac_[ni] = pres_fac;
-            }
-            ++stamp_;
-            if (live_dirty) {
-              mark_diff(old_tree, trees[ni]);
-              if (net_saw_pres_[ni]) saw_over = true;
-              footprint_[ni] = tree_footprint(trees[ni]);
-            }
-            for (int n : trees[ni]) {
-              if (bn > 1) save_batch_start(n);
-              ++occ_[static_cast<std::size_t>(n)];
-            }
-          }
-          start = end;
-          ++batch_ord;
+      for (std::size_t ni = 0; ni < net_indices.size(); ++ni) {
+        const bool dirty = is_dirty(ni, pres_fac);
+        NM_TRACE_COUNT("route.reroutes", dirty ? 1 : 0);
+        stats->nets_rerouted += dirty ? 1 : 0;
+        stats->nets_skipped += dirty ? 0 : 1;
+        for (int n : trees[ni]) --occ_[static_cast<std::size_t>(n)];
+        if (dirty) {
+          const std::vector<int> old_tree = std::move(trees[ni]);
+          if (!ss) ss = std::make_unique<SearchState>(rr_.size());
+          routes[ni] = route_net(net_indices[ni], sorted_sinks[ni], pres_fac,
+                                 &trees[ni], ss.get(), &touched_[ni],
+                                 &net_saw_pres_[ni]);
+          searched_pres_fac_[ni] = pres_fac;
+          // The net's own occupancy delta is stamped after its snapshot.
+          routed_stamp_[ni] = stamp_++;
+          mark_diff(old_tree, trees[ni]);
+          if (net_saw_pres_[ni]) saw_over = true;
         }
-      } else {
-        for (int start = 0; start < num_nets; start += batch) {
-          const int bn = std::min(batch, num_nets - start);
-          int dirty_count = 0;
-          for (int k = 0; k < bn; ++k) {
-            const std::size_t ni = static_cast<std::size_t>(start + k);
-            dirty[static_cast<std::size_t>(k)] =
-                is_dirty(ni, pres_fac) ? 1 : 0;
-            dirty_count += dirty[static_cast<std::size_t>(k)];
-          }
-          NM_TRACE_COUNT("route.reroutes", dirty_count);
-          stats->nets_rerouted += dirty_count;
-          stats->nets_skipped += bn - dirty_count;
-          for (int k = 0; k < bn; ++k) {
-            for (int n : trees[static_cast<std::size_t>(start + k)])
-              --occ_[static_cast<std::size_t>(n)];
-            if (dirty[static_cast<std::size_t>(k)]) {
-              old_trees[static_cast<std::size_t>(k)] =
-                  std::move(trees[static_cast<std::size_t>(start + k)]);
-              trees[static_cast<std::size_t>(start + k)].clear();
-            }
-          }
-          const std::int64_t search_stamp = stamp_;
-          pool_for_each(pool_, bn, [&](int k) {
-            if (!dirty[static_cast<std::size_t>(k)]) return;
-            const std::size_t ni = static_cast<std::size_t>(start + k);
-            std::unique_ptr<SearchState>& state =
-                states[static_cast<std::size_t>(k)];
-            if (!state) state = std::make_unique<SearchState>(rr_.size());
-            from_cache[static_cast<std::size_t>(k)] =
-                search_net(ni, state.get(), nullptr, &routes[ni],
-                           &trees[ni], &touched_[ni], &net_saw_pres_[ni],
-                           &net_saw_hist_[ni])
-                    ? 1
-                    : 0;
-            routed_stamp_[ni] = search_stamp;
-            searched_pres_fac_[ni] = pres_fac;
-          });
-          ++stamp_;
-          for (int k = 0; k < bn; ++k) {
-            const std::size_t ni = static_cast<std::size_t>(start + k);
-            if (dirty[static_cast<std::size_t>(k)]) {
-              count_cache(from_cache[static_cast<std::size_t>(k)] != 0);
-              mark_diff(old_trees[static_cast<std::size_t>(k)], trees[ni]);
-              if (net_saw_pres_[ni]) saw_over = true;
-            }
-            for (int n : trees[ni]) ++occ_[static_cast<std::size_t>(n)];
-          }
-        }
+        for (int n : trees[ni]) ++occ_[static_cast<std::size_t>(n)];
       }
       overused = 0;
       ++stamp_;
@@ -395,32 +161,6 @@ class CycleRouter {
     *iterations_used = std::min(iter, options_.max_iterations);
     *cycle_saw_over = saw_over;
 
-    // Seed the per-net cache with this negotiation's congestion-clean
-    // final searches: a search that read no history and no present term
-    // consumed only the static graph and the geometry key, so any later
-    // context that is still clean on its whole read-set replays it
-    // bit-identically. The insert itself is schedule-invariant — winners
-    // carry the exact flags and read-set the sequential search would.
-    if (state_) {
-      for (std::size_t ni = 0; ni < net_indices.size(); ++ni) {
-        if (routed_stamp_[ni] < 0) continue;
-        if (net_saw_pres_[ni] || net_saw_hist_[ni]) continue;
-        RouteState::NetEntry e;
-        e.compat_sig = rr_.compat_sig();
-        e.capacity_epoch = rr_.capacity_epoch();
-        e.timing_driven = options_.timing_driven;
-        e.astar_weight = options_.astar_weight;
-        e.delay_norm_ps = options_.delay_norm_ps;
-        e.wire_nodes = routes[ni].wire_nodes;
-        e.sink_delay_ps = routes[ni].sink_delay_ps;
-        e.touched = touched_[ni];
-        std::sort(e.touched.begin(), e.touched.end());
-        e.touched.erase(std::unique(e.touched.begin(), e.touched.end()),
-                        e.touched.end());
-        state_->net_entries()[net_sigs[ni]] = std::move(e);
-      }
-    }
-
     out->insert(out->end(), routes.begin(), routes.end());
     return overused;
   }
@@ -429,8 +169,8 @@ class CycleRouter {
   // True when net slot `ni` must actually re-run A*: never searched, or
   // its last search read a present-congestion term and pres_fac has moved
   // since, or any node it touched was re-stamped (occupancy delta at some
-  // batch commit, or a history bump at some iteration end) after the
-  // stamp its snapshot was taken at. Marks from batches committed before
+  // net commit, or a history bump at some iteration end) after the
+  // stamp its snapshot was taken at. Marks from nets committed before
   // the search carry stamps <= routed_stamp, so they never falsely dirty
   // a net whose snapshot already included them.
   bool is_dirty(std::size_t ni, double pres_fac) const {
@@ -440,140 +180,6 @@ class CycleRouter {
     for (int n : touched_[ni])
       if (node_stamp_[static_cast<std::size_t>(n)] > since) return true;
     return false;
-  }
-
-  // Records node n's occupancy as it stood when the current speculative
-  // batch's searches ran, before the commit loop's first mutation of it.
-  // Must be called immediately before every occ_ mutation while a
-  // multi-net batch commits.
-  void save_batch_start(int n) {
-    if (bs_ver_[static_cast<std::size_t>(n)] != batch_seq_) {
-      bs_ver_[static_cast<std::size_t>(n)] = batch_seq_;
-      bs_occ_[static_cast<std::size_t>(n)] = occ_[static_cast<std::size_t>(n)];
-    }
-  }
-
-  // Commit-time admission of one speculative result: every node the
-  // speculative search read must cost exactly the same here as it did at
-  // batch start. Base costs and history are iteration-constant, so only
-  // the clamped overuse term can differ; both sides are evaluated with
-  // the member's own previous tree (sorted) excluded — the speculative
-  // search subtracted it via the own mask, and the commit path has just
-  // ripped it from occ_.
-  bool spec_valid(const std::vector<int>& touched,
-                  const std::vector<int>& old_tree) const {
-    for (int n : touched) {
-      const int cap = rr_.node(n).capacity;
-      int bs = bs_ver_[static_cast<std::size_t>(n)] == batch_seq_
-                   ? bs_occ_[static_cast<std::size_t>(n)]
-                   : occ_[static_cast<std::size_t>(n)];
-      if (std::binary_search(old_tree.begin(), old_tree.end(), n)) --bs;
-      const int over_spec = std::max(0, bs + 1 - cap);
-      const int over_live =
-          std::max(0, occ_[static_cast<std::size_t>(n)] + 1 - cap);
-      if (over_spec != over_live) return false;
-    }
-    return true;
-  }
-
-  // Conservative footprints for the speculative scheduler. A tree's
-  // bounding box over non-global node anchors contains the anchor of
-  // every such node it uses, and its global lines land in the per-axis
-  // row/column masks, so disjoint footprints mean node-disjoint trees;
-  // the pre-first-search terminal box is merely a good guess (conflicts
-  // are caught at commit either way).
-  NetFootprint terminal_footprint(int net_index,
-                                  const std::vector<int>& sinks) const {
-    const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
-    NetFootprint f;
-    f.min_x = f.max_x = placement_.x_of(pn.driver_smb);
-    f.min_y = f.max_y = placement_.y_of(pn.driver_smb);
-    for (int s : sinks) {
-      f.min_x = std::min(f.min_x, placement_.x_of(s));
-      f.max_x = std::max(f.max_x, placement_.x_of(s));
-      f.min_y = std::min(f.min_y, placement_.y_of(s));
-      f.max_y = std::max(f.max_y, placement_.y_of(s));
-    }
-    return f;
-  }
-  NetFootprint tree_footprint(const std::vector<int>& tree) const {
-    NetFootprint f;
-    for (int n : tree) {
-      const RrNode& node = rr_.node(n);
-      if (node.type == RrType::kGlobal) {
-        // A global line spans its whole row/column but anchors at x/y =
-        // 0; folding the anchor into the box would stretch it to the
-        // fabric edge (deflating batch sizes on global-heavy circuits).
-        // Record the spanned row/column in the per-axis masks instead.
-        if (node.dir == 0)
-          f.global_rows |= 1ull << (node.y % 64);
-        else
-          f.global_cols |= 1ull << (node.x % 64);
-        continue;
-      }
-      if (f.max_x < f.min_x) {
-        f.min_x = f.max_x = node.x;
-        f.min_y = f.max_y = node.y;
-      } else {
-        f.min_x = std::min(f.min_x, node.x);
-        f.max_x = std::max(f.max_x, node.x);
-        f.min_y = std::min(f.min_y, node.y);
-        f.max_y = std::max(f.max_y, node.y);
-      }
-    }
-    return f;
-  }
-
-  // Serves one search from the per-net geometric cache when the replay is
-  // provably identical to running A* right here: compatible graph and
-  // cost-shaping options, and every node of the cached read-set still
-  // clean — zero history and one more occupant within capacity, i.e. the
-  // search would again read only static costs, and being the same
-  // deterministic process on the same inputs it would retrace the cached
-  // trajectory node for node. Capacities are read live, so in-place
-  // channel widenings only ever widen admission.
-  bool try_net_cache(const std::vector<std::int64_t>& sig, int net_index,
-                     const std::vector<int>& sinks, const char* own,
-                     NetRoute* route, std::vector<int>* tree,
-                     std::vector<int>* net_touched, char* saw_pres_out,
-                     char* saw_hist_out) const {
-    if (!state_) return false;
-    const auto it = state_->net_entries().find(sig);
-    if (it == state_->net_entries().end()) return false;
-    const RouteState::NetEntry& e = it->second;
-    if (e.compat_sig != rr_.compat_sig() ||
-        e.timing_driven != options_.timing_driven ||
-        e.astar_weight != options_.astar_weight ||
-        e.delay_norm_ps != options_.delay_norm_ps)
-      return false;
-    for (int n : e.touched) {
-      if (hist_[static_cast<std::size_t>(n)] != 0.0) return false;
-      const int occ =
-          occ_[static_cast<std::size_t>(n)] -
-          (own != nullptr ? own[static_cast<std::size_t>(n)] : 0);
-      if (occ + 1 > rr_.node(n).capacity) return false;
-    }
-    const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
-    route->net_index = net_index;
-    route->sink_smbs = sinks;
-    route->sink_delay_ps = e.sink_delay_ps;
-    route->wire_nodes = e.wire_nodes;
-    // The full tree is wire nodes plus the terminal pins: an IPIN has no
-    // out-edges and an OPIN no in-edges, so neither can sit mid-path —
-    // the cached search's tree pins are exactly the driver OPIN and the
-    // sink IPINs.
-    std::vector<int> t = e.wire_nodes;
-    t.push_back(rr_.opin(placement_.x_of(pn.driver_smb),
-                         placement_.y_of(pn.driver_smb)));
-    for (int s : sinks)
-      t.push_back(rr_.ipin(placement_.x_of(s), placement_.y_of(s)));
-    std::sort(t.begin(), t.end());
-    t.erase(std::unique(t.begin(), t.end()), t.end());
-    *tree = std::move(t);
-    *net_touched = e.touched;
-    *saw_pres_out = 0;
-    *saw_hist_out = 0;
-    return true;
   }
 
   // Stamps every node whose occupancy contribution changed between two
@@ -594,20 +200,12 @@ class CycleRouter {
 
   // Congestion cost blended with the node's delay for critical nets
   // (timing-driven routing). The present/history congestion terms always
-  // apply so legality is never traded away. `saw_pres` / `saw_hist`
-  // (never null inside a search) record that the returned value depends
-  // on pres_fac / carries accumulated history — together they certify a
-  // search that consumed only static costs, which is what makes it
-  // cacheable per net. A non-null `own` subtracts the searching net's own
-  // committed tree from the occupancy (speculative mode, where the rip
-  // has not happened yet).
-  double node_cost(int n, double pres_fac, double crit, const char* own,
-                   bool* saw_pres, bool* saw_hist) const {
+  // apply so legality is never traded away. `saw_pres` records that the
+  // returned value depends on pres_fac.
+  double node_cost(int n, double pres_fac, double crit,
+                   bool* saw_pres) const {
     const RrNode& node = rr_.node(n);
-    const int occ =
-        occ_[static_cast<std::size_t>(n)] -
-        (own != nullptr ? own[static_cast<std::size_t>(n)] : 0);
-    int over = occ + 1 - node.capacity;
+    int over = occ_[static_cast<std::size_t>(n)] + 1 - node.capacity;
     double pres = 1.0;
     if (over > 0) {
       pres = 1.0 + pres_fac * over;
@@ -618,35 +216,29 @@ class CycleRouter {
       base = (1.0 - crit) * node.base_cost +
              crit * (node.delay_ps / options_.delay_norm_ps);
     }
-    const double h = hist_[static_cast<std::size_t>(n)];
-    if (h != 0.0) *saw_hist = true;
-    return (base + h) * pres;
+    return (base + hist_[static_cast<std::size_t>(n)]) * pres;
   }
 
   // Routes one net against the current occupancy/history snapshot. Reads
   // occ_/hist_ only; all mutable search state lives in `ss`, which is
-  // left fully reset on return so the slot can be reused by the next
-  // batch. The caller commits the returned tree's occupancy.
+  // left fully reset on return. The caller commits the returned tree's
+  // occupancy.
   // `net_touched` receives every node any of the net's sink searches
   // relaxed (a superset of every node whose cost was read). It is left
   // unsorted and may hold a node once per sink search — is_dirty's linear
   // scan tolerates duplicates, and skipping the per-net sort keeps the
   // cold (no-reuse) path close to the seed router's cost. `saw_pres_out`
-  // records whether any read cost carried the present-congestion factor,
-  // `saw_hist_out` whether any carried nonzero history; `own` is threaded
-  // to node_cost (speculative own-tree subtraction, null otherwise).
+  // records whether any read cost carried the present-congestion factor.
   NetRoute route_net(int net_index, const std::vector<int>& sinks,
                      double pres_fac, std::vector<int>* tree,
                      SearchState* ss, std::vector<int>* net_touched,
-                     char* saw_pres_out, char* saw_hist_out,
-                     const char* own) const {
+                     char* saw_pres_out) const {
     const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
     const double crit = pn.criticality;
     NetRoute route;
     route.net_index = net_index;
     net_touched->clear();
     bool saw_pres = false;
-    bool saw_hist = false;
 
     const int sx = placement_.x_of(pn.driver_smb);
     const int sy = placement_.y_of(pn.driver_smb);
@@ -704,8 +296,7 @@ class CycleRouter {
         for (int next : node.edges) {
           relax(next,
                 ss->best_cost[static_cast<std::size_t>(n)] +
-                    node_cost(next, pres_fac, crit, own, &saw_pres,
-                              &saw_hist),
+                    node_cost(next, pres_fac, crit, &saw_pres),
                 n);
         }
       }
@@ -751,7 +342,7 @@ class CycleRouter {
     }
 
     // Hand the deduplicated tree to the caller (occupancy is committed
-    // there, in net order) and scrub the in_tree flags for slot reuse.
+    // there) and scrub the in_tree flags for the next search.
     std::sort(tree_nodes.begin(), tree_nodes.end());
     tree_nodes.erase(std::unique(tree_nodes.begin(), tree_nodes.end()),
                      tree_nodes.end());
@@ -762,7 +353,6 @@ class CycleRouter {
         route.wire_nodes.push_back(n);
     }
     *saw_pres_out = saw_pres ? 1 : 0;
-    *saw_hist_out = saw_hist ? 1 : 0;
     *tree = tree_nodes;
     return route;
   }
@@ -771,8 +361,6 @@ class CycleRouter {
   const Placement& placement_;
   const RrGraph& rr_;
   const RouterOptions& options_;
-  ThreadPool* pool_;
-  RouteState* state_;  // per-net geometric cache (never null)
 
   std::vector<int> occ_;
   std::vector<double> hist_;
@@ -786,43 +374,28 @@ class CycleRouter {
   std::vector<std::int64_t> routed_stamp_;
   std::vector<double> searched_pres_fac_;
   std::vector<char> net_saw_pres_;
-  std::vector<char> net_saw_hist_;
-
-  // Speculative-mode state: per-net footprints for batch formation and
-  // the versioned batch-start occupancy save (bs_occ_[n] is authoritative
-  // only while bs_ver_[n] == batch_seq_).
-  std::vector<NetFootprint> footprint_;
-  std::int64_t batch_seq_ = 0;
-  std::vector<std::int64_t> bs_ver_;
-  std::vector<int> bs_occ_;
 };
 
-// Exact geometric identity of one net's routing problem: the driver
-// coordinates, the criticality bit pattern, the sink count, and the sink
-// coordinates in the farthest-first order the router will visit them.
-// Two nets with equal signatures on compat-equal graphs pose the same
-// search problem, SMB renaming aside — this keys the per-net cache. The
-// cycle signature (cycle cache key) is the concatenation in cycle-net
-// order.
-std::vector<std::int64_t> net_signature(const ClusteredDesign& cd,
-                                        const Placement& placement,
-                                        int net_index,
-                                        const std::vector<int>& sinks) {
+// Appends the exact geometric identity of one net's routing problem to a
+// cycle signature (the cycle cache key): the driver coordinates, the
+// criticality bit pattern, the sink count, and the sink coordinates in the
+// farthest-first order the router will visit them.
+void append_net_signature(const ClusteredDesign& cd,
+                          const Placement& placement, int net_index,
+                          const std::vector<int>& sinks,
+                          std::vector<std::int64_t>* sig) {
   const PlacedNet& pn = cd.nets[static_cast<std::size_t>(net_index)];
-  std::vector<std::int64_t> sig;
-  sig.reserve(4 + 2 * sinks.size());
-  sig.push_back(placement.x_of(pn.driver_smb));
-  sig.push_back(placement.y_of(pn.driver_smb));
+  sig->push_back(placement.x_of(pn.driver_smb));
+  sig->push_back(placement.y_of(pn.driver_smb));
   static_assert(sizeof(double) == sizeof(std::int64_t));
   std::int64_t crit_bits = 0;
   std::memcpy(&crit_bits, &pn.criticality, sizeof(crit_bits));
-  sig.push_back(crit_bits);
-  sig.push_back(static_cast<std::int64_t>(sinks.size()));
+  sig->push_back(crit_bits);
+  sig->push_back(static_cast<std::int64_t>(sinks.size()));
   for (int s : sinks) {
-    sig.push_back(placement.x_of(s));
-    sig.push_back(placement.y_of(s));
+    sig->push_back(placement.x_of(s));
+    sig->push_back(placement.y_of(s));
   }
-  return sig;
 }
 
 // Replaying a cached cycle is valid when the replay would provably run
@@ -838,8 +411,7 @@ bool entry_replayable(const RouteState::Entry& e, const RrGraph& rr,
   if (e.timing_driven != o.timing_driven ||
       e.initial_pres_fac != o.initial_pres_fac ||
       e.astar_weight != o.astar_weight ||
-      e.delay_norm_ps != o.delay_norm_ps ||
-      e.batch_size != std::max(1, o.batch_size))
+      e.delay_norm_ps != o.delay_norm_ps)
     return false;
   const bool one_clean_iter = e.iterations == 1 && e.overused == 0;
   if (e.capacity_epoch == rr.capacity_epoch()) {
@@ -874,32 +446,9 @@ void audit_against_reference(const RoutingResult& got,
 
 }  // namespace
 
-std::vector<int> speculative_batch_ends(
-    const std::vector<NetFootprint>& footprints, int max_run) {
-  const int cap = std::max(1, max_run);
-  const int n = static_cast<int>(footprints.size());
-  std::vector<int> ends;
-  int start = 0;
-  while (start < n) {
-    int end = start + 1;
-    while (end < n && end - start < cap) {
-      bool disjoint = true;
-      for (int j = start; j < end && disjoint; ++j)
-        disjoint = !footprints[static_cast<std::size_t>(j)].overlaps(
-            footprints[static_cast<std::size_t>(end)]);
-      if (!disjoint) break;
-      ++end;
-    }
-    ends.push_back(end);
-    start = end;
-  }
-  return ends;
-}
-
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
-                           const RouterOptions& options, ThreadPool* pool,
-                           RouteState* reuse) {
+                           const RouterOptions& options, RouteState* reuse) {
   NM_FAULT_POINT("route.converge");
   NM_TRACE_COUNT("route.calls", 1);
   RoutingResult result;
@@ -918,13 +467,11 @@ RoutingResult route_design(const ClusteredDesign& cd,
     const std::vector<int>& nets_idx =
         per_cycle[static_cast<std::size_t>(c)];
     std::vector<std::vector<int>> sorted_sinks(nets_idx.size());
-    std::vector<std::vector<std::int64_t>> net_sigs(nets_idx.size());
     std::vector<std::int64_t> sig;
     for (std::size_t j = 0; j < nets_idx.size(); ++j) {
       sorted_sinks[j] = sinks_farthest_first(cd, placement, nets_idx[j]);
-      net_sigs[j] = net_signature(cd, placement, nets_idx[j],
-                                  sorted_sinks[j]);
-      sig.insert(sig.end(), net_sigs[j].begin(), net_sigs[j].end());
+      append_net_signature(cd, placement, nets_idx[j], sorted_sinks[j],
+                           &sig);
     }
     ++result.reuse.cycles_total;
 
@@ -951,11 +498,10 @@ RoutingResult route_design(const ClusteredDesign& cd,
       result.reuse.nets_reused += static_cast<long>(nets_idx.size());
       NM_TRACE_COUNT("route.cycles_reused", 1);
     } else {
-      CycleRouter router(cd, placement, rr, options, pool, state);
+      CycleRouter router(cd, placement, rr, options);
       bool saw_over = false;
-      overused = router.route_cycle(nets_idx, sorted_sinks, net_sigs,
-                                    &result.nets, &iters, &result.reuse,
-                                    &saw_over);
+      overused = router.route_cycle(nets_idx, sorted_sinks, &result.nets,
+                                    &iters, &result.reuse, &saw_over);
       RouteState::Entry e;
       e.graph_uid = rr.uid();
       e.capacity_epoch = rr.capacity_epoch();
@@ -963,7 +509,6 @@ RoutingResult route_design(const ClusteredDesign& cd,
       e.initial_pres_fac = options.initial_pres_fac;
       e.astar_weight = options.astar_weight;
       e.delay_norm_ps = options.delay_norm_ps;
-      e.batch_size = std::max(1, options.batch_size);
       e.max_iterations = options.max_iterations;
       e.pres_fac_mult = options.pres_fac_mult;
       e.hist_fac = options.hist_fac;
@@ -1020,14 +565,12 @@ RoutingResult route_design(const ClusteredDesign& cd,
                  << result.reuse.nets_reused << "/"
                  << result.reuse.nets_skipped;
 #ifdef NANOMAP_AUDIT_ROUTE
-  // Bit-exact cross-check against the seed router — with speculation
-  // default-on this audits the speculative path and both caches on every
-  // call — plus a structural replay through validate_routing, which
-  // re-walks every emitted tree (cache-served ones included) from the
-  // driver and re-checks per-cycle occupancy.
+  // Bit-exact cross-check against the seed router — auditing the clean-net
+  // skip and the cycle cache on every call — plus a structural replay
+  // through validate_routing, which re-walks every emitted tree (replayed
+  // ones included) from the driver and re-checks per-cycle occupancy.
   audit_against_reference(result,
-                          route_nets_reference(cd, placement, rr, options,
-                                               pool));
+                          route_nets_reference(cd, placement, rr, options));
   {
     std::string why;
     NM_CHECK_MSG(validate_routing(cd, placement, rr, result, &why),

@@ -21,14 +21,8 @@
 //   * across cycles / route_design calls, a RouteState caches each cycle's
 //     routed trees keyed by an exact geometric signature and replays them
 //     when the graph and the effective options make the replay provably
-//     identical — including across in-place channel widenings;
-//   * per net, a geometric cache replays congestion-clean searches whose
-//     whole read-set is still clean, so a net routed identically in cycle
-//     k seeds cycle k+1 (and warm-started calls) even when the cycle
-//     signature differs (DESIGN.md §5i);
-//   * at the sequential schedule, footprint-disjoint runs of nets are
-//     routed speculatively in parallel and validated at commit time
-//     (options.speculative) — a pure wall-clock lever.
+//     identical — including across in-place channel widenings.
+// Routing is strictly sequential; nothing in it runs on a pool.
 // Building with -DNANOMAP_AUDIT_ROUTE=ON (CMake option, wired into the
 // tsan preset) cross-checks every route_design call against the reference
 // router, bit-exact.
@@ -37,12 +31,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "place/placement.h"
 #include "route/rr_graph.h"
-#include "util/thread_pool.h"
 
 namespace nanomap {
 
@@ -56,70 +48,7 @@ struct RouterOptions {
   // (1-c)*congestion + c*delay/delay_norm_ps per node.
   bool timing_driven = true;
   double delay_norm_ps = 300.0;
-  std::uint64_t seed = 7;
-  // Nets ripped up and rerouted per batch within a PathFinder iteration.
-  // All nets of a batch are ripped up first, then rerouted against the
-  // occupancy frozen at batch start (so batch members can run on pool
-  // threads), then committed in net order. batch_size = 1 is the
-  // classical strictly sequential negotiation — today's exact behavior.
-  // Larger batches change the negotiation schedule (deterministically:
-  // results depend on the batch size, never on the thread count).
-  int batch_size = 1;
-  // Speculative parallel negotiation (DESIGN.md §5i). Engages only at the
-  // sequential schedule (effective batch_size == 1): consecutive nets
-  // whose route footprints are pairwise disjoint form a batch, the batch's
-  // searches run concurrently against the iteration's live snapshot, and
-  // each result is admitted at commit time only if every cost it read is
-  // provably unchanged — otherwise the member re-routes sequentially in
-  // net order. Routes, reports and counters are byte-identical to the
-  // sequential negotiation at any thread count, speculation on or off;
-  // the flag is purely a wall-clock lever (CLI: --route-spec[=off]).
-  bool speculative = true;
-  // Test instrumentation: when non-null, receives (speculative batch
-  // ordinal, net index) for every batch member re-routed sequentially at
-  // commit time, in re-route order. Never affects results.
-  std::vector<std::pair<int, int>>* spec_loser_log = nullptr;
 };
-
-// Bounding region of one net's current route tree (its terminals before
-// the first search) — the speculative scheduler's cheap conservative
-// disjointness test. Every non-global RR node has an anchor site inside
-// the bounding box of the tree that uses it, so nets with disjoint
-// footprints (and no shared global lines) cannot contend for a node.
-//
-// Global lines get span-accurate treatment instead of the bbox: a
-// horizontal global line is the whole row y and a vertical one the whole
-// column x, but both *anchor* at x/y = 0 — folding them into the bbox
-// used to stretch every global user's box to the fabric edge and deflate
-// speculative batch sizes on global-heavy circuits. They now live in
-// per-axis occupancy masks (row/column index mod 64); two footprints
-// sharing a masked row or column conflict regardless of their boxes. The
-// mod-64 fold can only alias distinct rows/columns together, i.e. report
-// a false overlap — conservative, never unsound.
-struct NetFootprint {
-  int min_x = 0;
-  int min_y = 0;
-  int max_x = -1;  // empty by default (max < min overlaps nothing)
-  int max_y = -1;
-  std::uint64_t global_rows = 0;  // horizontal global lines: bit (y % 64)
-  std::uint64_t global_cols = 0;  // vertical global lines: bit (x % 64)
-  bool overlaps(const NetFootprint& o) const {
-    if ((global_rows & o.global_rows) != 0 ||
-        (global_cols & o.global_cols) != 0)
-      return true;
-    return min_x <= o.max_x && o.min_x <= max_x && min_y <= o.max_y &&
-           o.min_y <= max_y;
-  }
-};
-
-// Partitions net slots [0, footprints.size()) into consecutive runs of
-// pairwise-disjoint footprints, each at most max_run long; returns the
-// one-past-the-end index of every run. This is exactly the batch schedule
-// the speculative router uses (exposed so tests can check the invariant
-// directly); it is a pure function of its arguments, so the schedule never
-// depends on thread count or timing.
-std::vector<int> speculative_batch_ends(
-    const std::vector<NetFootprint>& footprints, int max_run);
 
 // Routed path delays for one net (one entry per sink SMB).
 struct NetRoute {
@@ -144,11 +73,7 @@ struct RouteReuseStats {
   long cycles_reused = 0;   // folding cycles replayed from a RouteState
   long nets_reused = 0;     // nets inside those replayed cycles
   long nets_skipped = 0;    // clean-net skips inside live PathFinder loops
-  long nets_rerouted = 0;   // net searches executed (A* or net-cache replay)
-  long spec_batches = 0;    // multi-net speculative batches executed
-  long spec_conflicts = 0;  // batch members re-routed at commit time
-  long net_cache_hits = 0;  // committed searches served by the per-net cache
-  long net_cache_misses = 0;  // committed searches that ran A*
+  long nets_rerouted = 0;   // A* net searches executed
 };
 
 struct RoutingResult {
@@ -184,7 +109,6 @@ class RouteState {
     double initial_pres_fac = 0.0;
     double astar_weight = 0.0;
     double delay_norm_ps = 0.0;
-    int batch_size = 1;  // effective (clamped) batch size
     // Options that only matter from iteration 2 on:
     int max_iterations = 0;
     double pres_fac_mult = 0.0;
@@ -195,55 +119,23 @@ class RouteState {
     std::vector<CachedNet> nets;  // cycle-net order
   };
 
-  // Per-net geometric cache (DESIGN.md §5i). Finer grained than the cycle
-  // entries above: one record per net geometry, inserted when the net's
-  // final search of a negotiation was congestion-clean (read no history
-  // and no present-congestion term — i.e. it consumed only static costs).
-  // Such a search is a pure function of the geometry key, the cost-shaping
-  // options and the static graph, so it seeds any later cycle that routes
-  // the same geometry — even when the whole-cycle signature differs — on
-  // any graph with the same compat_sig(). `touched` is the read-set
-  // certificate: replay is admitted only while every listed node is still
-  // clean (zero history, one more occupant fits) in the live snapshot.
-  struct NetEntry {
-    std::uint64_t compat_sig = 0;  // RrGraph::compat_sig() it was routed on
-    int capacity_epoch = 0;        // informational; admission reads live
-    bool timing_driven = true;     // cost-shaping options the clean search
-    double astar_weight = 0.0;     // consumed
-    double delay_norm_ps = 0.0;
-    std::vector<int> wire_nodes;        // sorted, deduplicated
-    std::vector<double> sink_delay_ps;  // farthest-first sink order
-    std::vector<int> touched;           // sorted read-set certificate
-  };
-
-  void clear() {
-    entries_.clear();
-    net_entries_.clear();
-  }
+  void clear() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }
-  std::size_t net_size() const { return net_entries_.size(); }
 
-  // Internal (router-only): signature -> cached cycle / cached net.
+  // Internal (router-only): signature -> cached cycle.
   std::map<std::vector<std::int64_t>, Entry>& entries() { return entries_; }
-  std::map<std::vector<std::int64_t>, NetEntry>& net_entries() {
-    return net_entries_;
-  }
 
  private:
   std::map<std::vector<std::int64_t>, Entry> entries_;
-  std::map<std::vector<std::int64_t>, NetEntry> net_entries_;
 };
 
-// Routes every folding cycle. With a pool and options.batch_size > 1 the
-// nets inside a rip-up batch are rerouted concurrently; the routed trees
-// are a pure function of (cd, placement, rr, options) — never of the
-// pool, its thread count, or the contents of `reuse`. A non-null `reuse`
-// carries provably-identical cycle routings across calls (cycles also
-// reuse each other within one call either way).
+// Routes every folding cycle. The routed trees are a pure function of
+// (cd, placement, rr, options) — never of the contents of `reuse`. A
+// non-null `reuse` carries provably-identical cycle routings across calls
+// (cycles also reuse each other within one call either way).
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
                            const RouterOptions& options = {},
-                           ThreadPool* pool = nullptr,
                            RouteState* reuse = nullptr);
 
 // Structural audit of a routing result against the design it routes:

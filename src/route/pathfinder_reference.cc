@@ -1,8 +1,10 @@
-// Verbatim seed router (see pathfinder_reference.h). The only deliberate
+// Verbatim seed router (see pathfinder_reference.h). The deliberate
 // differences from the seed file: the entry point is named
-// route_nets_reference, and the NM_FAULT_POINT / NM_TRACE_* hooks were
+// route_nets_reference; the NM_FAULT_POINT / NM_TRACE_* hooks were
 // dropped so differential harnesses can call the reference next to the
-// live router without double-counting fault hits or trace counters.
+// live router without double-counting fault hits or trace counters; and
+// the rip-up batch loop, which served a since-removed batch-size option,
+// collapsed to its batch-size-1 form, the sequential loop.
 #include "route/pathfinder_reference.h"
 
 #include <algorithm>
@@ -26,10 +28,8 @@ struct QueueEntry {
   bool operator>(const QueueEntry& other) const { return cost > other.cost; }
 };
 
-// Per-route scratch for one A* wavefront. Each concurrently routed net of
-// a batch owns its private SearchState (indexed by batch slot), so the
-// only shared router state during a batch is the read-only occupancy /
-// history snapshot.
+// Per-route scratch for one A* wavefront, left fully reset after every
+// net search.
 struct SearchState {
   std::vector<int> parent;
   std::vector<double> best_cost;
@@ -47,27 +47,18 @@ struct SearchState {
 class ReferenceCycleRouter {
  public:
   ReferenceCycleRouter(const ClusteredDesign& cd, const Placement& placement,
-                       const RrGraph& rr, const RouterOptions& options,
-                       ThreadPool* pool)
-      : cd_(cd), placement_(placement), rr_(rr), options_(options),
-        pool_(pool) {
+                       const RrGraph& rr, const RouterOptions& options)
+      : cd_(cd), placement_(placement), rr_(rr), options_(options) {
     occ_.assign(static_cast<std::size_t>(rr.size()), 0);
     hist_.assign(static_cast<std::size_t>(rr.size()), 0.0);
   }
 
   // Routes all nets of one folding cycle; returns residual overuse count.
-  //
-  // Nets are processed in fixed-size batches: rip up the whole batch,
-  // reroute every member against the occupancy frozen at batch start
-  // (this is the parallel section), then commit occupancies in net order.
-  // Batch composition depends only on net order and options.batch_size,
-  // and each reroute reads only the frozen snapshot plus its private
-  // SearchState — so the result is identical at any thread count, and
-  // batch_size = 1 reproduces the classical sequential PathFinder
-  // negotiation exactly.
+  // Classical sequential PathFinder negotiation: every iteration rips up
+  // and reroutes each net in net order, committing its occupancy before
+  // the next net searches.
   long route_cycle(const std::vector<int>& net_indices,
                    std::vector<NetRoute>* out, int* iterations_used) {
-    const int num_nets = static_cast<int>(net_indices.size());
     std::vector<std::vector<int>> trees(net_indices.size());
     std::vector<NetRoute> routes(net_indices.size());
     // Sink order (farthest-first) depends only on the fixed placement, so
@@ -76,31 +67,19 @@ class ReferenceCycleRouter {
     std::vector<std::vector<int>> sorted_sinks(net_indices.size());
     for (std::size_t ni = 0; ni < net_indices.size(); ++ni)
       sorted_sinks[ni] = sinks_farthest_first(net_indices[ni]);
-    const int batch = std::max(1, options_.batch_size);
-    std::vector<std::unique_ptr<SearchState>> states(
-        static_cast<std::size_t>(std::min(batch, std::max(num_nets, 1))));
+    std::unique_ptr<SearchState> state;
 
     double pres_fac = options_.initial_pres_fac;
     long overused = 0;
     int iter = 0;
     for (iter = 1; iter <= options_.max_iterations; ++iter) {
-      // Sequential section (the parallel part is inside pool_for_each):
-      // every iteration rips up and reroutes all num_nets nets.
-      for (int start = 0; start < num_nets; start += batch) {
-        const int bn = std::min(batch, num_nets - start);
-        for (int k = 0; k < bn; ++k)
-          rip_up(trees[static_cast<std::size_t>(start + k)]);
-        pool_for_each(pool_, bn, [&](int k) {
-          const std::size_t ni = static_cast<std::size_t>(start + k);
-          std::unique_ptr<SearchState>& state =
-              states[static_cast<std::size_t>(k)];
-          if (!state) state = std::make_unique<SearchState>(rr_.size());
-          routes[ni] = route_net(net_indices[ni], sorted_sinks[ni],
-                                 pres_fac, &trees[ni], state.get());
-        });
-        for (int k = 0; k < bn; ++k)
-          for (int n : trees[static_cast<std::size_t>(start + k)])
-            ++occ_[static_cast<std::size_t>(n)];
+      // Every iteration rips up and reroutes all nets.
+      for (std::size_t ni = 0; ni < net_indices.size(); ++ni) {
+        rip_up(trees[ni]);
+        if (!state) state = std::make_unique<SearchState>(rr_.size());
+        routes[ni] = route_net(net_indices[ni], sorted_sinks[ni], pres_fac,
+                               &trees[ni], state.get());
+        for (int n : trees[ni]) ++occ_[static_cast<std::size_t>(n)];
       }
       overused = 0;
       for (int n = 0; n < rr_.size(); ++n) {
@@ -161,8 +140,8 @@ class ReferenceCycleRouter {
 
   // Routes one net against the current occupancy/history snapshot. Reads
   // occ_/hist_ only; all mutable search state lives in `ss`, which is
-  // left fully reset on return so the slot can be reused by the next
-  // batch. The caller commits the returned tree's occupancy.
+  // left fully reset on return. The caller commits the returned tree's
+  // occupancy.
   NetRoute route_net(int net_index, const std::vector<int>& sinks,
                      double pres_fac, std::vector<int>* tree,
                      SearchState* ss) const {
@@ -266,7 +245,7 @@ class ReferenceCycleRouter {
     }
 
     // Hand the deduplicated tree to the caller (occupancy is committed
-    // there, in net order) and scrub the in_tree flags for slot reuse.
+    // there) and scrub the in_tree flags for the next search.
     std::sort(tree_nodes.begin(), tree_nodes.end());
     tree_nodes.erase(std::unique(tree_nodes.begin(), tree_nodes.end()),
                      tree_nodes.end());
@@ -284,7 +263,6 @@ class ReferenceCycleRouter {
   const Placement& placement_;
   const RrGraph& rr_;
   const RouterOptions& options_;
-  ThreadPool* pool_;
 
   std::vector<int> occ_;
   std::vector<double> hist_;
@@ -295,8 +273,7 @@ class ReferenceCycleRouter {
 RoutingResult route_nets_reference(const ClusteredDesign& cd,
                                    const Placement& placement,
                                    const RrGraph& rr,
-                                   const RouterOptions& options,
-                                   ThreadPool* pool) {
+                                   const RouterOptions& options) {
   RoutingResult result;
   std::vector<std::vector<int>> per_cycle(
       static_cast<std::size_t>(cd.num_cycles));
@@ -305,7 +282,7 @@ RoutingResult route_nets_reference(const ClusteredDesign& cd,
         static_cast<int>(i));
 
   for (int c = 0; c < cd.num_cycles; ++c) {
-    ReferenceCycleRouter router(cd, placement, rr, options, pool);
+    ReferenceCycleRouter router(cd, placement, rr, options);
     int iters = 0;
     long overused =
         router.route_cycle(per_cycle[static_cast<std::size_t>(c)],

@@ -14,10 +14,10 @@
 //   * bench/route_throughput asserts identical route trees while measuring
 //     the wall-clock ratio between the two engines.
 //
-// This file intentionally preserves the seed's rip-up-and-reroute of
-// every net on every PathFinder iteration and its per-call RR occupancy
-// rebuild — do not "optimize" it; its slowness is the baseline being
-// measured.
+// This file intentionally preserves the seed's sequential rip-up-and-
+// reroute of every net on every PathFinder iteration and its per-call RR
+// occupancy rebuild — do not "optimize" it; its slowness is the baseline
+// being measured.
 #pragma once
 
 #include "route/pathfinder.h"
@@ -30,7 +30,6 @@ namespace nanomap {
 RoutingResult route_nets_reference(const ClusteredDesign& cd,
                                    const Placement& placement,
                                    const RrGraph& rr,
-                                   const RouterOptions& options = {},
-                                   ThreadPool* pool = nullptr);
+                                   const RouterOptions& options = {});
 
 }  // namespace nanomap

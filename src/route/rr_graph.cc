@@ -27,60 +27,6 @@ std::uint64_t next_rr_uid() {
   return ++counter;
 }
 
-// FNV-1a over raw field bytes. Doubles are hashed by bit pattern, so the
-// signature distinguishes every representable value (no formatting round
-// trip).
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix_bytes(const void* p, std::size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void mix(int v) { mix_bytes(&v, sizeof(v)); }
-  void mix(double v) { mix_bytes(&v, sizeof(v)); }
-};
-
-// Everything a search reads apart from capacities: the field list mirrors
-// can_widen_in_place()'s equality clause (keep the two in sync), plus the
-// grid and the presence bit of each channel type (zero tracks means the
-// nodes were never built, so presence changes the topology; the count
-// itself only changes capacities, which the router re-checks live).
-std::uint64_t compute_compat_sig(const GridSize& grid,
-                                 const ArchParams& a) {
-  Fnv1a f;
-  f.mix(grid.width);
-  f.mix(grid.height);
-  f.mix(a.direct_links_per_side > 0 ? 1 : 0);
-  f.mix(a.len1_tracks > 0 ? 1 : 0);
-  f.mix(a.len4_tracks > 0 ? 1 : 0);
-  f.mix(a.global_tracks > 0 ? 1 : 0);
-  f.mix(a.lut_size);
-  f.mix(a.ff_per_le);
-  f.mix(a.les_per_mb);
-  f.mix(a.mbs_per_smb);
-  f.mix(a.num_reconf);
-  f.mix(a.reconf_time_ps);
-  f.mix(a.lut_delay_ps);
-  f.mix(a.mb_mux_delay_ps);
-  f.mix(a.local_mux_delay_ps);
-  f.mix(a.direct_link_delay_ps);
-  f.mix(a.len1_wire_delay_ps);
-  f.mix(a.len4_wire_delay_ps);
-  f.mix(a.global_wire_delay_ps);
-  f.mix(a.ff_setup_ps);
-  f.mix(a.le_area_um2);
-  f.mix(a.nram_overhead);
-  f.mix(a.smb_wiring_factor);
-  // An active defect spec masks channel capacities; inactive specs
-  // contribute nothing so a zero-rate spec keeps the defect-free
-  // signature (and its cached routes).
-  std::uint64_t dsig = a.defects.content_sig();
-  if (dsig != 0) f.mix_bytes(&dsig, sizeof dsig);
-  return f.h;
-}
 }  // namespace
 
 bool can_widen_in_place(const ArchParams& from, const ArchParams& to) {
@@ -125,8 +71,7 @@ const char* rr_type_name(RrType type) {
 }
 
 RrGraph::RrGraph(const GridSize& grid, const ArchParams& arch)
-    : grid_(grid), arch_(arch), uid_(next_rr_uid()),
-      compat_sig_(compute_compat_sig(grid, arch)) {
+    : grid_(grid), arch_(arch), uid_(next_rr_uid()) {
   NM_CHECK(grid.width >= 1 && grid.height >= 1);
   build(arch);
 }

@@ -75,18 +75,6 @@ class RrGraph {
   // Identity of this graph instance (construction order; never reused).
   // Cached route state keyed on a uid is invalid against any other graph.
   std::uint64_t uid() const { return uid_; }
-  // Structural/cost identity across graph *instances*: two graphs with
-  // equal compat_sig() have identical node ids, edges, delays and base
-  // costs — everything a search reads except capacities, which change
-  // with channel track counts and must be re-checked live. Hashes the
-  // grid plus every ArchParams field that shapes the build, with track
-  // counts collapsed to presence bits (a widened sibling stays
-  // compatible), plus the defect-spec content signature when defects are
-  // active — a defect mask changes which capacities are zero, so cached
-  // routes must never transfer across differing masks. The per-net route
-  // cache keys on this so geometry-equal nets transfer between graphs
-  // (e.g. across an explorer chain's channel variants).
-  std::uint64_t compat_sig() const { return compat_sig_; }
   // Bumped by every widen_channels call. Route trees proven legal at epoch
   // e stay legal at any epoch >= e (capacities only ever grow), but cost
   // equality across epochs additionally needs the "never saw overuse"
@@ -104,8 +92,7 @@ class RrGraph {
   // live copies of one cached prototype must never share identity: a job
   // holding two graphs stamped from the same prototype would otherwise
   // replay RouteState entries across distinct instances. Everything
-  // routing reads (nodes, edges, capacities, compat_sig) is copied
-  // verbatim.
+  // routing reads (nodes, edges, capacities) is copied verbatim.
   RrGraph clone_for_reuse() const;
 
   int opin(int x, int y) const;
@@ -122,7 +109,6 @@ class RrGraph {
   GridSize grid_;
   ArchParams arch_;
   std::uint64_t uid_ = 0;
-  std::uint64_t compat_sig_ = 0;
   int capacity_epoch_ = 0;
   std::vector<RrNode> nodes_;
   std::vector<int> opin_;  // site -> node id

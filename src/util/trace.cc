@@ -261,11 +261,7 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "route.cycle_cache_lookups",  // route/pathfinder: RouteState probes
       "route.cycles_reused",   // route/pathfinder: cycles replayed from cache
       "route.defect_avoided",  // route/pathfinder: capacity-0 channels kept clean
-      "route.net_cache_hits",  // route/pathfinder: searches served per-net
-      "route.net_cache_misses",  // route/pathfinder: searches that ran A*
       "route.reroutes",        // route/pathfinder: net searches executed
-      "route.spec_batches",    // route/pathfinder: multi-net speculative batches
-      "route.spec_conflicts",  // route/pathfinder: members re-routed at commit
       "serve.cache.arch_hits",     // serve/cache: arch configs served cached
       "serve.cache.arch_misses",   // serve/cache: arch configs parsed fresh
       "serve.cache.design_hits",   // serve/cache: circuits served cached

@@ -4,7 +4,7 @@
 // placement legality and the bipartite fit check, bitstream-level
 // defect verification, and the end-to-end flow invariants — an inactive
 // or empty spec is byte-identical to the defect-free flow, an active one
-// is thread-count and speculation invariant, and an impossible fabric
+// is thread-count invariant, and an impossible fabric
 // yields the typed kDefectInfeasible error.
 #include "arch/defect.h"
 
@@ -213,11 +213,13 @@ TEST(DefectRrGraph, WireDefectsReduceCapacityAndCompatSig) {
   ASSERT_EQ(rr_clean.size(), rr_broken.size());
   EXPECT_LT(total_channel_capacity(rr_broken),
             total_channel_capacity(rr_clean));
-  EXPECT_NE(rr_clean.compat_sig(), rr_broken.compat_sig());
+  // The defect signature is part of the fabric's compatibility check: a
+  // clean graph cannot be morphed into a defective one in place.
   EXPECT_FALSE(can_widen_in_place(clean, broken));
-  // Same defects, same signature.
+  // Same defects, same masked capacities.
   RrGraph rr_again(grid, broken);
-  EXPECT_EQ(rr_broken.compat_sig(), rr_again.compat_sig());
+  EXPECT_EQ(total_channel_capacity(rr_broken),
+            total_channel_capacity(rr_again));
 }
 
 TEST(DefectRrGraph, WidenInPlaceMatchesFreshBuild) {
@@ -392,7 +394,7 @@ TEST(DefectFlow, ZeroRateEmptyMapReproducesDefectFreeFlow) {
   EXPECT_EQ(serialize_bitmap(clean.bitmap), serialize_bitmap(empty.bitmap));
 }
 
-TEST(DefectFlow, ActiveDefectsAreThreadAndSpeculationInvariant) {
+TEST(DefectFlow, ActiveDefectsAreThreadInvariant) {
   Design design = make_benchmark("ex1");
   FlowOptions base = defect_flow_options(0.02, 3);
   base.threads = 1;
@@ -401,16 +403,12 @@ TEST(DefectFlow, ActiveDefectsAreThreadAndSpeculationInvariant) {
 
   FlowOptions threads4 = base;
   threads4.threads = 4;
-  FlowOptions no_spec = base;
-  no_spec.router.speculative = false;
-  for (const FlowOptions& opts : {threads4, no_spec}) {
-    FlowResult got = run_nanomap(design, opts);
-    ASSERT_TRUE(got.feasible) << got.message;
-    EXPECT_EQ(want.placement.placement.site_of_smb,
-              got.placement.placement.site_of_smb);
-    EXPECT_EQ(want.delay_ns, got.delay_ns);
-    EXPECT_EQ(serialize_bitmap(want.bitmap), serialize_bitmap(got.bitmap));
-  }
+  FlowResult got = run_nanomap(design, threads4);
+  ASSERT_TRUE(got.feasible) << got.message;
+  EXPECT_EQ(want.placement.placement.site_of_smb,
+            got.placement.placement.site_of_smb);
+  EXPECT_EQ(want.delay_ns, got.delay_ns);
+  EXPECT_EQ(serialize_bitmap(want.bitmap), serialize_bitmap(got.bitmap));
 }
 
 TEST(DefectFlow, ImpossibleFabricYieldsTypedReject) {

@@ -2,7 +2,7 @@
 // `--threads` safe): for a fixed (input, seed), the placement, the routed
 // nets, and the emitted configuration bitmap are byte-identical across
 // repeated runs and across thread counts — with the parallel stages
-// actually engaged (multi-seed restarts, batched PathFinder reroutes).
+// actually engaged (multi-seed placement restarts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -62,14 +62,12 @@ std::string fingerprint(const FlowResult& r) {
   return fp;
 }
 
-FlowResult run_with(const Design& d, int threads, int restarts,
-                    int route_batch) {
+FlowResult run_with(const Design& d, int threads, int restarts) {
   FlowOptions opts;
   opts.arch = ArchParams::paper_instance();
   opts.seed = 42;
   opts.threads = threads;
   opts.placement.restarts = restarts;
-  opts.router.batch_size = route_batch;
   FlowResult r = run_nanomap(d, opts);
   EXPECT_TRUE(r.feasible) << r.message;
   return r;
@@ -91,17 +89,16 @@ Design random_design() {
 
 // The full matrix for one design: repeatability at fixed thread counts,
 // plus byte-equality across threads in {1, 2, 4}, with the parallel
-// machinery engaged (3 restarts, 4-net route batches).
+// machinery engaged (3 placement restarts).
 void expect_thread_invariant(const Design& d) {
   const int kRestarts = 3;
-  const int kBatch = 4;
-  std::string t1 = fingerprint(run_with(d, 1, kRestarts, kBatch));
-  std::string t1_again = fingerprint(run_with(d, 1, kRestarts, kBatch));
+  std::string t1 = fingerprint(run_with(d, 1, kRestarts));
+  std::string t1_again = fingerprint(run_with(d, 1, kRestarts));
   EXPECT_EQ(t1, t1_again) << "threads=1 not repeatable";
 
-  std::string t2 = fingerprint(run_with(d, 2, kRestarts, kBatch));
-  std::string t4 = fingerprint(run_with(d, 4, kRestarts, kBatch));
-  std::string t4_again = fingerprint(run_with(d, 4, kRestarts, kBatch));
+  std::string t2 = fingerprint(run_with(d, 2, kRestarts));
+  std::string t4 = fingerprint(run_with(d, 4, kRestarts));
+  std::string t4_again = fingerprint(run_with(d, 4, kRestarts));
   EXPECT_EQ(t4, t4_again) << "threads=4 not repeatable";
   EXPECT_EQ(t1, t2) << "threads=2 diverged from threads=1";
   EXPECT_EQ(t1, t4) << "threads=4 diverged from threads=1";
@@ -116,7 +113,9 @@ TEST(Determinism, S27AcrossRunsAndThreadCounts) {
 // from-scratch recompute, so the whole flow output must stay *byte
 // identical* to the pre-kernel binary. These FNV-1a hashes of the full
 // fingerprint were captured from that binary (threads and restarts must
-// not matter either — every cell of the matrix pins the same value).
+// not matter either — every cell of the matrix pins the same value), and
+// re-captured at default router options when the rip-up batch option was
+// removed: the sequential router reproduces them unchanged.
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -140,7 +139,7 @@ TEST(Determinism, GoldenFingerprintAcrossThreadsAndRestarts) {
     for (int threads : {1, 4}) {
       for (int restarts : {1, 4}) {
         std::uint64_t got =
-            fnv1a(fingerprint(run_with(c.design, threads, restarts, 4)));
+            fnv1a(fingerprint(run_with(c.design, threads, restarts)));
         EXPECT_EQ(got, c.want)
             << c.name << " diverged from the pre-incremental-kernel binary"
             << " at threads=" << threads << " restarts=" << restarts;
@@ -210,11 +209,11 @@ TEST(Determinism, GoldenScheduleFingerprints) {
 }
 
 TEST(Determinism, DefaultSerialConfigUnaffectedByThreads) {
-  // restarts=1 / batch=1 is the historical serial flow; adding threads
-  // must not change a single byte of it.
+  // restarts=1 is the historical serial flow; adding threads must not
+  // change a single byte of it.
   Design d = s27_design();
-  std::string serial = fingerprint(run_with(d, 1, 1, 1));
-  std::string pooled = fingerprint(run_with(d, 4, 1, 1));
+  std::string serial = fingerprint(run_with(d, 1, 1));
+  std::string pooled = fingerprint(run_with(d, 4, 1));
   EXPECT_EQ(serial, pooled);
 }
 

@@ -148,7 +148,6 @@ TEST(FaultInjection, ArmedFlowIsThreadCountInvariant) {
     FlowOptions opts = small_flow_options();
     opts.fault_plan = site + ":1:check";
     opts.placement.restarts = 3;   // give the pool real parallel work
-    opts.router.batch_size = 4;
     opts.threads = 1;
     FlowResult serial = run_nanomap(d, opts);
     opts.threads = 4;
@@ -204,8 +203,8 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
     opts.arch.len1_tracks = 3;
     opts.arch.len4_tracks = 2;
     opts.arch.global_tracks = 1;
-    opts.router.max_iterations = 2;  // starved: the ladder must climb
-    opts.router.batch_size = 4;      // give the pool real parallel work
+    opts.router.max_iterations = 1;  // starved: the ladder must climb
+    opts.placement.restarts = 2;     // give the pool real parallel work
     opts.seed = 3;
     return opts;
   };
@@ -376,7 +375,6 @@ TEST(RecoveryLadder, EscalatedResultIsThreadCountInvariant) {
   opts.forced_folding_level = 0;
   opts.router.max_iterations = 2;
   opts.placement.restarts = 3;
-  opts.router.batch_size = 4;
 
   opts.threads = 1;
   FlowResult serial = run_nanomap(d, opts);
@@ -445,8 +443,6 @@ TEST(OptionValidation, RejectsOutOfRangeFieldsNamingThem) {
                 "placement.fast_effort");
   expect_reject([](FlowOptions* o) { o->router.max_iterations = 0; },
                 "router.max_iterations");
-  expect_reject([](FlowOptions* o) { o->router.batch_size = 0; },
-                "router.batch_size");
   expect_reject([](FlowOptions* o) { o->router.pres_fac_mult = -2.0; },
                 "router.pres_fac_mult");
   expect_reject([](FlowOptions* o) { o->router.initial_pres_fac = 0.0; },

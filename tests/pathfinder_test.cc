@@ -2,7 +2,6 @@
 
 #include <random>
 
-#include "arch/defect.h"
 #include "circuits/random_dag.h"
 #include "core/folding.h"
 #include "core/schedule_graph.h"
@@ -242,14 +241,6 @@ TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
         opts.max_iterations = 20;  // allow honest failures on narrow fabrics
         expect_identical(route_design(ph.cd, ph.p, rr, opts),
                          route_nets_reference(ph.cd, ph.p, rr, opts), ctx);
-        if (seed == 1) {  // batched negotiation, pooled vs. reference
-          opts.batch_size = 4;
-          ThreadPool pool(4);
-          expect_identical(
-              route_design(ph.cd, ph.p, rr, opts, &pool),
-              route_nets_reference(ph.cd, ph.p, rr, opts),
-              ctx + " batch4");
-        }
       }
     }
   }
@@ -274,7 +265,7 @@ TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
 
   RouterOptions starved;
   starved.max_iterations = 2;
-  RoutingResult r0 = route_design(cd, p, rr, starved, nullptr, &state);
+  RoutingResult r0 = route_design(cd, p, rr, starved, &state);
   expect_identical(r0, route_nets_reference(cd, p, rr, starved), "rung 0");
 
   // Budget rung: same graph, raised iteration budget. The easy cycle
@@ -283,7 +274,7 @@ TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
   raised.max_iterations = 60;
   raised.pres_fac_mult = 1.0 + (raised.pres_fac_mult - 1.0) * 1.5;
   raised.hist_fac *= 1.5;
-  RoutingResult r1 = route_design(cd, p, rr, raised, nullptr, &state);
+  RoutingResult r1 = route_design(cd, p, rr, raised, &state);
   expect_identical(r1, route_nets_reference(cd, p, rr, raised), "rung 1");
   EXPECT_GE(r1.reuse.cycles_reused, 1);
 
@@ -294,7 +285,7 @@ TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
   wide.len4_tracks += 1;
   wide.global_tracks += 1;
   rr.widen_channels(wide);
-  RoutingResult r2 = route_design(cd, p, rr, raised, nullptr, &state);
+  RoutingResult r2 = route_design(cd, p, rr, raised, &state);
   expect_identical(r2, route_nets_reference(cd, p, rr, raised), "rung 2");
   EXPECT_GE(r2.reuse.cycles_reused, 1);
   EXPECT_TRUE(r2.success);
@@ -403,10 +394,10 @@ TEST(ValidateRouting, AcceptsRealResultsRejectsCorruptions) {
 }
 
 TEST(PathFinderIncremental, FuzzedEditSequencesStayIdentical) {
-  // Random ladder walks: widen channels in place, jiggle router budgets
-  // and batch sizes, re-route with a persistent RouteState — after every
-  // edit the incremental result must equal a cold reference route on the
-  // same graph and pass the structural invariants.
+  // Random ladder walks: widen channels in place, jiggle router budgets or
+  // leave everything as is, re-route with a persistent RouteState — after
+  // every step the incremental result must equal a cold reference route on
+  // the same graph and pass the structural invariants.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     ArchParams arch = ArchParams::paper_instance_unbounded_k();
     arch.direct_links_per_side = 2;
@@ -440,13 +431,10 @@ TEST(PathFinderIncremental, FuzzedEditSequencesStayIdentical) {
           opts.hist_fac *= 1.2;
           break;
         }
-        default: {  // batched negotiation schedule
-          opts.batch_size = 1 << (rng() % 3);
+        default:  // no edit: a plain re-route against the cached state
           break;
-        }
       }
-      RoutingResult inc = route_design(ph.cd, ph.p, rr, opts, nullptr,
-                                       &state);
+      RoutingResult inc = route_design(ph.cd, ph.p, rr, opts, &state);
       RoutingResult ref = route_nets_reference(ph.cd, ph.p, rr, opts);
       expect_identical(inc, ref,
                        "fuzz seed " + std::to_string(seed) + " step " +
@@ -486,353 +474,6 @@ TEST(PathFinderStarvation, ExtremePresFacReportsOveruseHonestly) {
   EXPECT_TRUE(validate_routing(cd, p, rr, r, &why)) << why;
   // The fix lives in the reference router too (identity over divergence).
   expect_identical(r, route_nets_reference(cd, p, rr, opts), "starvation");
-}
-
-TEST(PathFinderSpeculative, BatchEndsArePairwiseDisjointMaximalRuns) {
-  // Property test of the batch scheduler the speculative router uses
-  // verbatim: runs cover every slot, respect max_run, are pairwise
-  // disjoint, and are maximal (a run only stops at a clash or the cap).
-  std::mt19937_64 rng(11);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = 1 + static_cast<int>(rng() % 40);
-    const int max_run = 1 + static_cast<int>(rng() % 8);
-    std::vector<NetFootprint> fps(static_cast<std::size_t>(n));
-    for (NetFootprint& f : fps) {
-      f.min_x = static_cast<int>(rng() % 12);
-      f.min_y = static_cast<int>(rng() % 12);
-      f.max_x = f.min_x + static_cast<int>(rng() % 4);
-      f.max_y = f.min_y + static_cast<int>(rng() % 4);
-    }
-    const std::vector<int> ends = speculative_batch_ends(fps, max_run);
-    ASSERT_FALSE(ends.empty());
-    EXPECT_EQ(ends.back(), n);
-    int start = 0;
-    for (int end : ends) {
-      ASSERT_GT(end, start);
-      EXPECT_LE(end - start, max_run);
-      for (int i = start; i < end; ++i)
-        for (int j = i + 1; j < end; ++j)
-          EXPECT_FALSE(fps[static_cast<std::size_t>(i)].overlaps(
-              fps[static_cast<std::size_t>(j)]))
-              << "trial " << trial << " run [" << start << "," << end
-              << ") members " << i << "," << j;
-      if (end < n && end - start < max_run) {
-        bool clash = false;
-        for (int i = start; i < end && !clash; ++i)
-          clash = fps[static_cast<std::size_t>(i)].overlaps(
-              fps[static_cast<std::size_t>(end)]);
-        EXPECT_TRUE(clash) << "trial " << trial << " run ends at " << end
-                           << " with slack but no clash";
-      }
-      start = end;
-    }
-  }
-}
-
-TEST(PathFinderSpeculative, MatchesSequentialAcrossSeedsLevelsAndPools) {
-  // Speculation on must be byte-identical to speculation off — routes,
-  // delays, iteration counts AND the sequential-semantic reuse stats —
-  // across congested random circuits, and its batch/conflict schedule
-  // must be a pure function of the problem, never of the pool width.
-  long total_batches = 0;
-  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
-    for (int level : {0, 1, 2}) {
-      ArchParams arch = ArchParams::paper_instance_unbounded_k();
-      arch.direct_links_per_side = 2;  // narrow: keep the negotiation real
-      arch.len1_tracks = 4;
-      arch.len4_tracks = 2;
-      arch.global_tracks = 2;
-      RandomDagSpec spec;
-      spec.luts_per_plane = 120;  // big enough that disjoint runs exist
-      spec.depth = 4;
-      spec.num_inputs = 10;
-      spec.seed = seed;
-      Physical ph = build_physical(spec, level, arch);
-      RrGraph rr(ph.p.grid, arch);
-      const std::string ctx =
-          "seed " + std::to_string(seed) + " level " + std::to_string(level);
-      RouterOptions off;
-      off.max_iterations = 20;
-      off.speculative = false;
-      const RoutingResult want = route_design(ph.cd, ph.p, rr, off);
-      EXPECT_EQ(want.reuse.spec_batches, 0) << ctx;
-      EXPECT_EQ(want.reuse.spec_conflicts, 0) << ctx;
-      std::vector<std::pair<int, int>> losers1;
-      for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        RouterOptions on;
-        on.max_iterations = 20;
-        std::vector<std::pair<int, int>> losers;
-        on.spec_loser_log = &losers;
-        const RoutingResult got = route_design(ph.cd, ph.p, rr, on, &pool);
-        const std::string pctx = ctx + " pool " + std::to_string(threads);
-        expect_identical(got, want, pctx);
-        EXPECT_EQ(got.reuse.nets_rerouted, want.reuse.nets_rerouted) << pctx;
-        EXPECT_EQ(got.reuse.nets_skipped, want.reuse.nets_skipped) << pctx;
-        EXPECT_EQ(got.reuse.net_cache_hits, want.reuse.net_cache_hits)
-            << pctx;
-        EXPECT_EQ(got.reuse.net_cache_misses, want.reuse.net_cache_misses)
-            << pctx;
-        if (threads == 1) {
-          losers1 = losers;
-          total_batches += got.reuse.spec_batches;
-        } else {
-          EXPECT_EQ(losers, losers1) << pctx << ": loser schedule must be "
-                                     << "thread-count invariant";
-        }
-        if (level == 0) {
-          // Single folding cycle: batch ordinals never reset, so the
-          // loser log must be grouped by batch with members re-routed in
-          // strictly increasing net order inside each batch.
-          for (std::size_t i = 1; i < losers.size(); ++i) {
-            EXPECT_GE(losers[i].first, losers[i - 1].first) << pctx;
-            if (losers[i].first == losers[i - 1].first)
-              EXPECT_GT(losers[i].second, losers[i - 1].second) << pctx;
-          }
-        }
-      }
-    }
-  }
-  // The sweep must actually exercise multi-net batches, or the identity
-  // claim proves nothing about the parallel phase. (Commit-time losers
-  // are forced deterministically by the dispersed-contention test below.)
-  EXPECT_GT(total_batches, 0);
-}
-
-TEST(PathFinderSpeculative, DispersedContendingNetsConflictAtCommit) {
-  // Four bbox-disjoint nets on a global-only fabric. Iteration 1 batches
-  // all four (terminal boxes are pairwise disjoint), but each row's pair
-  // shares that row's single capacity-1 global line — whose anchor
-  // (x = 0) lies outside the right-hand net's terminal box, so the
-  // scheduler cannot see the collision up front. The left net of each
-  // pair commits first and wins; the right net's read-set certificate
-  // watches the clamped overuse on the shared line flip 0 -> 1, discards
-  // the speculative tree, and falls back to a live sequential search.
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  arch.direct_links_per_side = 0;
-  arch.len1_tracks = 0;
-  arch.len4_tracks = 0;
-  arch.global_tracks = 1;
-  ClusteredDesign cd = synthetic(24, 1,
-                                 {net(0, 0, 0, {2}), net(1, 0, 5, {7}),
-                                  net(2, 0, 16, {18}), net(3, 0, 20, {22})});
-  Placement p = row_placement(24, 8);
-  RrGraph rr(p.grid, arch);
-  RouterOptions off;
-  off.speculative = false;
-  const RoutingResult want = route_design(cd, p, rr, off);
-  ASSERT_TRUE(want.success) << want.overused_nodes << " overused";
-  EXPECT_EQ(want.reuse.spec_batches, 0);
-  EXPECT_EQ(want.reuse.spec_conflicts, 0);
-  std::vector<std::pair<int, int>> losers1;
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    RouterOptions on;
-    std::vector<std::pair<int, int>> losers;
-    on.spec_loser_log = &losers;
-    const RoutingResult got = route_design(cd, p, rr, on, &pool);
-    const std::string ctx = "pool " + std::to_string(threads);
-    expect_identical(got, want, ctx);
-    EXPECT_GT(got.reuse.spec_batches, 0) << ctx;
-    EXPECT_GT(got.reuse.spec_conflicts, 0) << ctx;
-    ASSERT_FALSE(losers.empty()) << ctx;
-    // Losers re-route grouped by batch, in net order inside each batch.
-    for (std::size_t i = 1; i < losers.size(); ++i) {
-      EXPECT_GE(losers[i].first, losers[i - 1].first) << ctx;
-      if (losers[i].first == losers[i - 1].first)
-        EXPECT_GT(losers[i].second, losers[i - 1].second) << ctx;
-    }
-    if (threads == 1) {
-      losers1 = losers;
-    } else {
-      EXPECT_EQ(losers, losers1)
-          << ctx << ": loser schedule must be thread-count invariant";
-    }
-  }
-  std::string why;
-  EXPECT_TRUE(validate_routing(cd, p, rr, want, &why)) << why;
-}
-
-TEST(PathFinderSpeculative, GlobalLineMasksKeepDistantFootprintsDisjoint) {
-  // Regression for the global-line anchoring bug: a global line's RR node
-  // anchors at x/y = 0, and folding that anchor into a tree's bounding
-  // box stretched every global-bearing footprint to the fabric edge,
-  // serializing iteration >= 2 batches on global-heavy circuits. Global
-  // lines now land in per-axis row/column masks instead, so two trees in
-  // opposite quadrants batch together as long as their spanned rows and
-  // columns differ.
-  NetFootprint a;  // quadrant near the origin, globals on row 6 / col 1
-  a.min_x = 1, a.max_x = 5, a.min_y = 1, a.max_y = 6;
-  a.global_rows = 1ull << 6;
-  a.global_cols = 1ull << 1;
-  NetFootprint b;  // far quadrant, globals on row 9 / col 14
-  b.min_x = 9, b.max_x = 14, b.min_y = 9, b.max_y = 12;
-  b.global_rows = 1ull << 9;
-  b.global_cols = 1ull << 14;
-  EXPECT_FALSE(a.overlaps(b));
-  EXPECT_EQ(speculative_batch_ends({a, b}, 8), (std::vector<int>{2}));
-
-  // Sharing one global row forces a clash even with disjoint boxes...
-  NetFootprint c = b;
-  c.global_rows = 1ull << 6;  // same row as a
-  EXPECT_TRUE(a.overlaps(c));
-  EXPECT_EQ(speculative_batch_ends({a, c}, 8), (std::vector<int>{1, 2}));
-  // ...including through the conservative mod-64 alias of the mask.
-  NetFootprint d = b;
-  d.global_rows = 1ull << (70 % 64);  // row 70 aliases row 6
-  EXPECT_TRUE(a.overlaps(d));
-
-  // A mask-only footprint (empty box: max < min) conflicts exactly on
-  // its global lines — the empty box itself overlaps nothing.
-  NetFootprint g;
-  g.global_cols = 1ull << 1;  // same column as a
-  EXPECT_TRUE(a.overlaps(g));
-  EXPECT_FALSE(b.overlaps(g));
-}
-
-TEST(PathFinderSpeculative, GlobalHeavyReripsStillBatchAcrossRows) {
-  // End-to-end companion to the mask regression above: the dispersed
-  // four-net scenario re-rips both pairs after iteration 1 (each pair
-  // shares its row's capacity-1 global line), and from iteration 2 on
-  // the footprints are committed *trees* containing global lines. With
-  // the old anchoring every such tree's box hit the fabric edge and all
-  // re-rips serialized (exactly one multi-net batch, from iteration 1's
-  // terminal boxes); with row/column masks the row-0 and row-2 nets
-  // keep batching, so multi-net batches outnumber the terminal one.
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  arch.direct_links_per_side = 0;
-  arch.len1_tracks = 0;
-  arch.len4_tracks = 0;
-  arch.global_tracks = 1;
-  ClusteredDesign cd = synthetic(24, 1,
-                                 {net(0, 0, 0, {2}), net(1, 0, 5, {7}),
-                                  net(2, 0, 16, {18}), net(3, 0, 20, {22})});
-  Placement p = row_placement(24, 8);
-  RrGraph rr(p.grid, arch);
-  RouterOptions off;
-  off.speculative = false;
-  const RoutingResult want = route_design(cd, p, rr, off);
-  ASSERT_TRUE(want.success) << want.overused_nodes << " overused";
-  ThreadPool pool(4);
-  const RoutingResult got = route_design(cd, p, rr, {}, &pool);
-  expect_identical(got, want, "global-heavy re-rips");
-  EXPECT_GE(got.reuse.spec_batches, 2)
-      << "tree footprints with global lines must stay batchable";
-}
-
-TEST(PathFinderNetCache, SharedGeometryAcrossDifferentCyclesHitsTheCache) {
-  // Cycle 1 repeats one of cycle 0's net geometries next to a brand-new
-  // net: the whole-cycle signatures differ (no cycle replay), but the
-  // repeated net's congestion-clean search is served by the per-net
-  // geometric cache — with the result still byte-identical to the seed
-  // router, which has no such cache.
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(0, 0, 0, {5}));
-  nets.push_back(net(1, 0, 1, {6}));
-  nets.push_back(net(2, 1, 0, {5}));  // geometry of net 0, next cycle
-  nets.push_back(net(3, 1, 2, {7}));
-  ClusteredDesign cd = synthetic(8, 2, std::move(nets));
-  Placement p = row_placement(8, 8);
-  ArchParams arch = ArchParams::paper_instance();
-  RrGraph rr(p.grid, arch);
-  RoutingResult r = route_design(cd, p, rr);
-  EXPECT_TRUE(r.success);
-  EXPECT_EQ(r.reuse.cycles_reused, 0);
-  EXPECT_GE(r.reuse.net_cache_hits, 1);
-  expect_identical(r, route_nets_reference(cd, p, rr, {}), "net cache");
-  std::string why;
-  EXPECT_TRUE(validate_routing(cd, p, rr, r, &why)) << why;
-}
-
-TEST(PathFinderNetCache, CarriesAcrossCallsToCompatSiblingGraphs) {
-  // A shared RouteState donates per-net routes to a later call on a
-  // *different, widened* graph instance: the cycle cache cannot match
-  // (entries are uid-keyed), but net geometry + the graphs' compatibility
-  // signature can — admission re-checks the read-set against the live
-  // (wider) capacities, so the replay stays provably identical.
-  ArchParams arch = ArchParams::paper_instance();
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(0, 0, 0, {5}));
-  nets.push_back(net(1, 0, 1, {6}));
-  ClusteredDesign cd = synthetic(8, 1, std::move(nets));
-  Placement p = row_placement(8, 8);
-  RouteState state;
-  RrGraph rr1(p.grid, arch);
-  RoutingResult r1 = route_design(cd, p, rr1, {}, nullptr, &state);
-  EXPECT_TRUE(r1.success);
-  EXPECT_EQ(r1.reuse.net_cache_hits, 0);
-  EXPECT_GT(state.net_size(), 0u);
-
-  ArchParams wider = arch;
-  wider.len1_tracks += 2;
-  wider.global_tracks += 1;
-  RrGraph rr2(p.grid, wider);
-  EXPECT_EQ(rr1.compat_sig(), rr2.compat_sig());
-  EXPECT_NE(rr1.uid(), rr2.uid());
-  RoutingResult r2 = route_design(cd, p, rr2, {}, nullptr, &state);
-  EXPECT_TRUE(r2.success);
-  EXPECT_EQ(r2.reuse.cycles_reused, 0);
-  EXPECT_GE(r2.reuse.net_cache_hits, 1);
-  expect_identical(r2, route_nets_reference(cd, p, rr2, {}), "widened");
-
-  // A sibling with different delays is NOT compatible: no false sharing.
-  ArchParams slower = arch;
-  slower.len1_wire_delay_ps *= 2.0;
-  RrGraph rr3(p.grid, slower);
-  EXPECT_NE(rr1.compat_sig(), rr3.compat_sig());
-  RoutingResult r3 = route_design(cd, p, rr3, {}, nullptr, &state);
-  EXPECT_EQ(r3.reuse.net_cache_hits, 0);
-  expect_identical(r3, route_nets_reference(cd, p, rr3, {}), "slower");
-}
-
-TEST(PathFinderNetCache, DefectMaskChangeInvalidatesCompatSharing) {
-  // Editing the fabric's defect map is an arch edit: a graph built with
-  // masked wire capacity must never serve cached routes recorded on the
-  // clean fabric (a replayed route could run straight through a broken
-  // track), and two graphs with the *same* defect spec remain compatible
-  // siblings. The defect content signature is folded into compat_sig, so
-  // the per-net geometric cache partitions correctly on its own.
-  ArchParams arch = ArchParams::paper_instance();
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(0, 0, 0, {5}));
-  nets.push_back(net(1, 0, 1, {6}));
-  ClusteredDesign cd = synthetic(8, 1, std::move(nets));
-  Placement p = row_placement(8, 8);
-  RouteState state;
-  RrGraph clean(p.grid, arch);
-  RoutingResult r1 = route_design(cd, p, clean, {}, nullptr, &state);
-  ASSERT_TRUE(r1.success);
-  EXPECT_GT(state.net_size(), 0u);
-
-  ArchParams broken = arch;
-  broken.defects = parse_defect_rates("seed=5,wire=0.15");
-  RrGraph rr_broken(p.grid, broken);
-  EXPECT_NE(clean.compat_sig(), rr_broken.compat_sig());
-  RoutingResult r2 = route_design(cd, p, rr_broken, {}, nullptr, &state);
-  ASSERT_TRUE(r2.success);
-  EXPECT_EQ(r2.reuse.net_cache_hits, 0)
-      << "routes recorded on the clean fabric leaked onto a broken one";
-  expect_identical(r2, route_nets_reference(cd, p, rr_broken, {}), "broken");
-
-  // Same defect spec on a fresh graph instance: compatible sibling, and
-  // the routes recorded on rr_broken replay.
-  RrGraph rr_same(p.grid, broken);
-  EXPECT_EQ(rr_broken.compat_sig(), rr_same.compat_sig());
-  EXPECT_NE(rr_broken.uid(), rr_same.uid());
-  RoutingResult r3 = route_design(cd, p, rr_same, {}, nullptr, &state);
-  ASSERT_TRUE(r3.success);
-  EXPECT_GE(r3.reuse.net_cache_hits, 1);
-  expect_identical(r3, route_nets_reference(cd, p, rr_same, {}), "sibling");
-
-  // A different defect seed is a different fabric: no sharing either way.
-  ArchParams reseeded = arch;
-  reseeded.defects = parse_defect_rates("seed=6,wire=0.15");
-  RrGraph rr_reseeded(p.grid, reseeded);
-  EXPECT_NE(rr_broken.compat_sig(), rr_reseeded.compat_sig());
-  RoutingResult r4 = route_design(cd, p, rr_reseeded, {}, nullptr, &state);
-  EXPECT_EQ(r4.reuse.net_cache_hits, 0);
-  expect_identical(r4, route_nets_reference(cd, p, rr_reseeded, {}),
-                   "reseeded");
 }
 
 TEST(PathFinder, UsageCountsByType) {

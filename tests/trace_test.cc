@@ -91,7 +91,6 @@ FlowResult run_with(const Design& d, int threads, bool traced) {
   opts.seed = 42;
   opts.threads = threads;
   opts.placement.restarts = threads > 1 ? 4 : 1;
-  opts.router.batch_size = 4;
   opts.collect_trace = traced;
   FlowResult r = run_nanomap(d, opts);
   EXPECT_TRUE(r.feasible) << r.message;
@@ -207,8 +206,7 @@ TEST(Trace, TracedFlowMatchesGoldenFingerprints) {
       opts.seed = 42;
       opts.threads = threads;
       opts.placement.restarts = 4;
-      opts.router.batch_size = 4;
-      opts.collect_trace = true;
+          opts.collect_trace = true;
       FlowResult r = run_nanomap(c.design, opts);
       ASSERT_TRUE(r.feasible) << r.message;
       EXPECT_EQ(fnv1a(fingerprint(r)), c.want)
@@ -246,14 +244,13 @@ TEST(Trace, EverySiteATracedRunHitsIsRegistered) {
 }
 
 TEST(Trace, CounterTotalsThreadCountInvariant) {
-  // The same (input, seed, restarts, batch) must produce the same counter
+  // The same (input, seed, restarts) must produce the same counter
   // totals and value summaries at any thread count — wall times are the
   // only fields allowed to differ.
   FlowOptions opts;
   opts.arch = ArchParams::paper_instance();
   opts.seed = 42;
   opts.placement.restarts = 4;
-  opts.router.batch_size = 4;
   opts.collect_trace = true;
   opts.threads = 1;
   FlowResult a = run_nanomap(s27_design(), opts);

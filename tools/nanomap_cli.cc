@@ -26,9 +26,6 @@
 //   --threads N       worker threads (0 = hardware concurrency; never
 //                     changes results, only wall-clock time)
 //   --restarts N      independent placement restarts (best placement wins)
-//   --route-batch N   nets per PathFinder rip-up batch (1 = sequential)
-//   --route-spec[=off] speculative parallel routing of the sequential
-//                     schedule (default on; results identical either way)
 //   --explore[=serial|parallel]
 //                     evaluate ALL candidate folding levels as flow jobs
 //                     (concurrent chains in parallel mode, the default)
@@ -89,7 +86,7 @@ int usage(const char* argv0) {
                "at|delay|area|both] [--area N] [--delay NS] [--level L] "
                "[--k N] [--defects FILE|seed=S,le=R,smb=R,wire=R] "
                "[--no-share] [--seed S] [--threads N] "
-               "[--restarts N] [--route-batch N] [--route-spec[=off]] "
+               "[--restarts N] "
                "[--explore[=serial|parallel]] [--pareto] [--out FILE] "
                "[--blif-out FILE] [--report] [--report=json FILE] "
                "[--trace] [--explain-failure] "
@@ -175,12 +172,6 @@ int main(int argc, char** argv) {
       opts.threads = std::atoi(next().c_str());
     } else if (arg == "--restarts") {
       opts.placement.restarts = std::atoi(next().c_str());
-    } else if (arg == "--route-batch") {
-      opts.router.batch_size = std::atoi(next().c_str());
-    } else if (arg == "--route-spec") {
-      opts.router.speculative = true;
-    } else if (arg == "--route-spec=off") {
-      opts.router.speculative = false;
     } else if (arg == "--explore" || arg == "--explore=parallel") {
       explore_enabled = true;
       eopts.mode = ExploreMode::kParallel;
