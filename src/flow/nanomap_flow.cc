@@ -60,20 +60,13 @@ class FlowEngine {
     FlowResult result;
     result.params = params_;
 
-    std::vector<int> candidates = candidate_levels();
+    start_level_search();
     log_ << "objective " << objective_name(options_.objective)
          << ", candidate levels:";
-    for (int lv : candidates) log_ << " " << lv;
+    for (int lv : candidates_) log_ << " " << lv;
 
-    // For AT-product optimization rank all candidates by their *measured*
-    // post-clustering area times the estimated delay; for the other
-    // objectives the candidate order already encodes preference.
-    if (options_.objective == Objective::kAreaDelayProduct &&
-        options_.forced_folding_level < 0) {
-      rank_by_at_product(&candidates);
-    }
-
-    for (int level : candidates) {
+    while (std::optional<int> next = next_level()) {
+      const int level = *next;
       ++result.levels_tried;
       NM_TRACE_COUNT("flow.levels_tried", 1);
       Candidate& cand = evaluate_cached(level);
@@ -181,29 +174,71 @@ class FlowEngine {
     return FlowErrorKind::kInfeasibleConstraint;
   }
 
-  // --- candidate generation ------------------------------------------------
+  // --- level order -----------------------------------------------------------
 
-  std::vector<int> candidate_levels() const {
-    return candidate_folding_levels(params_, options_);
-  }
-
-  // Runs the (cheap) schedule+cluster evaluation for every candidate level
-  // and orders the levels by measured #LEs x estimated delay, so the
-  // physical flow is attempted best-product-first.
-  void rank_by_at_product(std::vector<int>* levels) {
-    std::vector<std::pair<double, int>> ranked;
-    for (int lv : *levels) {
-      const Candidate& cand = evaluate_cached(lv);
-      if (!cand.valid) continue;
-      ranked.push_back({cand.les * cand.est_delay_ns, lv});
-    }
-    std::stable_sort(ranked.begin(), ranked.end(),
+  // For AT-product optimization the physical flow is attempted in order of
+  // *measured* post-clustering #LEs x estimated delay, ties broken by
+  // candidate order; for the other objectives the candidate order already
+  // encodes preference.
+  void start_level_search() {
+    candidates_ = candidate_folding_levels(params_, options_);
+    rank_by_at_ = options_.objective == Objective::kAreaDelayProduct &&
+                  options_.forced_folding_level < 0;
+    if (!rank_by_at_) return;
+    for (std::size_t i = 0; i < candidates_.size(); ++i)
+      by_bound_.push_back({at_lower_bound(candidates_[i]), i});
+    std::stable_sort(by_bound_.begin(), by_bound_.end(),
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
-    levels->clear();
-    for (auto& [at, lv] : ranked) levels->push_back(lv);
-    if (!levels->empty()) log_ << " | AT ranking best L" << levels->front();
+  }
+
+  // Lower bound on a level's AT product (#LEs x estimated delay) that
+  // needs no scheduling. The delay factor is the same closed form the AT
+  // product uses. For #LEs: temporal_cluster's finalize_counts charges each
+  // SMB at least the LUT slots it uses over all cycles, which is at least
+  // the LUTs it hosts in any one cycle, so les_used >= the LUTs executing
+  // in the busiest cycle. Plane p's num_lut[p] LUTs execute in its S =
+  // stages_per_plane cycles (1 without folding), so some cycle holds at
+  // least ceil(num_lut[p] / S) of them; the max over planes is
+  // ceil(lut_max / S).
+  double at_lower_bound(int level) const {
+    const FoldingConfig cfg = make_folding_config(params_, level);
+    const int stages = cfg.stages_per_plane;
+    const int lb_les = (params_.lut_max + stages - 1) / stages;
+    return lb_les * estimated_circuit_delay_ns(params_, cfg, options_.arch);
+  }
+
+  // The next level to attempt, or nullopt when every candidate was given.
+  // Under the AT objective this is a lazy best-first search: levels are
+  // scheduled and clustered in lower-bound order only while the next
+  // bound could still tie or beat the best measured AT not yet yielded,
+  // and the yield is the minimum by (AT, candidate index) - exactly the
+  // order a stable sort of every level's measured AT would give. A level
+  // the physical flow rejects simply resumes the same sequence.
+  std::optional<int> next_level() {
+    if (!rank_by_at_) {
+      if (next_ == candidates_.size()) return std::nullopt;
+      return candidates_[next_++];
+    }
+    while (next_ < by_bound_.size() &&
+           (measured_.empty() ||
+            by_bound_[next_].first <= measured_.begin()->first)) {
+      const auto [bound, index] = by_bound_[next_++];
+      const Candidate& cand = evaluate_cached(candidates_[index]);
+      if (!cand.valid) continue;
+      const double at = cand.les * cand.est_delay_ns;
+      NM_CHECK_MSG(at >= bound, "AT lower bound " << bound << " exceeds AT "
+                                                  << at << " at L"
+                                                  << cand.level);
+      measured_.insert({at, index});
+    }
+    if (measured_.empty()) return std::nullopt;
+    const int level = candidates_[measured_.begin()->second];
+    measured_.erase(measured_.begin());
+    if (!at_best_logged_) log_ << " | AT ranking best L" << level;
+    at_best_logged_ = true;
+    return level;
   }
 
   // --- evaluation -----------------------------------------------------------
@@ -748,6 +783,13 @@ class FlowEngine {
   ThreadPool pool_;  // shared by every parallel stage of this flow run
   CircuitParams params_;
   std::map<int, Candidate> cache_;
+  // Level order (start_level_search / next_level).
+  std::vector<int> candidates_;
+  bool rank_by_at_ = false;
+  std::size_t next_ = 0;  // into candidates_, or by_bound_ under AT
+  std::vector<std::pair<double, std::size_t>> by_bound_;  // (bound, index)
+  std::set<std::pair<double, std::size_t>> measured_;     // (AT, index)
+  bool at_best_logged_ = false;
   std::set<int> attempted_physical_;
   std::ostringstream log_;
   FlowDiagnostics diag_;

@@ -348,11 +348,13 @@ FlowResult run_nanomap(const Design& design, const FlowOptions& options);
 // exhaustion.
 int exit_code_for(const FlowResult& result);
 
-// The ordered folding levels run_nanomap's serial search tries for this
-// circuit under these options (before the AT-product re-ranking, which is
-// an attempt-order heuristic only). Exposed so the design-space explorer
-// (flow/explore.h) and the ablation bench enumerate exactly the same
-// candidate space as the flow itself.
+// The folding levels run_nanomap's serial search may try for this circuit
+// under these options, in candidate order. Under the AT-product objective
+// the search attempts them in order of measured #LEs x estimated delay
+// instead (ties in candidate order), scheduling only the levels whose
+// lower bound can still win (DESIGN.md §5l). Exposed so the design-space
+// explorer (flow/explore.h) and the ablation bench enumerate exactly the
+// same candidate space as the flow itself.
 std::vector<int> candidate_folding_levels(const CircuitParams& params,
                                           const FlowOptions& options);
 

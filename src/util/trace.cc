@@ -13,7 +13,7 @@ using Clock = std::chrono::steady_clock;
 
 namespace internal {
 
-thread_local TraceCollector* tls_request_collector = nullptr;
+constinit thread_local TraceCollector* tls_request_collector = nullptr;
 
 }  // namespace internal
 
@@ -212,13 +212,14 @@ std::vector<TraceSpan> TraceSnapshot::aggregate_spans() const {
 
 std::string TraceSnapshot::render() const {
   std::ostringstream os;
-  os << "trace: stage tree (wall ms)\n";
-  for (const TraceSpan& s : spans) {
+  os << "trace: stage tree (wall ms summed over calls)\n";
+  for (const TraceSpan& s : aggregate_spans()) {
     os << "  ";
     for (int d = 0; d < s.depth; ++d) os << "  ";
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.3f", s.wall_ms);
-    os << s.name << "  " << buf << " ms\n";
+    os << s.name.substr(s.name.rfind('/') + 1) << "  " << buf << " ms  x"
+       << s.calls << "\n";
   }
   if (!counters.empty()) {
     os << "trace: counters\n";

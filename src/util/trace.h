@@ -90,8 +90,9 @@ struct TraceSnapshot {
   // table of the run report.
   std::vector<TraceSpan> aggregate_spans() const;
 
-  // Human-readable stage tree with timings + counter/value tables (the
-  // CLI's --trace output).
+  // Human-readable aggregated stage tree (one line per path, with summed
+  // wall time and call count) + counter/value tables (the CLI's --trace
+  // output).
   std::string render() const;
 };
 
@@ -137,7 +138,11 @@ namespace internal {
 // The request-scoped collector bound to this thread by the innermost
 // TraceRequestScope (null when none). Read by the NM_TRACE_* fast path;
 // written only by TraceRequestScope and the ThreadPool task wrappers.
-extern thread_local TraceCollector* tls_request_collector;
+// constinit tells other translation units it needs no dynamic
+// initialization, so they access it directly instead of through the
+// thread_local init wrapper (which GCC 12 + UBSan reports as a store to
+// a null pointer on pool worker threads).
+extern constinit thread_local TraceCollector* tls_request_collector;
 
 }  // namespace internal
 

@@ -208,6 +208,42 @@ TEST(Determinism, GoldenScheduleFingerprints) {
   }
 }
 
+// Golden pin of the default-options flow on the seven paper circuits. The
+// hashes were captured from the binary that scheduled and clustered every
+// candidate folding level before ranking them by AT product; the lazy
+// level search must emit the same bytes. The flow/schedule call counts pin
+// the laziness itself: a return to eager ranking schedules 15-23 levels
+// per circuit.
+TEST(Determinism, PaperCircuitGoldensWithLazyLevelSearch) {
+  struct Case {
+    const char* name;
+    std::uint64_t want;
+    long schedule_calls;
+  };
+  const Case cases[] = {
+      {"ex1", 0x03016b3d80e4d467ull, 1},
+      {"FIR", 0x7b960198b6f5dda6ull, 2},
+      {"ex2", 0x9bf409ef7286a16eull, 4},
+      {"c5315", 0x426a2712bf90f24eull, 5},
+      {"Biquad", 0xb4d6e20b42407dc1ull, 3},
+      {"Paulin", 0x88c656a4eb036d6bull, 2},
+      {"ASPP4", 0x4b4e514284191ab8ull, 2},
+  };
+  for (const Case& c : cases) {
+    FlowOptions opts;
+    opts.collect_trace = true;
+    FlowResult r = run_nanomap(make_benchmark(c.name), opts);
+    ASSERT_TRUE(r.feasible) << c.name << ": " << r.message;
+    const std::uint64_t got = fnv1a(fingerprint(r));
+    EXPECT_EQ(got, c.want) << c.name << " output changed: got 0x" << std::hex
+                           << got;
+    long schedule_calls = 0;
+    for (const TraceSpan& s : r.report.stages)
+      if (s.name == "flow/schedule") schedule_calls = s.calls;
+    EXPECT_EQ(schedule_calls, c.schedule_calls) << c.name;
+  }
+}
+
 TEST(Determinism, DefaultSerialConfigUnaffectedByThreads) {
   // restarts=1 is the historical serial flow; adding threads must not
   // change a single byte of it.

@@ -164,9 +164,12 @@ TEST(FaultInjection, ArmedFlowIsThreadCountInvariant) {
   }
 }
 
-// A later hit index fires mid-flow (the AT ranking schedules every
-// candidate level up front, so hit 2 poisons the second schedule_plane
-// call), proving hits count deterministically.
+// A later hit index fires mid-flow, proving hits count deterministically.
+// The AT search schedules levels lazily, in lower-bound order, until no
+// unscheduled level can beat the best one measured. On this circuit it
+// schedules at least two levels (one plane each), so hit 2 poisons the
+// second level's schedule_plane call; the search drops that level and
+// still maps the circuit.
 TEST(FaultInjection, NthHitTargetsLaterStageCalls) {
   Design d = make_ex1(4);
   FlowOptions opts = small_flow_options();
@@ -176,6 +179,12 @@ TEST(FaultInjection, NthHitTargetsLaterStageCalls) {
   std::map<std::string, long> hits = FaultInjector::instance().hit_counts();
   EXPECT_GE(hits["fds.schedule"], 2);
   EXPECT_TRUE(trail_has_kind(r.diagnostics, FlowErrorKind::kInternal));
+  EXPECT_TRUE(std::any_of(r.diagnostics.events.begin(),
+                          r.diagnostics.events.end(), [](const FlowEvent& e) {
+                            return e.stage == "schedule" &&
+                                   e.kind == FlowErrorKind::kInternal;
+                          }))
+      << "hit 2 never reached a schedule_plane call";
   EXPECT_TRUE(r.feasible) << r.message;
 }
 

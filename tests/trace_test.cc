@@ -173,7 +173,11 @@ TEST(Trace, SpanTreeNestsAndAggregates) {
   EXPECT_EQ(agg[0].calls, 1);
   EXPECT_EQ(agg[1].name, "flow/place");
   EXPECT_EQ(agg[1].calls, 3);
-  EXPECT_NE(snap.render().find("trace: stage tree"), std::string::npos);
+  const std::string text = snap.render();
+  EXPECT_NE(text.find("trace: stage tree"), std::string::npos);
+  EXPECT_NE(text.find("\n    place  "), std::string::npos) << text;
+  EXPECT_NE(text.find(" ms  x3\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("place"), text.rfind("place")) << text;
 }
 
 TEST(Trace, EnableClearsThePreviousWindow) {

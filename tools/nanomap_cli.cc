@@ -46,7 +46,8 @@
 //                     the file is byte-deterministic for a fixed seed;
 //                     add --trace to include real timings instead.
 //   --trace           collect stage spans/counters and pretty-print the
-//                     stage tree with timings to stderr (docs/
+//                     aggregated stage tree (timings, call counts) to
+//                     stderr (docs/
 //                     OBSERVABILITY.md). Never changes results.
 //   --explain-failure print the typed retry/escalation diagnostics trail
 //   --fault PLAN      arm deterministic fault injection ("site:N[:kind]",
