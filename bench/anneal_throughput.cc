@@ -1,10 +1,13 @@
-// Annealer move-throughput tracker: runs the incremental-bbox annealer
-// and the pre-PR-2 from-scratch reference on the standard circuits (plus
-// synthetic high-fanout designs) and writes moves/sec for both to
-// BENCH_anneal.json, so the placement kernel's perf trajectory is pinned
-// from PR 2 on.
+// Annealer move-throughput tracker: runs the set-keyed incremental-bbox
+// annealer and the from-scratch seed reference on the standard circuits
+// (plus synthetic high-fanout designs) and writes moves/sec for both to
+// BENCH_anneal.json (schema in docs/FORMATS.md), under a host header:
+// hardware threads, build type and the `git describe` passed in.
 //
-//   ./build/bench/anneal_throughput [out.json]
+//   ./build/bench/anneal_throughput [--smoke] [--git-describe D] [out.json]
+//
+// --smoke runs three rows (ex1, Paulin, synthetic-fanout8) with a short
+// timing window: enough for CI to exercise the identity check.
 //
 // The reference below is a faithful copy of the seed Annealer: full
 // O(fanout) bounding-box recompute per incident net per move, plus a
@@ -27,6 +30,7 @@
 #include "netlist/plane.h"
 #include "place/annealer.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 using namespace nanomap;
 
@@ -206,6 +210,7 @@ struct Row {
   std::string name;
   int smbs = 0;
   int nets = 0;
+  int smb_sets = 0;
   double avg_fanout = 0.0;
   double legacy_mps = 0.0;
   double incremental_mps = 0.0;
@@ -226,12 +231,13 @@ Placement initial_for(const ClusteredDesign& cd, std::uint64_t seed) {
 
 template <typename Engine>
 double measure_mps(const ClusteredDesign& cd, const Placement& init,
-                   double effort, Placement* final_placement) {
-  // One warm-up, then timed repeats until >= 0.2 s accumulated.
+                   double effort, double min_seconds,
+                   Placement* final_placement) {
+  // One warm-up, then timed repeats until min_seconds accumulated.
   double seconds = 0.0;
   long moves = 0;
   int reps = 0;
-  while (seconds < 0.2 || reps < 2) {
+  while (seconds < min_seconds || reps < 2) {
     Rng rng(7);
     Engine engine(cd, init, 0.8, &rng);
     auto t0 = std::chrono::steady_clock::now();
@@ -249,11 +255,12 @@ double measure_mps(const ClusteredDesign& cd, const Placement& init,
 }
 
 Row measure(const std::string& name, const ClusteredDesign& cd,
-            double effort) {
+            double effort, double min_seconds) {
   Row row;
   row.name = name;
   row.smbs = cd.num_smbs;
   row.nets = static_cast<int>(cd.nets.size());
+  row.smb_sets = count_smb_sets(cd);
   std::size_t pins = 0;
   for (const PlacedNet& pn : cd.nets) pins += pn.sink_smbs.size();
   row.avg_fanout = cd.nets.empty()
@@ -263,9 +270,9 @@ Row measure(const std::string& name, const ClusteredDesign& cd,
   Placement init = initial_for(cd, 42);
   Placement legacy_final, incr_final;
   row.legacy_mps = measure_mps<LegacyAnnealer>(cd, init, effort,
-                                               &legacy_final);
+                                               min_seconds, &legacy_final);
   row.incremental_mps = measure_mps<Annealer>(cd, init, effort,
-                                              &incr_final);
+                                              min_seconds, &incr_final);
   row.identical = legacy_final.site_of_smb == incr_final.site_of_smb;
   return row;
 }
@@ -311,17 +318,36 @@ ClusteredDesign synthetic_fanout(int smbs, int nets, int fanout,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_anneal.json";
+  bool smoke = false;
+  std::string git_describe = "unknown";
+  std::string out_path = "BENCH_anneal.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke")
+      smoke = true;
+    else if (arg == "--git-describe" && i + 1 < argc)
+      git_describe = argv[++i];
+    else
+      out_path = arg;
+  }
+  const double min_seconds = smoke ? 0.02 : 0.2;
   std::vector<Row> rows;
 
   // The paper's standard circuits, clustered at folding level 1.
-  for (const std::string& name : benchmark_names())
-    rows.push_back(measure(name, cluster_circuit(name, 1), 1.0));
+  for (const std::string& name : benchmark_names()) {
+    if (smoke && name != "ex1" && name != "Paulin") continue;
+    rows.push_back(measure(name, cluster_circuit(name, 1), 1.0,
+                           min_seconds));
+  }
 
-  // Synthetic fanout sweep: the regime the incremental kernel targets.
-  for (int fanout : {8, 16, 32})
+  // Synthetic fanout sweep: every net has its own SMB set, so the set
+  // boxes save nothing here and the second (net) pass is pure overhead.
+  for (int fanout : {8, 16, 32}) {
+    if (smoke && fanout != 8) continue;
     rows.push_back(measure("synthetic-fanout" + std::to_string(fanout),
-                           synthetic_fanout(256, 512, fanout, 99), 1.0));
+                           synthetic_fanout(256, 512, fanout, 99), 1.0,
+                           min_seconds));
+  }
 
   // Emit BENCH_anneal.json (schema in docs/FORMATS.md) through the shared
   // JSON writer — same escaping and dialect as the --report=json output.
@@ -333,7 +359,14 @@ int main(int argc, char** argv) {
   w.field("legacy",
           "seed annealer, O(fanout) bbox recompute per incident net per "
           "move");
-  w.field("incremental", "PR 2 cached-bbox kernel (net_bbox.h)");
+  w.field("incremental",
+          "one cached bbox per distinct SMB set, exact per-net cost sums "
+          "(net_bbox.h)");
+  w.field("smoke", smoke);
+  w.field("hardware_threads",
+          static_cast<long>(ThreadPool::hardware_threads()));
+  w.field("build_type", NANOMAP_BUILD_TYPE);
+  w.field("git_describe", git_describe);
   w.key("rows");
   w.begin_array();
   bool all_identical = true;
@@ -343,6 +376,7 @@ int main(int argc, char** argv) {
     w.field("circuit", r.name);
     w.field("smbs", r.smbs);
     w.field("nets", r.nets);
+    w.field("smb_sets", r.smb_sets);
     w.field("avg_fanout", round2(r.avg_fanout));
     w.field("legacy_moves_per_sec", std::round(r.legacy_mps));
     w.field("incremental_moves_per_sec", std::round(r.incremental_mps));
@@ -351,9 +385,10 @@ int main(int argc, char** argv) {
                                     : 0.0));
     w.field("identical_placement", r.identical);
     w.end();
-    std::printf("%-22s smbs %4d nets %4d fanout %5.2f  legacy %10.0f  "
-                "incremental %10.0f  speedup %5.2fx  identical %s\n",
-                r.name.c_str(), r.smbs, r.nets, r.avg_fanout, r.legacy_mps,
+    std::printf("%-22s smbs %4d nets %4d sets %4d fanout %5.2f  legacy "
+                "%10.0f  incremental %10.0f  speedup %5.2fx  identical %s\n",
+                r.name.c_str(), r.smbs, r.nets, r.smb_sets, r.avg_fanout,
+                r.legacy_mps,
                 r.incremental_mps,
                 r.legacy_mps > 0 ? r.incremental_mps / r.legacy_mps : 0.0,
                 r.identical ? "yes" : "NO");

@@ -249,8 +249,8 @@ struct FlowOptions {
   bool refine_schedule = true;  // post-scheduling rebalancing sweeps
   std::uint64_t seed = 42;
   // Worker threads for the parallel stages (multi-seed placement
-  // restarts, whole-placement cost evaluation, the FDS kernel). Routing
-  // is sequential. 0 = hardware concurrency. The thread count only
+  // restarts, the FDS kernel). Within one restart, placement and routing
+  // are sequential. 0 = hardware concurrency. The thread count only
   // changes wall-clock time: the same (input, seed) produces
   // byte-identical placement, routing, and bitmap at any setting (see
   // tests/determinism_test.cc), and threads = 1 runs the serial code

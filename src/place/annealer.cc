@@ -9,7 +9,7 @@
 namespace nanomap {
 
 Annealer::Annealer(const ClusteredDesign& cd, const Placement& initial,
-                   double timing_weight, Rng* rng, ThreadPool* pool,
+                   double timing_weight, Rng* rng,
                    const PlaceLegality* legal)
     : cd_(cd), placement_(initial), timing_weight_(timing_weight),
       rng_(rng), legal_(legal) {
@@ -21,55 +21,54 @@ Annealer::Annealer(const ClusteredDesign& cd, const Placement& initial,
                  "two SMBs on site " << site);
     smb_at_site_[static_cast<std::size_t>(site)] = m;
   }
-  // Incident lists, ascending by net index. All pins of net i append
-  // consecutively, so duplicates (driver+sink in one SMB, repeated sink
-  // pins) collapse into one entry with a pin count — the entry dedup is
-  // what keeps a net from being double-counted in the move-cost sums.
+  boxes_.init(cd_, placement_);
+
+  // Incident lists, both ascending because sets and nets are visited in
+  // id order, and duplicate-free because a set lists each SMB once — so
+  // a self-feeding net or a repeated sink pin enters an SMB's lists once
+  // and is never double-counted in the move-cost sums.
+  sets_of_.assign(static_cast<std::size_t>(cd.num_smbs), {});
   nets_of_.assign(static_cast<std::size_t>(cd.num_smbs), {});
-  auto add_pin = [&](int smb, int net) {
-    std::vector<IncidentNet>& list = nets_of_[static_cast<std::size_t>(smb)];
-    if (!list.empty() && list.back().net == net)
-      ++list.back().pins;
-    else
-      list.push_back({net, 1});
-  };
-  net_weight_.reserve(cd.nets.size());
+  for (int s = 0; s < boxes_.num_sets(); ++s)
+    for (const int* m = boxes_.members_begin(s); m != boxes_.members_end(s);
+         ++m)
+      sets_of_[static_cast<std::size_t>(*m)].push_back(s);
+  terms_.reserve(cd.nets.size());
   for (std::size_t i = 0; i < cd.nets.size(); ++i) {
-    const PlacedNet& pn = cd.nets[i];
-    net_weight_.push_back(1.0 + timing_weight * pn.criticality);
-    add_pin(pn.driver_smb, static_cast<int>(i));
-    for (int s : pn.sink_smbs) add_pin(s, static_cast<int>(i));
+    const int s = boxes_.set_of(static_cast<int>(i));
+    terms_.push_back({1.0 + timing_weight * cd.nets[i].criticality, s});
+    for (const int* m = boxes_.members_begin(s); m != boxes_.members_end(s);
+         ++m)
+      nets_of_[static_cast<std::size_t>(*m)].push_back(static_cast<int>(i));
   }
-  // Sentinel entry terminating every list: the swap-move merge in
-  // try_move runs branch-light off it (no per-step bounds checks).
-  for (std::vector<IncidentNet>& list : nets_of_)
-    list.push_back({std::numeric_limits<int>::max(), 0});
+  // Sentinel entry terminating every list: the swap-move merges in
+  // try_move run branch-light off it (no per-step bounds checks).
+  for (std::vector<int>& list : sets_of_)
+    list.push_back(std::numeric_limits<int>::max());
+  for (std::vector<int>& list : nets_of_)
+    list.push_back(std::numeric_limits<int>::max());
 
-  boxes_.init(cd_, placement_, pool);
-  // Reduce in net order: bit-identical to the historical serial per-net
-  // recompute loop at any thread count.
-  cost_ = 0.0;
-  cost_of_.reserve(cd_.nets.size());
-  for (std::size_t i = 0; i < cd_.nets.size(); ++i) {
-    cost_of_.push_back(cached_net_cost(static_cast<int>(i)));
-    cost_ += cost_of_.back();
-  }
+  // Summed in net order: bit-identical to the historical serial per-net
+  // recompute loop.
+  cost_ = cost();
 
-  // Move-loop scratch: a move touches at most the union of two incident
+  // Move-loop scratch: a move touches at most the union of two set
   // lists, so this sizing makes try_move allocation-free.
-  std::size_t max_incident = 0;
-  for (const std::vector<IncidentNet>& list : nets_of_)
-    max_incident = std::max(max_incident, list.size());
-  touched_nets_.resize(2 * max_incident);
-  touched_boxes_.resize(2 * max_incident);
-  touched_costs_.resize(2 * max_incident);
-  net_stamp_.assign(cd_.nets.size(), 0);
+  std::size_t max_sets = 0;
+  for (const std::vector<int>& list : sets_of_)
+    max_sets = std::max(max_sets, list.size());
+  touched_sets_.resize(2 * max_sets);
+  touched_boxes_.resize(2 * max_sets);
+  new_hpwl_.assign(static_cast<std::size_t>(boxes_.num_sets()), 0);
+#ifdef NANOMAP_AUDIT_COST
+  set_stamp_.assign(static_cast<std::size_t>(boxes_.num_sets()), 0);
+#endif
 }
 
 double Annealer::cost() const {
   double c = 0.0;
-  for (std::size_t i = 0; i < cd_.nets.size(); ++i)
-    c += cached_net_cost(static_cast<int>(i));
+  for (const NetTerm& t : terms_)
+    c += t.weight * static_cast<double>(boxes_.hpwl(t.set));
   return c;
 }
 
@@ -105,7 +104,7 @@ bool Annealer::try_move(double t, int rlim) {
 
   // Apply the placement flip (and the cache's coordinate mirror) up front
   // so any shrink-edge rescan inside the box updates below reads every
-  // pin at its final site.
+  // member at its final site.
   placement_.site_of_smb[static_cast<std::size_t>(smb)] = to;
   smb_at_site_[static_cast<std::size_t>(to)] = smb;
   smb_at_site_[static_cast<std::size_t>(from)] = other;  // -1 if plain move
@@ -115,70 +114,99 @@ bool Annealer::try_move(double t, int rlim) {
     boxes_.set_smb_xy(other, fx, fy);
   }
 
-  // Single pass over the affected nets in ascending net order — for a
-  // swap, a two-way merge of the two sentinel-terminated sorted incident
-  // lists, written so the take-left/take-right selection compiles to
-  // conditional moves instead of an unpredictable branch ladder. Per net:
-  // fold its pre-move cost into `before`, dry-run the box update on a
-  // scratch copy in touched_, fold the post-move cost into `after`. The
-  // cached boxes themselves are untouched until the move is accepted, so
-  // rejection needs no box rollback at all. The ascending order keeps
-  // both sums in the exact floating-point order of the historical
-  // sort+unique evaluation, so delta — and every accept/reject decision —
-  // is bit-identical to the seed annealer.
-  double before = 0.0;
-  double after = 0.0;
-  auto process = [&](int net, int fwd_pins, int rev_pins) {
-    std::size_t n = static_cast<std::size_t>(net);
+  // Pass 1, over the touched sets: dry-run each box update on a scratch
+  // copy and record the set's post-move hpwl. The cached boxes are
+  // untouched until the move is accepted, so rejection needs no box
+  // rollback at all. A set holding both swapped SMBs keeps its
+  // coordinate multiset, so its box and hpwl stay as they are.
+  bool hpwl_changed = false;
+  auto visit_set = [&](int s, bool moved_mine, bool moved_theirs) {
+    std::size_t ss = static_cast<std::size_t>(s);
 #ifdef NANOMAP_AUDIT_COST
-    // The merge (and the deduped incident lists) guarantee each net is
-    // visited at most once per move; the generation stamp only verifies
-    // that invariant in audit builds — release pays nothing for it.
-    NM_CHECK_MSG(net_stamp_[n] != move_gen_,
-                 "net " << net << " visited twice in one move");
-    net_stamp_[n] = move_gen_;
+    NM_CHECK_MSG(set_stamp_[ss] != move_gen_,
+                 "set " << s << " visited twice in one move");
+    set_stamp_[ss] = move_gen_;
 #endif
-    int k = n_touched_++;
-    touched_nets_[static_cast<std::size_t>(k)] = net;
-    NetBox& nb = touched_boxes_[static_cast<std::size_t>(k)];
-    nb = boxes_.box(net);
-    before += cost_of_[n];
-    boxes_.update_box(&nb, net, fx, fy, tx, ty, fwd_pins, rev_pins);
-    double nc = net_weight_[n] * static_cast<double>(nb.hpwl());
-    touched_costs_[static_cast<std::size_t>(k)] = nc;
-    after += nc;
+    if (moved_mine && moved_theirs) {
+      new_hpwl_[ss] = boxes_.hpwl(s);
+      return;
+    }
+    std::size_t k = static_cast<std::size_t>(n_touched_++);
+    touched_sets_[k] = s;
+    NetBox& nb = touched_boxes_[k];
+    nb = boxes_.box(s);
+    if (moved_mine)
+      boxes_.move_member(&nb, s, fx, fy, tx, ty);
+    else
+      boxes_.move_member(&nb, s, tx, ty, fx, fy);
+    new_hpwl_[ss] = nb.hpwl();
+    hpwl_changed |= new_hpwl_[ss] != boxes_.hpwl(s);
   };
-  const std::vector<IncidentNet>& mine =
-      nets_of_[static_cast<std::size_t>(smb)];
+  const std::vector<int>& my_sets = sets_of_[static_cast<std::size_t>(smb)];
+  const std::vector<int>& my_nets = nets_of_[static_cast<std::size_t>(smb)];
   if (other >= 0) {
-    const std::vector<IncidentNet>& theirs =
-        nets_of_[static_cast<std::size_t>(other)];
+    const std::vector<int>& their_sets =
+        sets_of_[static_cast<std::size_t>(other)];
     std::size_t i = 0, j = 0;
-    const std::size_t last = mine.size() + theirs.size() - 2;
+    const std::size_t last = my_sets.size() + their_sets.size() - 2;
     while (i + j < last) {
-      int a = mine[i].net;
-      int b = theirs[j].net;
+      int a = my_sets[i];
+      int b = their_sets[j];
       bool take_a = a <= b;
-      bool take_b = b <= a;  // both when the net touches both SMBs
-      process(take_a ? a : b, take_a ? mine[i].pins : 0,
-              take_b ? theirs[j].pins : 0);
+      bool take_b = b <= a;  // both when the set holds both SMBs
+      visit_set(take_a ? a : b, take_a, take_b);
       i += static_cast<std::size_t>(take_a);
       j += static_cast<std::size_t>(take_b);
     }
   } else {
-    for (std::size_t k = 0; k + 1 < mine.size(); ++k)
-      process(mine[k].net, mine[k].pins, 0);
+    for (std::size_t k = 0; k + 1 < my_sets.size(); ++k)
+      visit_set(my_sets[k], true, false);
   }
 
-  double delta = after - before;
+  // Pass 2, over the affected nets in ascending net order — for a swap,
+  // a two-way merge of the two sorted net lists whose take-left /
+  // take-right selection compiles to conditional moves. Each net folds
+  // its pre-move and post-move cost products into `before` and `after`
+  // in the exact floating-point order of the historical per-net
+  // evaluation, so delta — and every accept/reject decision — is
+  // bit-identical to the seed annealer. With no hpwl changed both sums
+  // would be the same sequence, so delta is exactly 0.0 without them.
+  double delta = 0.0;
+  if (hpwl_changed) {
+    double before = 0.0;
+    double after = 0.0;
+    auto add_net = [&](int net) {
+      const NetTerm& term = terms_[static_cast<std::size_t>(net)];
+      before += term.weight * static_cast<double>(boxes_.hpwl(term.set));
+      after += term.weight * static_cast<double>(
+                                 new_hpwl_[static_cast<std::size_t>(
+                                     term.set)]);
+    };
+    if (other >= 0) {
+      const std::vector<int>& their_nets =
+          nets_of_[static_cast<std::size_t>(other)];
+      std::size_t i = 0, j = 0;
+      const std::size_t last = my_nets.size() + their_nets.size() - 2;
+      while (i + j < last) {
+        int a = my_nets[i];
+        int b = their_nets[j];
+        add_net(a < b ? a : b);
+        i += static_cast<std::size_t>(a <= b);
+        j += static_cast<std::size_t>(b <= a);
+      }
+    } else {
+      for (std::size_t k = 0; k + 1 < my_nets.size(); ++k)
+        add_net(my_nets[k]);
+    }
+    delta = after - before;
+  }
+
   if (delta <= 0.0 ||
       (t > 0.0 && rng_->next_double() < std::exp(-delta / t))) {
-    // Commit the dry-run boxes and their cached cost products.
+    // Commit the dry-run boxes (store() keeps their hpwl in lockstep).
     for (int k = 0; k < n_touched_; ++k) {
       std::size_t kk = static_cast<std::size_t>(k);
-      boxes_.store(touched_nets_[kk], touched_boxes_[kk]);
-      cost_of_[static_cast<std::size_t>(touched_nets_[kk])] =
-          touched_costs_[kk];
+      boxes_.store(touched_sets_[kk], touched_boxes_[kk]);
     }
     cost_ += delta;
     ++moves_accepted_;
@@ -210,12 +238,11 @@ void Annealer::audit_cost() const {
                      boxes_.y_of(m) == placement_.y_of(m),
                  "audit: stale coordinate mirror for smb " << m);
   }
-  for (int n = 0; n < boxes_.size(); ++n) {
-    NM_CHECK_MSG(boxes_.box(n) == boxes_.compute_box(n),
-                 "audit: stale incremental bbox for net " << n);
-    NM_CHECK_MSG(cost_of_[static_cast<std::size_t>(n)] ==
-                     cached_net_cost(n),
-                 "audit: stale cached cost product for net " << n);
+  for (int s = 0; s < boxes_.num_sets(); ++s) {
+    NM_CHECK_MSG(boxes_.box(s) == boxes_.compute_box(s),
+                 "audit: stale incremental bbox for smb set " << s);
+    NM_CHECK_MSG(boxes_.hpwl(s) == boxes_.box(s).hpwl(),
+                 "audit: stale cached hpwl for smb set " << s);
   }
   double scratch = placement_cost(cd_, placement_, timing_weight_);
   double exact = cost();
@@ -240,7 +267,6 @@ void Annealer::run(double effort) {
   // Initial temperature: 20 x std-dev of random move deltas (VPR).
   double sum = 0.0, sum2 = 0.0;
   const int samples = std::min(128, 8 * n);
-  double cost_before = cost_;
   for (int i = 0; i < samples; ++i) {
     double c0 = cost_;
     try_move(1e18, placement_.grid.width);  // accept everything
@@ -251,7 +277,6 @@ void Annealer::run(double effort) {
   double mean = sum / samples;
   double var = std::max(0.0, sum2 / samples - mean * mean);
   double t = 20.0 * std::sqrt(var) + 1e-6;
-  (void)cost_before;
 #ifdef NANOMAP_AUDIT_COST
   audit_cost();
 #endif

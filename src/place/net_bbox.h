@@ -1,15 +1,23 @@
-// Incremental per-net bounding boxes for the temporal-placement annealer.
+// Incremental per-SMB-set bounding boxes for the temporal-placement
+// annealer.
 //
-// The SA objective sums, per net, the half-perimeter of the bounding box
-// of its pins (driver SMB + sink SMBs). Recomputing a box from scratch is
-// O(fanout); with high-fanout nets that scan dominates the move loop. This
-// kernel caches every net's box augmented with VPR-style boundary
-// occupancy counts — how many of the net's pins sit exactly on each of the
-// four box edges — so moving one pin updates the box in O(1): a growing
-// edge just moves to the pin's new coordinate, a pin landing on an edge
-// increments its count, and a pin leaving an edge decrements it. Only when
-// the moved pin was the *last* pin on a shrinking edge is the new edge
-// position unknown, and a full O(fanout) rescan of that net runs.
+// The SA objective sums, per net, its weight times the half-perimeter of
+// the bounding box of its pins (driver SMB + sink SMBs). That box depends
+// only on the net's *SMB set* — the sorted, deduplicated
+// {driver_smb} ∪ sink_smbs — never on how many pins share an SMB. Every
+// SMB hosts LEs from every folding cycle, so the per-cycle nets repeat the
+// same few sets (ex1: 512 nets, 20 sets; ASPP4: 1,664 nets, 212 sets).
+// This cache therefore keeps one box per distinct set, each set member
+// counted as one pin, plus the box's integer half-perimeter; every net
+// reads its hpwl through set_of(net).
+//
+// Each box is augmented with VPR-style boundary occupancy counts — how
+// many set members sit exactly on each of the four box edges — so moving
+// one member updates the box in O(1): a growing edge just moves to the
+// member's new coordinate, landing on an edge increments its count, and
+// leaving one decrements it. Only when the moved member was the *last*
+// one on a shrinking edge is the new edge position unknown, and a rescan
+// of that set's axis runs.
 //
 // The boxes are pure integer state (min/max coordinates + counts), so the
 // incrementally maintained box is exactly — not approximately — the box a
@@ -18,8 +26,8 @@
 // kernel without changing a single accept/reject decision.
 //
 // Rollback protocol: the cache never snapshots anything itself. A caller
-// evaluating a speculative move copies the NetBox of every affected net,
-// dry-runs the update on the copies (update_box), and commits them with
+// evaluating a speculative move copies the NetBox of every affected set,
+// dry-runs the update on the copies (move_member), and commits them with
 // store() only if the move is accepted — a rejected move never writes the
 // cache. See Annealer::try_move.
 #pragma once
@@ -28,7 +36,6 @@
 #include <vector>
 
 #include "core/temporal_cluster.h"
-#include "util/thread_pool.h"
 
 #if defined(__SSE2__) || defined(_M_X64)
 #include <emmintrin.h>
@@ -39,18 +46,18 @@ namespace nanomap {
 
 struct Placement;
 
-// Bounding box of one net's pins plus edge-occupancy counts. A pin whose
-// coordinate equals an edge counts toward that edge; with a degenerate box
-// (xmin == xmax) every pin counts on both x edges, which keeps the update
-// rules uniform. The field order — four edges then four counts — is
-// load-bearing: the SSE2 update treats the struct as two 128-bit vectors,
-// [xmin,xmax,ymin,ymax] and their counts.
+// Bounding box of one SMB set plus edge-occupancy counts. A member whose
+// coordinate equals an edge counts toward that edge; with a degenerate
+// box (xmin == xmax) every member counts on both x edges, which keeps the
+// update rules uniform. The field order — four edges then four counts —
+// is load-bearing: the SSE2 update treats the struct as two 128-bit
+// vectors, [xmin,xmax,ymin,ymax] and their counts.
 struct NetBox {
   std::int32_t xmin = 0;
   std::int32_t xmax = 0;
   std::int32_t ymin = 0;
   std::int32_t ymax = 0;
-  std::int32_t on_xmin = 0;  // pins with x == xmin
+  std::int32_t on_xmin = 0;  // members with x == xmin
   std::int32_t on_xmax = 0;
   std::int32_t on_ymin = 0;
   std::int32_t on_ymax = 0;
@@ -65,21 +72,36 @@ struct NetBox {
   }
 };
 
+// Number of distinct SMB sets among the nets of `cd` — the size of the
+// cache NetBoxCache::init builds, without building it.
+int count_smb_sets(const ClusteredDesign& cd);
+
 class NetBoxCache {
  public:
-  // Builds the box of every net of `cd` (which must outlive the cache) at
-  // `placement`. SMB coordinates are copied into flat per-SMB arrays — a
-  // rescan never needs the site->x,y divisions — so after init the cache
-  // no longer reads the placement: the caller reports coordinate changes
-  // through set_smb_xy. Per-net boxes may be computed on `pool`
-  // (independent writes to distinct slots).
-  void init(const ClusteredDesign& cd, const Placement& placement,
-            ThreadPool* pool = nullptr);
+  // Groups the nets of `cd` into distinct SMB sets — ids in order of first
+  // appearance by net index — and builds each set's box at `placement`.
+  // SMB coordinates are copied into flat per-SMB arrays — a rescan never
+  // needs the site->x,y divisions — so after init the cache no longer
+  // reads the placement: the caller reports coordinate changes through
+  // set_smb_xy.
+  void init(const ClusteredDesign& cd, const Placement& placement);
 
-  int size() const { return static_cast<int>(boxes_.size()); }
-  const NetBox& box(int net) const {
-    return boxes_[static_cast<std::size_t>(net)];
+  int num_sets() const { return static_cast<int>(boxes_.size()); }
+  int set_of(int net) const {
+    return set_of_net_[static_cast<std::size_t>(net)];
   }
+  // The ascending SMBs of set `s`.
+  const int* members_begin(int s) const {
+    return set_smbs_.data() + set_begin_[static_cast<std::size_t>(s)];
+  }
+  const int* members_end(int s) const {
+    return set_smbs_.data() + set_begin_[static_cast<std::size_t>(s) + 1];
+  }
+  const NetBox& box(int s) const {
+    return boxes_[static_cast<std::size_t>(s)];
+  }
+  // box(s).hpwl(), kept in lockstep with the boxes by store().
+  int hpwl(int s) const { return hpwl_[static_cast<std::size_t>(s)]; }
 
   int x_of(int smb) const { return xs_[static_cast<std::size_t>(smb)]; }
   int y_of(int smb) const { return ys_[static_cast<std::size_t>(smb)]; }
@@ -91,100 +113,67 @@ class NetBoxCache {
     ys_[static_cast<std::size_t>(smb)] = y;
   }
 
-  // Accounts for `pins` pins of `net` having moved from (x_old, y_old) to
-  // (x_new, y_new), updating the cached box in place. Call AFTER
-  // set_smb_xy for the moved SMB: a shrink-edge rescan reads the
-  // coordinate mirror and must see the pins at their new coordinates.
-  // O(1) per pin except the rescan case.
-  void move_pins(int net, int x_old, int y_old, int x_new, int y_new,
-                 int pins) {
-    update_box(&boxes_[static_cast<std::size_t>(net)], net, x_old, y_old,
-               x_new, y_new, pins, 0);
-  }
-
-  // Two-site swap update applied to a caller-owned copy of `net`'s box:
-  // `fwd` pins moved (fx,fy)->(tx,ty) and `rev` pins moved the other way.
-  // Writing into `b` instead of the cache is what makes speculative move
-  // evaluation cheap — the annealer dry-runs every move on scratch copies
-  // and only store()s them back on accept, so a rejected move never
-  // touches the cached boxes at all.
+  // One member of set `s` moved (fx,fy)->(tx,ty); applied to a
+  // caller-owned copy `b` of the set's box. Writing into `b` instead of
+  // the cache is what makes speculative move evaluation cheap — the
+  // annealer dry-runs every move on scratch copies and only store()s them
+  // back on accept, so a rejected move never touches the cached boxes.
+  // A swap whose two SMBs are both members leaves the set's coordinate
+  // multiset — and so its box — unchanged; the caller skips that case.
   //
-  // The two axes are fully independent, so each is updated on its own:
-  // all fwd then rev pin moves applied O(1), and if any of them empties a
-  // shrinking edge, a single-axis rescan rebuilds just that axis. The
-  // scan reads the coordinate mirror, which already has every pin at its
-  // final site, so one scan finishes the axis no matter how many pin
-  // applications were pending — which also makes the update single-pass
-  // when the net touches both swapped SMBs. Requires set_smb_xy applied
-  // for BOTH SMBs beforehand. Inline: this sits in the annealer's
-  // innermost loop; only the rescan fallbacks are out-of-line calls.
-  void update_box(NetBox* b, int net, int fx, int fy, int tx, int ty,
-                  int fwd, int rev) const {
+  // The two axes are independent: each takes its O(1) update, and one
+  // whose move empties a shrinking edge is rebuilt by a single-axis
+  // rescan. The rescan reads the coordinate mirror, so set_smb_xy must
+  // already hold the moved SMBs' final sites. Inline: this sits in the
+  // annealer's innermost loop; only the rescans are out-of-line calls.
+  void move_member(NetBox* b, int s, int fx, int fy, int tx,
+                   int ty) const {
 #ifdef NANOMAP_BBOX_SSE2
-    // Single-pin moves — the overwhelming majority — take the vector
-    // path: both axes, all four edges and counts, in one branch-free
-    // shot. A nonzero mask means some lane needed a shrink-edge rescan
-    // and nothing was stored: rescan the bailing axis (or axes) directly,
+    // Both axes, all four edges and counts, in one branch-free shot. A
+    // nonzero mask means some lane needed a shrink-edge rescan and
+    // nothing was stored: rescan the bailing axis (or axes) directly,
     // then re-run the vector update with that axis neutralized (old ==
     // new makes its lanes a no-op) so the surviving axis still gets its
     // O(1) update. The re-run cannot bail — its only live axis already
     // passed the bail test on identical inputs.
-    if (fwd == 1 && rev == 0) {
-      unsigned bail = move_pin_sse2(b, fx, fy, tx, ty);
-      if (bail == 0) return;
-      if ((bail & 0x00FFu) != 0) {
-        rescan_x(net, b);
-        fx = tx;
-      }
-      if ((bail & 0xFF00u) != 0) {
-        rescan_y(net, b);
-        fy = ty;
-      }
-      if (fx != tx || fy != ty) move_pin_sse2(b, fx, fy, tx, ty);
-      return;
+    unsigned bail = move_pin_sse2(b, fx, fy, tx, ty);
+    if (bail == 0) return;
+    if ((bail & 0x00FFu) != 0) {
+      rescan_x(s, b);
+      fx = tx;
     }
+    if ((bail & 0xFF00u) != 0) {
+      rescan_y(s, b);
+      fy = ty;
+    }
+    if (fx != tx || fy != ty) move_pin_sse2(b, fx, fy, tx, ty);
+#else
+    if (!move_axis(fx, tx, &b->xmin, &b->on_xmin, &b->xmax, &b->on_xmax))
+      rescan_x(s, b);
+    if (!move_axis(fy, ty, &b->ymin, &b->on_ymin, &b->ymax, &b->on_ymax))
+      rescan_y(s, b);
 #endif
-    if (fx != tx) {
-      bool ok = true;
-      for (int i = 0; ok && i < fwd; ++i)
-        ok = move_axis(fx, tx, &b->xmin, &b->on_xmin, &b->xmax,
-                       &b->on_xmax);
-      for (int i = 0; ok && i < rev; ++i)
-        ok = move_axis(tx, fx, &b->xmin, &b->on_xmin, &b->xmax,
-                       &b->on_xmax);
-      if (!ok) rescan_x(net, b);
-    }
-    if (fy != ty) {
-      bool ok = true;
-      for (int i = 0; ok && i < fwd; ++i)
-        ok = move_axis(fy, ty, &b->ymin, &b->on_ymin, &b->ymax,
-                       &b->on_ymax);
-      for (int i = 0; ok && i < rev; ++i)
-        ok = move_axis(ty, fy, &b->ymin, &b->on_ymin, &b->ymax,
-                       &b->on_ymax);
-      if (!ok) rescan_y(net, b);
-    }
   }
 
-  // From-scratch box of `net` at the mirrored coordinates (rescan
-  // fallback; also the audit oracle for the incremental state).
-  NetBox compute_box(int net) const;
+  // From-scratch box of set `s` at the mirrored coordinates (the audit
+  // oracle for the incremental state).
+  NetBox compute_box(int s) const;
 
-  // Writes a box into the cache slot of `net` — either committing a
-  // dry-run update (move acceptance) or putting a saved snapshot back.
-  void store(int net, const NetBox& b) {
-    boxes_[static_cast<std::size_t>(net)] = b;
+  // Writes a box into the cache slot of set `s` — committing a dry-run
+  // update on move acceptance.
+  void store(int s, const NetBox& b) {
+    boxes_[static_cast<std::size_t>(s)] = b;
+    hpwl_[static_cast<std::size_t>(s)] = b.hpwl();
   }
 
  private:
-  // One-axis update for a pin moving from `old_c` to `new_c` within the
-  // edge pair [*lo, *hi] and its counts. Returns false when the pin was
-  // the sole occupant of a shrinking edge (new edge unknown → rescan).
-  // Written so that everything except the rarely-taken rescan bail
-  // compiles to conditional moves: the edge-coincidence comparisons are
-  // data-dependent and would otherwise mispredict constantly in the move
-  // loop. The direction branch itself is move-invariant (every pin of a
-  // move shifts the same way), so the predictor absorbs it.
+  // One-axis update for a member moving from `old_c` to `new_c` within
+  // the edge pair [*lo, *hi] and its counts. Returns false when the
+  // member was the sole occupant of a shrinking edge (new edge unknown →
+  // rescan). Written so that everything except the rarely-taken rescan
+  // bail compiles to conditional moves: the edge-coincidence comparisons
+  // are data-dependent and would otherwise mispredict constantly. The
+  // portable path of move_member; SSE2 hosts take move_pin_sse2.
   static bool move_axis(int old_c, int new_c, std::int32_t* lo,
                         std::int32_t* n_lo, std::int32_t* hi,
                         std::int32_t* n_hi) {
@@ -209,15 +198,15 @@ class NetBoxCache {
   }
 
 #ifdef NANOMAP_BBOX_SSE2
-  // One pin of `b` moved (fx,fy)->(tx,ty), both axes at once. NetBox is
-  // laid out as four edges then four counts, so the two 128-bit vectors
-  // are [xmin,xmax,ymin,ymax] and their counts; all the edge-coincidence
-  // comparisons that mispredict in scalar code become lane masks. An
-  // unchanged axis degrades to a lane-wise no-op (its away/grow/arrive
-  // masks all come out false), exactly mirroring move_axis. Returns the
-  // bail byte-mask — nonzero (with the box completely untouched) when
-  // some lane would empty a shrinking edge: bits 0-7 flag the x axis,
-  // bits 8-15 the y axis, and the caller must rescan those.
+  // One member of `b` moved (fx,fy)->(tx,ty), both axes at once. NetBox
+  // is laid out as four edges then four counts, so the two 128-bit
+  // vectors are [xmin,xmax,ymin,ymax] and their counts; all the
+  // edge-coincidence comparisons that mispredict in scalar code become
+  // lane masks. An unchanged axis degrades to a lane-wise no-op (its
+  // away/grow/arrive masks all come out false). Returns the bail
+  // byte-mask — nonzero (with the box completely untouched) when some
+  // lane would empty a shrinking edge: bits 0-7 flag the x axis, bits
+  // 8-15 the y axis, and the caller must rescan those.
   static unsigned move_pin_sse2(NetBox* b, int fx, int fy, int tx,
                                 int ty) {
     __m128i e =
@@ -231,7 +220,7 @@ class NetBoxCache {
     const __m128i ones = _mm_set1_epi32(1);
     __m128i gt = _mm_cmpgt_epi32(newv, oldv);  // new > old
     __m128i lt = _mm_cmpgt_epi32(oldv, newv);  // new < old
-    // Pin moving away from its edge: off a min edge when growing the
+    // Member moving away from its edge: off a min edge when growing the
     // coordinate, off a max edge when shrinking it.
     __m128i away = _mm_or_si128(_mm_and_si128(lo_lane, gt),
                                 _mm_andnot_si128(lo_lane, lt));
@@ -239,7 +228,7 @@ class NetBoxCache {
     __m128i bail = _mm_and_si128(leaving, _mm_cmpeq_epi32(c, ones));
     unsigned bail_mask = static_cast<unsigned>(_mm_movemask_epi8(bail));
     if (bail_mask != 0) return bail_mask;
-    // Pin pushing an edge outward / landing exactly on one.
+    // Member pushing an edge outward / landing exactly on one.
     __m128i below = _mm_cmpgt_epi32(e, newv);  // new < edge
     __m128i above = _mm_cmpgt_epi32(newv, e);  // new > edge
     __m128i grow = _mm_or_si128(_mm_and_si128(lo_lane, below),
@@ -261,11 +250,14 @@ class NetBoxCache {
 
   // Single-axis from-scratch rebuilds (shrink-edge rescan fallbacks);
   // deliberately out of line — they are the cold path.
-  void rescan_x(int net, NetBox* b) const;
-  void rescan_y(int net, NetBox* b) const;
+  void rescan_x(int s, NetBox* b) const;
+  void rescan_y(int s, NetBox* b) const;
 
-  const ClusteredDesign* cd_ = nullptr;
-  std::vector<NetBox> boxes_;
+  std::vector<int> set_of_net_;   // net -> set id
+  std::vector<int> set_begin_;    // set -> offset into set_smbs_ (+ end)
+  std::vector<int> set_smbs_;     // concatenated ascending member lists
+  std::vector<NetBox> boxes_;     // set -> box
+  std::vector<int> hpwl_;         // set -> boxes_[set].hpwl()
   std::vector<std::int32_t> xs_;  // smb -> x (mirror of the placement)
   std::vector<std::int32_t> ys_;  // smb -> y
 };

@@ -95,40 +95,37 @@ double net_bbox_cost(const ClusteredDesign& cd, const Placement& placement,
 }
 
 // One full two-step placement with a single RNG stream (the historical
-// place_design body). `pool` only accelerates whole-placement cost
-// evaluations; it never feeds randomness.
+// place_design body).
 PlacementResult place_single(const ClusteredDesign& cd,
                              const ArchParams& arch,
                              const PlacementOptions& options,
-                             ThreadPool* pool, const PlaceLegality* legal) {
+                             const PlaceLegality* legal) {
   Rng rng(options.seed);
   PlacementResult result;
   result.placement = initial_placement(cd, &rng, legal);
   if (cd.num_smbs == 0) return result;
 
   // Step 1: fast low-precision placement.
-  Annealer fast(cd, result.placement, options.timing_weight, &rng, pool,
-                legal);
+  Annealer fast(cd, result.placement, options.timing_weight, &rng, legal);
   fast.run(options.fast_effort);
   result.placement = fast.placement();
   result.moves_attempted = fast.moves_attempted();
   result.moves_accepted = fast.moves_accepted();
 
   // Step 2: routability + delay screen, with refinement attempts.
-  result.routability = estimate_routability(cd, result.placement, arch, pool);
+  result.routability = estimate_routability(cd, result.placement, arch);
   int attempts = 0;
   while (result.routability.peak_utilization >
              options.routable_threshold &&
          attempts < options.max_refine_attempts) {
     ++attempts;
-    Annealer refine(cd, result.placement, options.timing_weight, &rng, pool,
+    Annealer refine(cd, result.placement, options.timing_weight, &rng,
                     legal);
     refine.run(options.fast_effort * 2.0);
     result.placement = refine.placement();
     result.moves_attempted += refine.moves_attempted();
     result.moves_accepted += refine.moves_accepted();
-    result.routability = estimate_routability(cd, result.placement, arch,
-                                              pool);
+    result.routability = estimate_routability(cd, result.placement, arch);
   }
   result.screen_passed =
       result.routability.peak_utilization <= options.routable_threshold;
@@ -138,20 +135,18 @@ PlacementResult place_single(const ClusteredDesign& cd,
   // detailed anneal runs either way — it usually improves routability too.
   {
     Annealer detailed(cd, result.placement, options.timing_weight, &rng,
-                      pool, legal);
+                      legal);
     detailed.run(options.detailed_effort);
     result.placement = detailed.placement();
     result.moves_attempted += detailed.moves_attempted();
     result.moves_accepted += detailed.moves_accepted();
-    result.routability = estimate_routability(cd, result.placement, arch,
-                                              pool);
+    result.routability = estimate_routability(cd, result.placement, arch);
     result.screen_passed =
         result.routability.peak_utilization <= options.routable_threshold;
   }
 
-  result.cost =
-      placement_cost(cd, result.placement, options.timing_weight, pool);
-  result.wirelength = placement_cost(cd, result.placement, 0.0, pool);
+  result.cost = placement_cost(cd, result.placement, options.timing_weight);
+  result.wirelength = placement_cost(cd, result.placement, 0.0);
   return result;
 }
 
@@ -235,31 +230,23 @@ bool PlaceLegality::feasible() const {
 }
 
 double placement_cost(const ClusteredDesign& cd, const Placement& placement,
-                      double timing_weight, ThreadPool* pool) {
-  std::vector<double> per_net(cd.nets.size());
-  pool_for_each(pool, static_cast<int>(cd.nets.size()), [&](int i) {
-    per_net[static_cast<std::size_t>(i)] = net_bbox_cost(
-        cd, placement, timing_weight, static_cast<std::size_t>(i));
-  });
-  // Reduce in net order: bit-identical to the serial accumulation at any
-  // thread count.
+                      double timing_weight) {
   double cost = 0.0;
-  for (double c : per_net) cost += c;
+  for (std::size_t i = 0; i < cd.nets.size(); ++i)
+    cost += net_bbox_cost(cd, placement, timing_weight, i);
   return cost;
 }
 
 RoutabilityEstimate estimate_routability(const ClusteredDesign& cd,
                                          const Placement& placement,
-                                         const ArchParams& arch,
-                                         ThreadPool* pool) {
+                                         const ArchParams& arch) {
   RoutabilityEstimate est;
   const int w = placement.grid.width;
   const int h = placement.grid.height;
   if (w < 1 || h < 1) return est;
   // Demand accumulated per channel (one horizontal + one vertical channel
   // per site), per folding cycle: wires are reconfigured per cycle, so
-  // each cycle is an independent congestion domain — which is exactly why
-  // the cycles can be estimated in parallel.
+  // each cycle is an independent congestion domain.
   const std::size_t channels = static_cast<std::size_t>(w) *
                                static_cast<std::size_t>(h) * 2;
 
@@ -270,13 +257,12 @@ RoutabilityEstimate estimate_routability(const ClusteredDesign& cd,
   for (const PlacedNet& pn : cd.nets)
     per_cycle[static_cast<std::size_t>(pn.cycle)].push_back(&pn);
 
-  std::vector<double> cycle_peak(static_cast<std::size_t>(cd.num_cycles),
-                                 0.0);
-  std::vector<double> cycle_total(static_cast<std::size_t>(cd.num_cycles),
-                                  0.0);
-  pool_for_each(pool, cd.num_cycles, [&](int c) {
-    std::vector<double> demand(channels, 0.0);
-    for (const PlacedNet* pn : per_cycle[static_cast<std::size_t>(c)]) {
+  double peak = 0.0;
+  double total = 0.0;
+  std::vector<double> demand(channels);
+  for (const std::vector<const PlacedNet*>& nets : per_cycle) {
+    std::fill(demand.begin(), demand.end(), 0.0);
+    for (const PlacedNet* pn : nets) {
       int xmin = placement.x_of(pn->driver_smb);
       int xmax = xmin;
       int ymin = placement.y_of(pn->driver_smb);
@@ -301,22 +287,14 @@ RoutabilityEstimate estimate_routability(const ClusteredDesign& cd,
         for (int y = ymin; y < ymax; ++y)
           demand[static_cast<std::size_t>((y * w + x) * 2 + 1)] += q / cols;
     }
-    double peak = 0.0;
-    double total = 0.0;
+    // Each cycle's total is summed on its own, then folded in cycle
+    // order.
+    double cycle_total = 0.0;
     for (double d : demand) {
       peak = std::max(peak, d);
-      total += d;
+      cycle_total += d;
     }
-    cycle_peak[static_cast<std::size_t>(c)] = peak;
-    cycle_total[static_cast<std::size_t>(c)] = total;
-  });
-
-  // Cross-cycle reduction in cycle order on the calling thread.
-  double peak = 0.0;
-  double total = 0.0;
-  for (int c = 0; c < cd.num_cycles; ++c) {
-    peak = std::max(peak, cycle_peak[static_cast<std::size_t>(c)]);
-    total += cycle_total[static_cast<std::size_t>(c)];
+    total += cycle_total;
   }
   const long counted =
       static_cast<long>(channels) * static_cast<long>(cd.num_cycles);
@@ -343,6 +321,11 @@ PlacementResult place_design(const ClusteredDesign& cd,
   NM_TRACE_COUNT("place.calls", 1);
   const int restarts = std::max(1, options.restarts);
   NM_TRACE_COUNT("place.restarts", restarts);
+  // Net count vs. distinct SMB sets: the annealer keeps one bounding box
+  // per set, so the ratio is its collapse factor. count_smb_sets only
+  // runs when tracing is on.
+  NM_TRACE_COUNT("place.nets", static_cast<long>(cd.nets.size()));
+  NM_TRACE_COUNT("place.smb_sets", count_smb_sets(cd));
   // One shared defect-legality table per placement (const after build, so
   // restart workers read it concurrently without synchronization).
   std::optional<PlaceLegality> legality;
@@ -362,7 +345,7 @@ PlacementResult place_design(const ClusteredDesign& cd,
     PlacementOptions per = options;
     per.seed = derive_seed(options.seed, static_cast<std::uint64_t>(r));
     candidates[static_cast<std::size_t>(r)] =
-        place_single(cd, arch, per, pool, legal);
+        place_single(cd, arch, per, legal);
   });
 
   // Best cost wins; exact-tie goes to the lowest restart index so the

@@ -104,20 +104,17 @@ struct PlacementResult {
   int winning_restart = 0;  // which seed stream produced this placement
 };
 
-// Weighted multi-cycle HPWL of a full placement (the SA objective).
-// Per-net costs may be evaluated on `pool`; the reduction runs in net
-// order on the calling thread, so the result is identical at any thread
-// count (and bit-identical to the serial loop).
+// Weighted multi-cycle HPWL of a full placement (the SA objective),
+// summed per net in net order.
 double placement_cost(const ClusteredDesign& cd, const Placement& placement,
-                      double timing_weight, ThreadPool* pool = nullptr);
+                      double timing_weight);
 
 // RISA-style channel-demand estimate for a placement. Folding cycles are
-// independent congestion domains, so per-cycle demand maps may be built
-// on `pool`; peak/average reduce in cycle order afterwards.
+// independent congestion domains: one demand map per cycle, with
+// peak/average reduced in cycle order.
 RoutabilityEstimate estimate_routability(const ClusteredDesign& cd,
                                          const Placement& placement,
-                                         const ArchParams& arch,
-                                         ThreadPool* pool = nullptr);
+                                         const ArchParams& arch);
 
 // Full two-step placement of a clustered design. With options.restarts >
 // 1 the independent restarts run as pool tasks (when a pool is given);

@@ -256,7 +256,9 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "place.calls",           // place: place_design invocations
       "place.defect_rejects",  // place/annealer: moves refused by dead sites
       "place.moves",           // place: SA moves attempted (all restarts)
+      "place.nets",            // place: nets of each placed design
       "place.restarts",        // place: independent annealing chains run
+      "place.smb_sets",        // place: distinct SMB sets (annealer boxes)
       "place.temperatures",    // place/annealer: temperature steps annealed
       "route.calls",           // route: route_design invocations
       "route.cycle_cache_lookups",  // route/pathfinder: RouteState probes

@@ -1,11 +1,14 @@
-// The annealer's incremental cost kernel: cached bounding boxes with
-// boundary-occupancy counts must track a from-scratch recompute exactly —
-// including through swap moves, rollbacks, shrink-edge rescans, and nets
-// that touch the same SMB with more than one pin.
+// The annealer's incremental cost kernel: cached per-SMB-set bounding
+// boxes with boundary-occupancy counts must track a from-scratch
+// recompute exactly — including through swap moves, rollbacks,
+// shrink-edge rescans, nets that touch the same SMB with more than one
+// pin, and many nets sharing one SMB set.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "circuits/benchmarks.h"
 #include "core/temporal_cluster.h"
@@ -54,22 +57,32 @@ Placement random_placement(const ClusteredDesign& cd, Rng* rng) {
   return p;
 }
 
+// Independent count of the distinct sorted SMB sets of `cd`'s nets.
+int distinct_smb_sets(const ClusteredDesign& cd) {
+  std::set<std::vector<int>> sets;
+  for (const PlacedNet& pn : cd.nets) {
+    std::set<int> members(pn.sink_smbs.begin(), pn.sink_smbs.end());
+    members.insert(pn.driver_smb);
+    sets.emplace(members.begin(), members.end());
+  }
+  return static_cast<int>(sets.size());
+}
+
 TEST(NetBoxCache, MatchesScratchUnderRandomSinglePinMoves) {
   ClusteredDesign cd = make_random_cd(24, 40, 6, 11);
   Rng rng(3);
   Placement p = random_placement(cd, &rng);
   NetBoxCache cache;
-  cache.init(cd, p, nullptr);
+  cache.init(cd, p);
+  ASSERT_EQ(cache.num_sets(), distinct_smb_sets(cd));
 
-  // Incident lists so every move updates exactly the nets it affects.
-  std::vector<std::vector<int>> nets_of(
+  // Set lists so every move updates exactly the sets it affects.
+  std::vector<std::vector<int>> sets_of(
       static_cast<std::size_t>(cd.num_smbs));
-  for (std::size_t i = 0; i < cd.nets.size(); ++i) {
-    nets_of[static_cast<std::size_t>(cd.nets[i].driver_smb)].push_back(
-        static_cast<int>(i));
-    for (int s : cd.nets[i].sink_smbs)
-      nets_of[static_cast<std::size_t>(s)].push_back(static_cast<int>(i));
-  }
+  for (int s = 0; s < cache.num_sets(); ++s)
+    for (const int* m = cache.members_begin(s); m != cache.members_end(s);
+         ++m)
+      sets_of[static_cast<std::size_t>(*m)].push_back(s);
 
   std::set<int> used(p.site_of_smb.begin(), p.site_of_smb.end());
   for (int step = 0; step < 2000; ++step) {
@@ -85,19 +98,32 @@ TEST(NetBoxCache, MatchesScratchUnderRandomSinglePinMoves) {
     used.insert(to);
     p.site_of_smb[static_cast<std::size_t>(smb)] = to;
     cache.set_smb_xy(smb, tx, ty);
-    for (int n : nets_of[static_cast<std::size_t>(smb)])
-      cache.move_pins(n, fx, fy, tx, ty, 1);
+    for (int s : sets_of[static_cast<std::size_t>(smb)]) {
+      NetBox b = cache.box(s);
+      cache.move_member(&b, s, fx, fy, tx, ty);
+      cache.store(s, b);
+    }
     // Every box — updated or not — must equal the from-scratch scan,
-    // boundary counts included.
-    for (int n = 0; n < cache.size(); ++n)
-      ASSERT_EQ(cache.box(n), cache.compute_box(n)) << "net " << n
+    // boundary counts included, and every net's set hpwl must match the
+    // per-net objective.
+    for (int s = 0; s < cache.num_sets(); ++s)
+      ASSERT_EQ(cache.box(s), cache.compute_box(s)) << "set " << s
                                                     << " step " << step;
+    for (std::size_t n = 0; n < cd.nets.size(); ++n) {
+      ClusteredDesign one;
+      one.num_smbs = cd.num_smbs;
+      one.nets.push_back(cd.nets[n]);
+      ASSERT_EQ(static_cast<double>(cache.hpwl(cache.set_of(
+                    static_cast<int>(n)))),
+                placement_cost(one, p, 0.0))
+          << "net " << n << " step " << step;
+    }
   }
 }
 
 TEST(NetBoxCache, ShrinkEdgeRescanIsExact) {
   // Hand-built: driver at xmax alone; moving it inward forces the
-  // last-pin-on-a-shrinking-edge rescan path.
+  // last-member-on-a-shrinking-edge rescan path.
   ClusteredDesign cd;
   cd.num_cycles = 1;
   cd.num_smbs = 3;
@@ -111,17 +137,20 @@ TEST(NetBoxCache, ShrinkEdgeRescanIsExact) {
   // smb0 (4,0), smb1 (0,0), smb2 (2,2).
   p.site_of_smb = {4, 0, 12};
   NetBoxCache cache;
-  cache.init(cd, p, nullptr);
+  cache.init(cd, p);
+  ASSERT_EQ(cache.num_sets(), 1);
   EXPECT_EQ(cache.box(0).xmax, 4);
   EXPECT_EQ(cache.box(0).on_xmax, 1);
 
-  // Move smb0 to (1,1): xmax edge loses its only pin.
+  // Move smb0 to (1,1): xmax edge loses its only member.
   p.site_of_smb[0] = 6;
   cache.set_smb_xy(0, 1, 1);
-  cache.move_pins(0, 4, 0, 1, 1, 1);
+  NetBox b = cache.box(0);
+  cache.move_member(&b, 0, 4, 0, 1, 1);
+  cache.store(0, b);
   EXPECT_EQ(cache.box(0), cache.compute_box(0));
   EXPECT_EQ(cache.box(0).xmax, 2);
-  EXPECT_EQ(cache.box(0).hpwl(), 2 + 2);
+  EXPECT_EQ(cache.hpwl(0), 2 + 2);
 }
 
 // Full-anneal audit: the final incremental cost must equal a from-scratch
@@ -196,6 +225,86 @@ TEST(Annealer, BenchmarkCircuitCostMatchesScratch) {
   Annealer a(cd, init, 0.8, &rng);
   a.run(1.0);
   EXPECT_EQ(a.cost(), placement_cost(cd, a.placement(), 0.8));
+}
+
+// Nets repeated across folding cycles: make_random_cd's nets plus a
+// self-feeding net and a duplicate-sink net, copied `k` times copy-major
+// (as the per-cycle nets of a clustered design are), each copy with its
+// own criticality. Copies share an SMB set, so the annealer's set boxes
+// serve k nets each while every copy keeps its own cost weight.
+ClusteredDesign make_repeated_cd(int k, std::uint64_t seed) {
+  ClusteredDesign base = make_random_cd(12, 24, 5, seed);
+  PlacedNet self;
+  self.driver_smb = 0;
+  self.sink_smbs = {0, 3, 7};  // the driver's own SMB again
+  base.nets.push_back(self);
+  PlacedNet dup;
+  dup.driver_smb = 5;
+  dup.sink_smbs = {9, 9, 2};  // repeated sink pin
+  base.nets.push_back(dup);
+
+  ClusteredDesign cd;
+  cd.num_cycles = k;
+  cd.num_smbs = base.num_smbs;
+  Rng rng(seed + 1000);
+  for (int c = 0; c < k; ++c) {
+    for (const PlacedNet& pn : base.nets) {
+      PlacedNet copy = pn;
+      copy.cycle = c;
+      copy.criticality = rng.next_double();
+      cd.nets.push_back(std::move(copy));
+    }
+  }
+  return cd;
+}
+
+std::uint64_t placement_hash(const Placement& p) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the site ints
+  for (int site : p.site_of_smb) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= static_cast<unsigned char>(static_cast<unsigned>(site) >> (8 * b));
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Golden final placements of the repeated-set designs, captured from the
+// per-net annealer the set-keyed one replaced: one box per SMB set must
+// reproduce its every move, so the hashes may never be re-pinned.
+TEST(Annealer, RepeatedSetPlacementsArePinned) {
+  struct Case {
+    int k;
+    std::uint64_t want;
+  };
+  for (const Case& c : {Case{1, 0xf3509e8ede005db3ull},
+                        Case{4, 0x58a20b0b8a7803deull},
+                        Case{16, 0x5cc7f93208daefbeull}}) {
+    ClusteredDesign cd = make_repeated_cd(c.k, 31);
+    Rng rng(static_cast<std::uint64_t>(c.k));
+    Placement init = random_placement(cd, &rng);
+    NetBoxCache cache;
+    cache.init(cd, init);
+    EXPECT_EQ(cache.num_sets(), distinct_smb_sets(cd)) << "k " << c.k;
+    EXPECT_EQ(count_smb_sets(cd), distinct_smb_sets(cd)) << "k " << c.k;
+    Annealer a(cd, init, 0.8, &rng);
+    a.run(1.0);
+    EXPECT_EQ(placement_hash(a.placement()), c.want)
+        << "k " << c.k << " got 0x" << std::hex
+        << placement_hash(a.placement());
+    EXPECT_EQ(a.cost(), placement_cost(cd, a.placement(), 0.8))
+        << "k " << c.k;
+  }
+}
+
+// Repetition does not multiply the boxes: k copies of a design keep the
+// set count of one.
+TEST(Annealer, RepeatedNetsShareOneSetBox) {
+  ClusteredDesign one = make_repeated_cd(1, 31);
+  ClusteredDesign many = make_repeated_cd(16, 31);
+  ASSERT_EQ(many.nets.size(), 16 * one.nets.size());
+  EXPECT_EQ(count_smb_sets(many), count_smb_sets(one));
+  EXPECT_EQ(count_smb_sets(one), distinct_smb_sets(one));
 }
 
 }  // namespace

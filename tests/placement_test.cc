@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <vector>
+
 #include "circuits/benchmarks.h"
 #include "core/temporal_cluster.h"
+#include "flow/nanomap_flow.h"
 #include "netlist/plane.h"
 #include "place/placement.h"
 
@@ -133,6 +139,89 @@ TEST(Grid, SizingHasSlackAndFits) {
     EXPECT_EQ(g.width, g.height);
   }
   EXPECT_GE(size_grid_for(100).sites(), 110);  // ~20% slack
+}
+
+// Exhaustive placement oracle. At default options the flow clusters ex1,
+// FIR and ex2 into 5-7 SMBs on a 3x3 grid: at most 9!/2! = 181,440
+// assignments, few enough to enumerate. The search scores each on the
+// set-collapsed objective — one term per distinct SMB set, weighted by
+// the summed weights of its nets — which equals the per-net objective up
+// to summation rounding, then re-scores the near-optimal assignments with
+// placement_cost. The annealer can never beat the optimum; the printed
+// gap is how far short of it the default anneal effort lands.
+TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
+  const FlowOptions fo;
+  for (const char* name : {"ex1", "FIR", "ex2"}) {
+    FlowResult r = run_nanomap(make_benchmark(name), fo);
+    ASSERT_TRUE(r.feasible) << name << ": " << r.message;
+    const ClusteredDesign& cd = r.clustered;
+    const GridSize grid = size_grid_for(cd.num_smbs);
+    ASSERT_LE(grid.sites(), 9) << name;
+
+    std::map<std::vector<int>, double> weight_of_set;
+    for (const PlacedNet& pn : cd.nets) {
+      std::vector<int> members = pn.sink_smbs;
+      members.push_back(pn.driver_smb);
+      std::sort(members.begin(), members.end());
+      members.erase(std::unique(members.begin(), members.end()),
+                    members.end());
+      weight_of_set[members] +=
+          1.0 + fo.placement.timing_weight * pn.criticality;
+    }
+
+    Placement p;
+    p.grid = grid;
+    p.site_of_smb.assign(static_cast<std::size_t>(cd.num_smbs), -1);
+    auto collapsed_cost = [&]() {
+      double c = 0.0;
+      for (const auto& [members, w] : weight_of_set) {
+        int xmin = grid.width, xmax = -1, ymin = grid.height, ymax = -1;
+        for (int m : members) {
+          xmin = std::min(xmin, p.x_of(m));
+          xmax = std::max(xmax, p.x_of(m));
+          ymin = std::min(ymin, p.y_of(m));
+          ymax = std::max(ymax, p.y_of(m));
+        }
+        c += w * static_cast<double>((xmax - xmin) + (ymax - ymin));
+      }
+      return c;
+    };
+
+    double best_collapsed = 1e300;
+    double optimum = 1e300;
+    long assignments = 0;
+    std::vector<char> used(static_cast<std::size_t>(grid.sites()), 0);
+    auto assign = [&](auto&& self, int smb) -> void {
+      if (smb == cd.num_smbs) {
+        ++assignments;
+        double c = collapsed_cost();
+        // Any assignment within rounding of the running best may be the
+        // per-net optimum, so each is re-scored exactly.
+        if (c <= best_collapsed * (1.0 + 1e-9)) {
+          best_collapsed = std::min(best_collapsed, c);
+          optimum = std::min(optimum,
+                             placement_cost(cd, p, fo.placement.timing_weight));
+        }
+        return;
+      }
+      for (int site = 0; site < grid.sites(); ++site) {
+        if (used[static_cast<std::size_t>(site)]) continue;
+        used[static_cast<std::size_t>(site)] = 1;
+        p.site_of_smb[static_cast<std::size_t>(smb)] = site;
+        self(self, smb + 1);
+        used[static_cast<std::size_t>(site)] = 0;
+      }
+    };
+    assign(assign, 0);
+
+    PlacementResult annealed = place_design(cd, fo.arch, fo.placement);
+    std::printf("%-4s smbs %d sets %zu assignments %ld optimum %.4f "
+                "annealed %.4f gap %.4f (%.2f%%)\n",
+                name, cd.num_smbs, weight_of_set.size(), assignments,
+                optimum, annealed.cost, annealed.cost - optimum,
+                100.0 * (annealed.cost - optimum) / optimum);
+    EXPECT_LE(optimum, annealed.cost) << name;
+  }
 }
 
 }  // namespace
