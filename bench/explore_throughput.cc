@@ -1,20 +1,19 @@
-// Design-space explorer throughput: run_nanomap_explore in serial vs
-// parallel mode on a multi-candidate sweep (folding levels crossed with a
-// widened-channel fabric variant). Besides the wall-clock comparison,
+// Design-space explorer throughput: run_nanomap_explore at --threads 1
+// (candidates inline, one after another) vs --threads T (candidates as
+// cold pool jobs) on a multi-candidate sweep (folding levels crossed with
+// a widened-channel fabric variant). Besides the wall-clock comparison,
 // every row *asserts* byte-identity of the fold — winner index, Pareto
-// front, every candidate's metrics and serialized bitmap, the warm-start
-// decisions, and the merged diagnostic trail — across
-//   serial@1  vs  serial@T  vs  parallel@1  vs  parallel@T,
-// plus a warm-start-off run whose measured results must match the warm
-// runs byte for byte (only the warm counters may differ). The benchmark
-// doubles as an end-to-end determinism check and exits nonzero on any
-// divergence.
+// front, every candidate's metrics and serialized bitmap, and the merged
+// diagnostic trail — across the two thread counts. The benchmark doubles
+// as an end-to-end determinism check and exits nonzero on any divergence.
 //
-// Wall-clock note: parallel-mode speedup scales with real cores; on a
-// single-core container serial and parallel land at ~parity. The numbers
-// emitted are honest measurements of this machine.
+// Wall-clock note: the speedup scales with real cores; on a single-core
+// host the two thread counts land at ~parity. Results are written under
+// a host header (hardware threads, build type, the `git describe` passed
+// in), so a checked-in file says where it was measured.
 //
-//   ./bench/explore_throughput [--smoke] [out.json]  (default BENCH_explore.json)
+//   ./bench/explore_throughput [--smoke] [--git-describe D] [out.json]
+//   (default out.json: BENCH_explore.json)
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -34,14 +33,11 @@ using namespace nanomap;
 
 namespace {
 
-// The thread budget both modes share per row: serial mode gives all T
-// threads to one flow job at a time; parallel mode splits them across
-// candidate chains. Same resources, different schedule.
+// The thread budget T the sweep is timed at, against --threads 1.
 constexpr int kThreads = 4;
 
-// Channel-width variant crossed with every level. Strictly wider but
-// otherwise identical, so it chains onto the base candidate's warm state
-// (same level, arch equal ignoring channel tracks -> in-place widening).
+// Channel-width variant crossed with every level: strictly wider,
+// otherwise identical.
 ArchParams widened(const ArchParams& base) {
   ArchParams arch = base;
   arch.len1_tracks = base.len1_tracks + (base.len1_tracks + 1) / 2;
@@ -63,11 +59,12 @@ ExploreOptions sweep_options(const CircuitParams& params, bool variants) {
   return eopts;
 }
 
-// Byte fingerprint of everything the fold *measures*: winner, Pareto
-// front, and per candidate the metrics plus the serialized bitmap.
-// Deliberately excludes the warm-start counters so it can also compare
-// warm-on vs warm-off runs (whose measured results must agree).
-std::string results_fingerprint(const ExploreResult& ex) {
+// Byte fingerprint of the whole fold: winner, Pareto front, per
+// candidate the metrics, flags and serialized bitmap, and the merged
+// diagnostic trail — every byte of the explore report except the run's
+// own metadata (thread count) and masked timings, which legitimately
+// differ between the compared runs.
+std::string fold_fingerprint(const ExploreResult& ex) {
   std::string fp;
   auto add_int = [&](long long v) {
     char buf[sizeof v];
@@ -90,25 +87,8 @@ std::string results_fingerprint(const ExploreResult& ex) {
     std::vector<std::uint8_t> bytes = serialize_bitmap(r.bitmap);
     fp.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   }
-  return fp;
-}
-
-// Full fold fingerprint: the measured results plus the warm-start
-// decisions and the merged diagnostic trail — every byte of the explore
-// report except the run's own metadata (mode label, thread count) and
-// masked timings, which legitimately differ between the compared runs.
-std::string fold_fingerprint(const ExploreResult& ex) {
-  std::string fp = results_fingerprint(ex);
-  auto add_int = [&](long long v) {
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    fp.append(buf, sizeof v);
-  };
   add_int(ex.explore.feasible_candidates);
-  add_int(ex.explore.warm_starts);
   for (const ExploreCandidateOutcome& o : ex.explore.outcomes) {
-    add_int(o.warm_schedule ? 1 : 0);
-    add_int(o.warm_route_state ? 1 : 0);
     add_int(o.on_pareto_front ? 1 : 0);
     add_int(o.winner ? 1 : 0);
     fp += o.label;
@@ -126,36 +106,10 @@ std::string fold_fingerprint(const ExploreResult& ex) {
 }
 
 ExploreResult run_once(const Design& d, const FlowOptions& base,
-                       const ExploreOptions& eopts, ExploreMode mode,
-                       int threads, bool warm) {
+                       const ExploreOptions& eopts, int threads) {
   FlowOptions flow = base;
   flow.threads = threads;
-  ExploreOptions opts = eopts;
-  opts.mode = mode;
-  opts.warm_start = warm;
-  return run_nanomap_explore(d, flow, opts);
-}
-
-// serial@1 is the reference; serial@T, parallel@1 and parallel@T must
-// reproduce it byte for byte, and a warm-start-off parallel run must
-// reproduce the measured results (warm counters excluded by design).
-bool check_identity(const Design& d, const FlowOptions& base,
-                    const ExploreOptions& eopts) {
-  const ExploreResult want =
-      run_once(d, base, eopts, ExploreMode::kSerial, 1, true);
-  const std::string want_fold = fold_fingerprint(want);
-  if (fold_fingerprint(run_once(d, base, eopts, ExploreMode::kSerial,
-                                kThreads, true)) != want_fold)
-    return false;
-  if (fold_fingerprint(run_once(d, base, eopts, ExploreMode::kParallel, 1,
-                                true)) != want_fold)
-    return false;
-  if (fold_fingerprint(run_once(d, base, eopts, ExploreMode::kParallel,
-                                kThreads, true)) != want_fold)
-    return false;
-  const ExploreResult cold =
-      run_once(d, base, eopts, ExploreMode::kParallel, kThreads, false);
-  return results_fingerprint(cold) == results_fingerprint(want);
+  return run_nanomap_explore(d, flow, eopts);
 }
 
 template <typename Fn>
@@ -177,14 +131,11 @@ double measure_ms(int min_reps, Fn body) {
 struct Row {
   std::string name;
   int candidates = 0;
-  int chains = 0;          // parallel jobs the chain grouping yields
   int feasible = 0;
-  int warm_starts = 0;
   int winner_index = -1;
   std::string winner_label;
-  double serial_ms = 0.0;    // kSerial, kThreads per flow job
-  double parallel_ms = 0.0;  // kParallel, chains share kThreads
-  double cold_ms = 0.0;      // kParallel with warm starts off
+  double t1_ms = 0.0;  // --threads 1: candidates inline, one at a time
+  double tn_ms = 0.0;  // --threads kThreads: candidates as pool jobs
   bool identical = false;
 };
 
@@ -198,30 +149,18 @@ Row measure(const std::string& name, bool variants, bool smoke) {
 
   Row row;
   row.name = name;
-  row.identical = check_identity(d, base, eopts);
-
-  ExploreResult last;
+  ExploreResult t1, tn;
   const int reps = smoke ? 1 : 3;
-  row.serial_ms = measure_ms(reps, [&] {
-    last = run_once(d, base, eopts, ExploreMode::kSerial, kThreads, true);
-  });
-  row.candidates = last.explore.candidates;
-  row.feasible = last.explore.feasible_candidates;
-  row.warm_starts = last.explore.warm_starts;
-  row.winner_index = last.winner_index;
-  if (last.winner_index >= 0)
+  row.t1_ms = measure_ms(reps, [&] { t1 = run_once(d, base, eopts, 1); });
+  row.tn_ms =
+      measure_ms(reps, [&] { tn = run_once(d, base, eopts, kThreads); });
+  row.identical = fold_fingerprint(t1) == fold_fingerprint(tn);
+  row.candidates = t1.explore.candidates;
+  row.feasible = t1.explore.feasible_candidates;
+  row.winner_index = t1.winner_index;
+  if (t1.winner_index >= 0)
     row.winner_label =
-        last.explore.outcomes[static_cast<std::size_t>(last.winner_index)]
-            .label;
-  row.parallel_ms = measure_ms(reps, [&] {
-    last = run_once(d, base, eopts, ExploreMode::kParallel, kThreads, true);
-  });
-  // Chain count: candidates minus the ones that warm-chained onto an
-  // earlier candidate (grouping is deterministic, so this is stable).
-  row.chains = row.candidates - row.warm_starts;
-  row.cold_ms = measure_ms(reps, [&] {
-    last = run_once(d, base, eopts, ExploreMode::kParallel, kThreads, false);
-  });
+        t1.explore.outcomes[static_cast<std::size_t>(t1.winner_index)].label;
   return row;
 }
 
@@ -229,11 +168,14 @@ Row measure(const std::string& name, bool variants, bool smoke) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  std::string git_describe = "unknown";
   std::string out_path = "BENCH_explore.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke")
       smoke = true;
+    else if (arg == "--git-describe" && i + 1 < argc)
+      git_describe = argv[++i];
     else
       out_path = arg;
   }
@@ -251,43 +193,36 @@ int main(int argc, char** argv) {
   JsonWriter w;
   w.begin_object();
   w.field("unit", "milliseconds per full explore sweep (lower is better)");
-  w.field("serial", "ExploreMode::kSerial, all threads inside one job");
-  w.field("parallel",
-          "ExploreMode::kParallel, candidate chains as pool jobs");
+  w.field("threads_1", "--threads 1: candidates inline, one at a time");
+  w.field("threads_n", "--threads T: candidates as cold pool jobs");
   w.field("threads", kThreads);
-  w.field("hardware_threads", ThreadPool::hardware_threads());
   w.field("smoke", smoke);
+  w.field("hardware_threads",
+          static_cast<long>(ThreadPool::hardware_threads()));
+  w.field("build_type", NANOMAP_BUILD_TYPE);
+  w.field("git_describe", git_describe);
   w.key("rows");
   w.begin_array();
   bool all_identical = true;
   for (const Row& r : rows) {
     all_identical = all_identical && r.identical;
+    const double speedup = r.tn_ms > 0 ? r.t1_ms / r.tn_ms : 0.0;
     w.begin_object();
     w.field("circuit", r.name);
     w.field("candidates", r.candidates);
-    w.field("chains", r.chains);
     w.field("feasible", r.feasible);
-    w.field("warm_starts", r.warm_starts);
     w.field("winner_index", r.winner_index);
     w.field("winner_label", r.winner_label);
-    w.field("serial_ms", round2(r.serial_ms));
-    w.field("parallel_ms", round2(r.parallel_ms));
-    w.field("parallel_speedup",
-            round2(r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0));
-    w.field("cold_parallel_ms", round2(r.cold_ms));
-    w.field("warm_speedup",
-            round2(r.parallel_ms > 0 ? r.cold_ms / r.parallel_ms : 0.0));
+    w.field("threads_1_ms", round2(r.t1_ms));
+    w.field("threads_n_ms", round2(r.tn_ms));
+    w.field("speedup", round2(speedup));
     w.field("identical_fold", r.identical);
     w.end();
     std::printf(
-        "%-6s %2d candidates (%2d chains, %2d warm)  winner [%2d] %-10s  "
-        "serial %8.2f ms  parallel %8.2f ms (%4.2fx)  cold %8.2f ms "
-        "(warm %4.2fx)  identical %s\n",
-        r.name.c_str(), r.candidates, r.chains, r.warm_starts,
-        r.winner_index, r.winner_label.c_str(), r.serial_ms, r.parallel_ms,
-        r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0, r.cold_ms,
-        r.parallel_ms > 0 ? r.cold_ms / r.parallel_ms : 0.0,
-        r.identical ? "yes" : "NO");
+        "%-6s %2d candidates  winner [%2d] %-10s  threads 1 %8.2f ms  "
+        "threads %d %8.2f ms (%4.2fx)  identical %s\n",
+        r.name.c_str(), r.candidates, r.winner_index, r.winner_label.c_str(),
+        r.t1_ms, kThreads, r.tn_ms, speedup, r.identical ? "yes" : "NO");
   }
   w.end();
   w.end();

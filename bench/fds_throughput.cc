@@ -4,8 +4,11 @@
 // DAGs. Besides the pins/sec comparison, every run *asserts* that both
 // schedulers produce identical stage_of vectors — the benchmark doubles as
 // an end-to-end identity check and exits nonzero on any divergence.
+// Results are written under a host header (hardware threads, build type,
+// the `git describe` passed in).
 //
-//   ./bench/fds_throughput [out.json]     (default BENCH_fds.json)
+//   ./bench/fds_throughput [--git-describe D] [out.json]
+//   (default out.json: BENCH_fds.json)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -13,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "circuits/benchmarks.h"
@@ -33,8 +35,7 @@ struct Row {
   int nodes = 0;   // schedule nodes across all planes
   int stages = 0;  // folding stages (level-1 graphs)
   double ref_pps = 0.0;        // from-scratch scheduler, pins/sec
-  double kernel_pps = 0.0;     // incremental kernel, no pool
-  double pool_pps = 0.0;       // incremental kernel, thread pool
+  double kernel_pps = 0.0;     // incremental kernel
   bool identical = false;
 };
 
@@ -78,8 +79,7 @@ double measure_pps(const std::vector<PlaneScheduleGraph>& graphs,
 }
 
 Row measure(const std::string& name,
-            const std::vector<PlaneScheduleGraph>& graphs,
-            ThreadPool* pool) {
+            const std::vector<PlaneScheduleGraph>& graphs) {
   const ArchParams arch = ArchParams::paper_instance_unbounded_k();
   Row row;
   row.name = name;
@@ -88,7 +88,7 @@ Row measure(const std::string& name,
     row.stages = std::max(row.stages, g.num_stages);
   }
 
-  std::vector<int> ref_stages, kernel_stages, pool_stages;
+  std::vector<int> ref_stages, kernel_stages;
   row.ref_pps = measure_pps(
       graphs, arch,
       [](const PlaneScheduleGraph& g, const ArchParams& a) {
@@ -101,13 +101,7 @@ Row measure(const std::string& name,
         return schedule_plane(g, a);
       },
       &kernel_stages);
-  row.pool_pps = measure_pps(
-      graphs, arch,
-      [pool](const PlaneScheduleGraph& g, const ArchParams& a) {
-        return schedule_plane(g, a, FdsOptions{}, pool);
-      },
-      &pool_stages);
-  row.identical = ref_stages == kernel_stages && ref_stages == pool_stages;
+  row.identical = ref_stages == kernel_stages;
   return row;
 }
 
@@ -124,20 +118,26 @@ std::vector<PlaneScheduleGraph> random_dag_graphs(int luts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fds.json";
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  ThreadPool pool(static_cast<int>(std::min(hw, 8u)));
+  std::string git_describe = "unknown";
+  std::string out_path = "BENCH_fds.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--git-describe" && i + 1 < argc)
+      git_describe = argv[++i];
+    else
+      out_path = arg;
+  }
   std::vector<Row> rows;
 
   // The paper's standard circuits at folding level 1 (every plane).
   for (const std::string& name : benchmark_names())
-    rows.push_back(measure(name, graphs_for(make_benchmark(name), 1), &pool));
+    rows.push_back(measure(name, graphs_for(make_benchmark(name), 1)));
 
   // Random DAG sweep: node counts from "paper-sized" up to the regime
   // where the seed's from-scratch rescoring dominated.
   for (int luts : {120, 250, 500, 800})
     rows.push_back(measure("random-dag" + std::to_string(luts),
-                           random_dag_graphs(luts, 40 + luts), &pool));
+                           random_dag_graphs(luts, 40 + luts)));
 
   // Emit BENCH_fds.json (schema in docs/FORMATS.md) through the shared
   // JSON writer — same escaping and dialect as the --report=json output.
@@ -151,6 +151,10 @@ int main(int argc, char** argv) {
   w.field("reference",
           "retained from-scratch scheduler (core/fds_reference.cc)");
   w.field("kernel", "incremental FDS kernel (core/fds_kernel.h)");
+  w.field("hardware_threads",
+          static_cast<long>(ThreadPool::hardware_threads()));
+  w.field("build_type", NANOMAP_BUILD_TYPE);
+  w.field("git_describe", git_describe);
   w.key("rows");
   w.begin_array();
   bool all_identical = true;
@@ -162,18 +166,14 @@ int main(int argc, char** argv) {
     w.field("stages", r.stages);
     w.field("reference_pins_per_sec", std::round(r.ref_pps));
     w.field("kernel_pins_per_sec", std::round(r.kernel_pps));
-    w.field("kernel_pool_pins_per_sec", std::round(r.pool_pps));
     w.field("speedup",
             round2(r.ref_pps > 0 ? r.kernel_pps / r.ref_pps : 0.0));
-    w.field("pool_speedup",
-            round2(r.ref_pps > 0 ? r.pool_pps / r.ref_pps : 0.0));
     w.field("identical_schedule", r.identical);
     w.end();
     std::printf("%-14s nodes %5d stages %2d  ref %9.0f  kernel %9.0f  "
-                "pool %9.0f  speedup %6.2fx / %6.2fx  identical %s\n",
+                "speedup %6.2fx  identical %s\n",
                 r.name.c_str(), r.nodes, r.stages, r.ref_pps, r.kernel_pps,
-                r.pool_pps, r.ref_pps > 0 ? r.kernel_pps / r.ref_pps : 0.0,
-                r.ref_pps > 0 ? r.pool_pps / r.ref_pps : 0.0,
+                r.ref_pps > 0 ? r.kernel_pps / r.ref_pps : 0.0,
                 r.identical ? "yes" : "NO");
   }
   w.end();

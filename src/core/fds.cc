@@ -6,7 +6,6 @@
 
 #include "core/fds_kernel.h"
 #include "util/fault.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace nanomap {
@@ -272,8 +271,7 @@ void refine_schedule(const PlaneScheduleGraph& graph,
 }  // namespace
 
 FdsResult schedule_plane(const PlaneScheduleGraph& graph,
-                         const ArchParams& arch, const FdsOptions& options,
-                         ThreadPool* pool) {
+                         const ArchParams& arch, const FdsOptions& options) {
   NM_FAULT_POINT("fds.schedule");
   NM_TRACE_SPAN("fds.plane");
   const int n = static_cast<int>(graph.nodes.size());
@@ -380,9 +378,8 @@ FdsResult schedule_plane(const PlaneScheduleGraph& graph,
   // SchedulerKind::kFds: the incremental pin loop (see fds_kernel.h). The
   // kernel computes its own frames (folding their feasibility into its
   // return value, like the loop it replaced) and produces schedules
-  // byte-identical to the original from-scratch scheduler at any thread
-  // count.
-  FdsScheduler kernel(graph, arch, ops, ops_of_node, pool);
+  // byte-identical to the original from-scratch scheduler.
+  FdsScheduler kernel(graph, arch, ops, ops_of_node);
   if (!kernel.run(&result.stage_of)) result.feasible = false;
 
   if (options.refine && result.feasible)

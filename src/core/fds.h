@@ -20,7 +20,7 @@
 // The kFds path runs on the incremental kernel in core/fds_kernel.h; the
 // schedules it emits are byte-identical to the original from-scratch
 // implementation (retained as schedule_plane_reference for differential
-// testing) at any thread count.
+// testing).
 #pragma once
 
 #include <vector>
@@ -29,8 +29,6 @@
 #include "core/schedule_graph.h"
 
 namespace nanomap {
-
-class ThreadPool;
 
 // A value produced by `producer` that may have to live in flip-flops
 // across folding cycles (paper §4.2.1 storage operations).
@@ -82,13 +80,10 @@ struct FdsResult {
 };
 
 // Schedules one plane. The result is always precedence-legal; `feasible`
-// is false only if the graph itself cannot fit the stage budget. An
-// optional ThreadPool parallelizes the kFds candidate scoring without
-// changing a single byte of the result (nullptr = inline execution).
+// is false only if the graph itself cannot fit the stage budget.
 FdsResult schedule_plane(const PlaneScheduleGraph& graph,
                          const ArchParams& arch,
-                         const FdsOptions& options = {},
-                         ThreadPool* pool = nullptr);
+                         const FdsOptions& options = {});
 
 // Exact per-stage resource usage for a complete schedule (also used by
 // temporal clustering and the tests).

@@ -87,27 +87,13 @@ double frame_change_force(const std::vector<double>& dg, double weight,
   return force;
 }
 
-// Per-thread candidate-evaluation scratch (before/after storage
-// distributions). Fully re-zeroed on every use, so pool-worker reuse can
-// never leak state between candidates — scoring stays deterministic at
-// any thread count.
-struct EvalScratch {
-  std::vector<double> before, after;
-};
-
-EvalScratch& eval_scratch() {
-  thread_local EvalScratch scratch;
-  return scratch;
-}
-
 }  // namespace
 
 FdsScheduler::FdsScheduler(const PlaneScheduleGraph& graph,
                            const ArchParams& arch,
                            const std::vector<StorageOp>& ops,
-                           const std::vector<std::vector<int>>& ops_of_node,
-                           ThreadPool* pool)
-    : graph_(graph), ops_(ops), ops_of_node_(ops_of_node), pool_(pool) {
+                           const std::vector<std::vector<int>>& ops_of_node)
+    : graph_(graph), ops_(ops), ops_of_node_(ops_of_node) {
   n_ = static_cast<int>(graph.nodes.size());
   s_ = graph.num_stages;
   l_ = static_cast<double>(arch.ff_per_le);
@@ -128,6 +114,8 @@ FdsScheduler::FdsScheduler(const PlaneScheduleGraph& graph,
   st_bin_dirty_.assign(static_cast<std::size_t>(s_) + 1, 0);
   old_lut_val_.assign(static_cast<std::size_t>(s_) + 1, 0.0);
   old_st_val_.assign(static_cast<std::size_t>(s_) + 1, 0.0);
+  before_.assign(static_cast<std::size_t>(s_) + 1, 0.0);
+  after_.assign(static_cast<std::size_t>(s_) + 1, 0.0);
   lut_changed_prefix_.assign(static_cast<std::size_t>(s_) + 2, 0);
   st_changed_prefix_.assign(static_cast<std::size_t>(s_) + 2, 0);
   op_stamp_.assign(ops.size(), 0);
@@ -156,9 +144,8 @@ bool FdsScheduler::run(std::vector<int>* stage_of_ptr) {
 
   int remaining = n_;
   while (remaining > 0) {
-    // Re-score dirty candidates in parallel. Each node writes only its
-    // private force row + read window; frames/DGs/stage_of are read-only
-    // here, so the result is independent of the thread count.
+    // Re-score dirty candidates. Each node writes only its private force
+    // row + read window; frames/DGs/stage_of are read-only here.
     dirty_list_.clear();
     for (int i = 0; i < n_; ++i) {
       if (stage_of[static_cast<std::size_t>(i)] == 0 &&
@@ -168,10 +155,10 @@ bool FdsScheduler::run(std::vector<int>* stage_of_ptr) {
     NM_TRACE_COUNT("fds.candidates_scored",
                    static_cast<long>(dirty_list_.size()));
     NM_TRACE_VALUE("fds.dirty_per_pin", dirty_list_.size());
-    pool_for_each(pool_, static_cast<int>(dirty_list_.size()), [&](int k) {
-      score_node(dirty_list_[static_cast<std::size_t>(k)], stage_of);
-    });
-    for (int u : dirty_list_) node_dirty_[static_cast<std::size_t>(u)] = 0;
+    for (int u : dirty_list_) {
+      score_node(u, stage_of);
+      node_dirty_[static_cast<std::size_t>(u)] = 0;
+    }
 
 #ifdef NANOMAP_AUDIT_FDS
     audit_state(stage_of);
@@ -260,8 +247,8 @@ void FdsScheduler::score_node(int u, const std::vector<int>& stage_of) {
   for (int j = a; j <= b; ++j) row[j] = candidate_force(u, j, stage_of);
 }
 
-double FdsScheduler::candidate_force(
-    int u, int j, const std::vector<int>& stage_of) const {
+double FdsScheduler::candidate_force(int u, int j,
+                                     const std::vector<int>& stage_of) {
   const ScheduleNode& sn = graph_.nodes[static_cast<std::size_t>(u)];
   const int a = frames_.asap[static_cast<std::size_t>(u)];
   const int b = frames_.alap[static_cast<std::size_t>(u)];
@@ -275,21 +262,20 @@ double FdsScheduler::candidate_force(
   double storage_self = 0.0;
   const std::vector<int>& touching = ops_of_node_[static_cast<std::size_t>(u)];
   if (!touching.empty()) {
-    EvalScratch& scr = eval_scratch();
-    scr.before.assign(static_cast<std::size_t>(s_) + 1, 0.0);
-    scr.after.assign(static_cast<std::size_t>(s_) + 1, 0.0);
+    std::fill(before_.begin(), before_.end(), 0.0);
+    std::fill(after_.begin(), after_.end(), 0.0);
     for (int oi : touching) {
       add_storage_distribution_ov(ops_[static_cast<std::size_t>(oi)],
                                   frames_.asap, frames_.alap, -1, 0, s_,
-                                  &scr.before);
+                                  &before_);
       add_storage_distribution_ov(ops_[static_cast<std::size_t>(oi)],
                                   frames_.asap, frames_.alap, u, j, s_,
-                                  &scr.after);
+                                  &after_);
     }
     for (int jj = 1; jj <= s_; ++jj)
       storage_self += dgs_.storage[static_cast<std::size_t>(jj)] *
-                      (scr.after[static_cast<std::size_t>(jj)] -
-                       scr.before[static_cast<std::size_t>(jj)]);
+                      (after_[static_cast<std::size_t>(jj)] -
+                       before_[static_cast<std::size_t>(jj)]);
   }
 
   // Eq. 14: the LE is the shared resource (h = 1 LUT per LE in NATURE).

@@ -18,19 +18,16 @@
 //     the tentative pin through the producer/consumer entries of the ops
 //     touching the node, so a single-entry override replaces the seed's
 //     two O(n) vector copies; before/after scratch is preallocated
-//     per-thread.
+//     once per scheduler.
 //   * Dirty-node cache. A node's cached per-stage forces stay valid until
 //     (a) its own time frame changes, (b) a predecessor/successor frame
 //     changes or gets pinned, (c) a storage op touching it has a member
 //     frame change, or (d) a DG bin inside its recorded read window
 //     changes value. Anything else is skipped.
-//   * Parallel candidate evaluation. Dirty nodes are scored across the
-//     ThreadPool (each node writes only its private force row); the winner
-//     is then chosen by a sequential fold over candidates in ascending
-//     (node, stage) order with the seed's epsilon rule
-//     (total < best - 1e-12), so the selected pin is byte-identical at any
-//     --threads value. Ties resolve first-candidate-wins: lowest force,
-//     then lowest node id, then lowest stage.
+//   * Deterministic selection. The winner is chosen by a fold over
+//     candidates in ascending (node, stage) order with the seed's epsilon
+//     rule (total < best - 1e-12). Ties resolve first-candidate-wins:
+//     lowest force, then lowest node id, then lowest stage.
 //
 // RefineTally maintains the per-stage usage tally of refine_schedule under
 // single-node moves (pure integer deltas — exact), replacing a full
@@ -49,7 +46,6 @@
 #include "arch/nature.h"
 #include "core/fds.h"
 #include "core/schedule_graph.h"
-#include "util/thread_pool.h"
 
 namespace nanomap {
 
@@ -60,8 +56,7 @@ class FdsScheduler {
  public:
   FdsScheduler(const PlaneScheduleGraph& graph, const ArchParams& arch,
                const std::vector<StorageOp>& ops,
-               const std::vector<std::vector<int>>& ops_of_node,
-               ThreadPool* pool);
+               const std::vector<std::vector<int>>& ops_of_node);
 
   // Pins every node of `stage_of` (must be all-zero, size n). Returns
   // false if the frame machinery reported infeasibility at any point
@@ -76,8 +71,7 @@ class FdsScheduler {
   };
 
   void score_node(int u, const std::vector<int>& stage_of);
-  double candidate_force(int u, int j, const std::vector<int>& stage_of)
-      const;
+  double candidate_force(int u, int j, const std::vector<int>& stage_of);
   void pin_update(int pinned, const std::vector<int>& stage_of);
   void rebuild_dirty_bins(const std::vector<int>& stage_of);
 #ifdef NANOMAP_AUDIT_FDS
@@ -87,7 +81,6 @@ class FdsScheduler {
   const PlaneScheduleGraph& graph_;
   const std::vector<StorageOp>& ops_;
   const std::vector<std::vector<int>>& ops_of_node_;
-  ThreadPool* pool_;
   int n_ = 0;
   int s_ = 0;  // num_stages
   double l_ = 1.0;  // arch.ff_per_le (Eq. 14's l; divided, never inverted,
@@ -110,6 +103,8 @@ class FdsScheduler {
   std::vector<NodeWindow> windows_;
   std::vector<char> node_dirty_;
   std::vector<int> dirty_list_;
+  // Storage distributions before/after a tentative pin (candidate_force).
+  std::vector<double> before_, after_;
 
   // Per-pin delta machinery.
   std::vector<int> changed_frames_;        // nodes whose frames changed

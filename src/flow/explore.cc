@@ -55,49 +55,6 @@ std::vector<CandidatePoint> enumerate_candidates(
   return cands;
 }
 
-// Chains of candidates that may legally share warm-start state: same
-// folding level, arch equal in everything but the channel track counts.
-// Chain members donate the schedule and the RR graph + cycle cache (under
-// the strict identity rules in nanomap_flow.h). Grouping is a pure function of the candidate list (first-match in index
-// order), so chain shapes — and with them every warm-start decision — are
-// identical in serial and parallel mode. With warm starts off every
-// candidate is its own chain (maximum parallelism, all cold).
-std::vector<std::vector<int>> group_into_chains(
-    const std::vector<CandidatePoint>& cands, bool warm_start) {
-  std::vector<std::vector<int>> chains;
-  for (const CandidatePoint& c : cands) {
-    bool placed = false;
-    if (warm_start) {
-      for (std::vector<int>& chain : chains) {
-        const CandidatePoint& head =
-            cands[static_cast<std::size_t>(chain.front())];
-        if (head.level == c.level &&
-            arch_equal_ignoring_channel_tracks(head.arch, c.arch)) {
-          chain.push_back(c.index);
-          placed = true;
-          break;
-        }
-      }
-    }
-    if (!placed) chains.push_back({c.index});
-  }
-  return chains;
-}
-
-// The engine's failure-kind precedence, applied across candidates: the
-// sweep's dominant error is the most actionable one any candidate hit.
-FlowErrorKind dominant_error_kind(const std::vector<FlowResult>& results) {
-  static const FlowErrorKind precedence[] = {
-      FlowErrorKind::kInternal,        FlowErrorKind::kResourceExhausted,
-      FlowErrorKind::kInput,           FlowErrorKind::kRoutingCongestion,
-      FlowErrorKind::kPlacementScreen, FlowErrorKind::kInfeasibleConstraint,
-  };
-  for (FlowErrorKind kind : precedence)
-    for (const FlowResult& r : results)
-      if (!r.feasible && r.error_kind == kind) return kind;
-  return FlowErrorKind::kInfeasibleConstraint;
-}
-
 // Winner selection over *measured* results, per the user objective.
 // Every tie breaks toward the lowest candidate index (the loop only
 // replaces `best` on strict improvement).
@@ -159,14 +116,6 @@ std::vector<int> pareto_front(const std::vector<FlowResult>& results) {
 
 }  // namespace
 
-const char* explore_mode_name(ExploreMode mode) {
-  switch (mode) {
-    case ExploreMode::kSerial: return "serial";
-    case ExploreMode::kParallel: return "parallel";
-  }
-  return "?";
-}
-
 ExploreResult run_nanomap_explore(const Design& design,
                                   const FlowOptions& flow,
                                   const ExploreOptions& explore) {
@@ -188,19 +137,14 @@ ExploreResult run_nanomap_explore(const Design& design,
   const CircuitParams params = extract_circuit_params(design.net);
   const std::vector<CandidatePoint> cands =
       enumerate_candidates(params, flow, explore);
-  const std::vector<std::vector<int>> chains =
-      group_into_chains(cands, explore.warm_start);
+  const int num_cands = static_cast<int>(cands.size());
 
   const int total_threads =
       flow.threads > 0 ? flow.threads : ThreadPool::hardware_threads();
-  const PoolSlice slice =
-      slice_pool(total_threads, static_cast<int>(chains.size()));
-  const bool parallel =
-      explore.mode == ExploreMode::kParallel && slice.jobs > 1;
+  const PoolSlice slice = slice_pool(total_threads, num_cands);
 
   ExploreResult out;
   out.results.resize(cands.size());
-  out.explore.mode = explore_mode_name(explore.mode);
   out.explore.candidates = static_cast<int>(cands.size());
   out.explore.outcomes.resize(cands.size());
 
@@ -211,55 +155,38 @@ ExploreResult run_nanomap_explore(const Design& design,
   {
     NM_TRACE_SPAN("explore");
 
-    // One chain = one sequential warm-start lineage; every write below
-    // lands in this chain's candidate slots only, so chains are
-    // index-private and safe to run as pool jobs.
-    auto run_chain = [&](int g) {
-      FlowWarmStart warm;
-      for (int idx : chains[static_cast<std::size_t>(g)]) {
-        const CandidatePoint& c = cands[static_cast<std::size_t>(idx)];
-        NM_TRACE_COUNT("explore.candidates", 1);
+    // One cold job per candidate; every write lands in that candidate's
+    // own slots, so candidates are index-private and safe as pool jobs.
+    ThreadPool pool(slice.jobs);
+    pool.parallel_for(num_cands, [&](int idx) {
+      const CandidatePoint& c = cands[static_cast<std::size_t>(idx)];
+      NM_TRACE_COUNT("explore.candidates", 1);
 
-        FlowOptions job = flow;
-        job.arch = c.arch;
-        job.forced_folding_level = c.level;
-        job.collect_trace = false;  // the sweep's TraceScope is ours
-        job.threads = parallel ? slice.threads_per_job : flow.threads;
-        if (explore.fault_candidate >= 0 &&
-            explore.fault_candidate != c.index)
-          job.fault_plan.clear();
+      FlowOptions job = flow;
+      job.arch = c.arch;
+      job.forced_folding_level = c.level;
+      job.collect_trace = false;  // the sweep's TraceScope is ours
+      job.threads = slice.threads_per_job;
+      if (explore.fault_candidate >= 0 && explore.fault_candidate != c.index)
+        job.fault_plan.clear();
 
-        FlowResult& r = out.results[static_cast<std::size_t>(idx)];
-        r = run_nanomap_job(design, job,
-                            explore.warm_start ? &warm : nullptr);
+      FlowResult& r = out.results[static_cast<std::size_t>(idx)];
+      r = run_nanomap_job(design, job);
 
-        ExploreCandidateOutcome& o =
-            out.explore.outcomes[static_cast<std::size_t>(idx)];
-        o.index = c.index;
-        o.level = c.level;
-        o.variant = c.variant;
-        o.label = c.label;
-        o.feasible = r.feasible;
-        o.error_kind = flow_error_kind_name(r.error_kind);
-        o.num_les = r.num_les;
-        o.num_cycles = r.clustered.num_cycles;
-        o.delay_ns = r.delay_ns;
-        o.area_delay_product = r.area_delay_product();
-        o.warm_schedule = warm.stats.schedule_reused;
-        o.warm_route_state = warm.stats.route_state_adopted;
-        o.cpu_seconds = r.cpu_seconds;
-        if (o.warm_schedule || o.warm_route_state)
-          NM_TRACE_COUNT("explore.warm_starts", 1);
-      }
-    };
-
-    if (parallel) {
-      ThreadPool pool(slice.jobs);
-      pool.parallel_for(static_cast<int>(chains.size()), run_chain);
-    } else {
-      for (int g = 0; g < static_cast<int>(chains.size()); ++g)
-        run_chain(g);
-    }
+      ExploreCandidateOutcome& o =
+          out.explore.outcomes[static_cast<std::size_t>(idx)];
+      o.index = c.index;
+      o.level = c.level;
+      o.variant = c.variant;
+      o.label = c.label;
+      o.feasible = r.feasible;
+      o.error_kind = flow_error_kind_name(r.error_kind);
+      o.num_les = r.num_les;
+      o.num_cycles = r.clustered.num_cycles;
+      o.delay_ns = r.delay_ns;
+      o.area_delay_product = r.area_delay_product();
+      o.cpu_seconds = r.cpu_seconds;
+    });
   }
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -271,11 +198,14 @@ ExploreResult run_nanomap_explore(const Design& design,
   if (out.feasible) {
     out.winner = out.results[static_cast<std::size_t>(out.winner_index)];
   } else {
-    // Synthesize a displayable infeasible result: dominant failure kind
-    // across the sweep, every candidate's trail merged in index order.
+    // Synthesize a displayable infeasible result: the flow's dominant
+    // failure kind across the sweep (every candidate is infeasible here),
+    // every candidate's trail merged in index order.
+    std::vector<FlowErrorKind> kinds;
+    for (const FlowResult& r : out.results) kinds.push_back(r.error_kind);
     out.winner.feasible = false;
     out.winner.params = params;
-    out.winner.error_kind = dominant_error_kind(out.results);
+    out.winner.error_kind = dominant_error_kind(kinds);
     out.winner.levels_tried = static_cast<int>(cands.size());
     out.winner.message = "no feasible candidate in the explored space (" +
                          std::to_string(cands.size()) + " tried)";
@@ -290,10 +220,8 @@ ExploreResult run_nanomap_explore(const Design& design,
   for (int idx : out.explore.pareto)
     out.explore.outcomes[static_cast<std::size_t>(idx)].on_pareto_front =
         true;
-  for (ExploreCandidateOutcome& o : out.explore.outcomes) {
+  for (const ExploreCandidateOutcome& o : out.explore.outcomes)
     if (o.feasible) ++out.explore.feasible_candidates;
-    if (o.warm_schedule || o.warm_route_state) ++out.explore.warm_starts;
-  }
   if (out.winner_index >= 0)
     out.explore.outcomes[static_cast<std::size_t>(out.winner_index)].winner =
         true;

@@ -5,19 +5,17 @@
 // time and commits to the first feasible one. run_nanomap_explore
 // evaluates the *whole* candidate space — every folding level the serial
 // search would consider, optionally crossed with fabric variants
-// (channel widths, SMB sizes, NRAM depth k) — as independent flow jobs,
-// concurrently over the existing ThreadPool, then folds the results
+// (channel widths, SMB sizes, NRAM depth k) — as independent cold flow
+// jobs fanned out over one ThreadPool, then folds the results
 // deterministically:
 //
 //  * Candidate order is fixed up front (level-major, base arch before
 //    variants); every tie anywhere breaks toward the lowest index.
-//  * Candidates whose schedule/routing state is provably shareable (same
-//    folding level, arch equal except channel tracks) form a chain that
-//    runs sequentially with one FlowWarmStart; chains run in parallel
-//    with each other. A chain's shape depends only on the candidate
-//    list, so warm-start behavior — and therefore every counter and
-//    every result byte — is identical in serial and parallel mode, at
-//    any --threads.
+//  * Each candidate is one run_nanomap_job at a forced folding level on
+//    its own arch, sharing no state with any other candidate, so every
+//    counter and every result byte is identical at any --threads. The
+//    pool is sized by slice_pool(threads, candidates); a 1-thread budget
+//    runs the candidates inline, one after another.
 //  * Each candidate runs in its own request context via run_nanomap_job:
 //    no process-wide scopes, thread-local fault plans, muted trace
 //    spans. The explorer owns the single TraceScope for the sweep.
@@ -32,25 +30,16 @@
 
 namespace nanomap {
 
-enum class ExploreMode {
-  kSerial,    // one chain at a time, on the calling thread
-  kParallel,  // chains as pool jobs (byte-identical to kSerial)
-};
-
-const char* explore_mode_name(ExploreMode mode);
-
 // One fabric variant to cross with every candidate folding level. The
 // base FlowOptions::arch is always variant 0; these are variants 1..N in
-// the order given. Typical use: channel-width scalings (which warm-start
-// off the base candidate), SMB sizes, or NRAM depths (which don't).
+// the order given. Typical use: channel-width scalings, SMB sizes, or
+// NRAM depths.
 struct FabricVariant {
   std::string label;  // short suffix for candidate labels, e.g. "x1.25"
   ArchParams arch;
 };
 
 struct ExploreOptions {
-  ExploreMode mode = ExploreMode::kParallel;
-
   // Folding levels to evaluate. Empty = the levels run_nanomap's serial
   // search would try (candidate_folding_levels), which makes the
   // explorer a drop-in replacement for the serial search.
@@ -58,11 +47,6 @@ struct ExploreOptions {
 
   // Fabric variants crossed with every level (see FabricVariant).
   std::vector<FabricVariant> variants;
-
-  // Donate schedule + routing state along admissible chains. Off = every
-  // candidate runs cold (results are byte-identical either way; the knob
-  // exists for benchmarking and for the warm-vs-cold identity tests).
-  bool warm_start = true;
 
   // Restrict FlowOptions::fault_plan to this candidate index (-1 = arm
   // it in every candidate). Either way each candidate counts hits in its

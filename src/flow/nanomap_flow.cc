@@ -21,14 +21,18 @@ namespace {
 // ladder, far away from the restart streams place_design derives itself.
 constexpr std::uint64_t kReseedStreamBase = 0x5eedu;
 
-// The candidate unit the search evaluates (declared in the header so the
-// explorer can snapshot/donate one).
-using Candidate = ScheduledCandidate;
-
-bool placements_equal(const Placement& a, const Placement& b) {
-  return a.grid.width == b.grid.width && a.grid.height == b.grid.height &&
-         a.site_of_smb == b.site_of_smb;
-}
+// A scheduled + clustered candidate at one folding level — the unit the
+// level search evaluates before committing to the physical flow.
+struct Candidate {
+  bool valid = false;
+  int level = -1;  // 0 = no folding
+  FoldingConfig cfg;
+  DesignSchedule schedule;
+  ClusteredDesign clustered;
+  std::vector<FdsResult> plane_results;
+  int les = 0;
+  double est_delay_ns = 0.0;
+};
 
 std::string fmt(double v) {
   std::ostringstream os;
@@ -46,9 +50,8 @@ struct RouteRung {
 
 class FlowEngine {
  public:
-  FlowEngine(const Design& design, const FlowOptions& options,
-             FlowWarmStart* warm)
-      : design_(design), options_(options), warm_(warm),
+  FlowEngine(const Design& design, const FlowOptions& options)
+      : design_(design), options_(options),
         pool_(options.threads > 0 ? options.threads
                                   : ThreadPool::hardware_threads()) {
     options_.arch.validate();
@@ -109,7 +112,9 @@ class FlowEngine {
 
     if (!result.feasible) {
       log_ << " | no folding level satisfies the constraints";
-      result.error_kind = dominant_error_kind();
+      std::vector<FlowErrorKind> kinds;
+      for (const FlowEvent& e : diag_.events) kinds.push_back(e.kind);
+      result.error_kind = dominant_error_kind(kinds);
     }
     result.diagnostics = diag_;
     result.message = log_.str();
@@ -156,22 +161,6 @@ class FlowEngine {
               "error", "out of memory"});
     }
     return false;
-  }
-
-  // The most actionable failure kind in the trail: internal errors beat
-  // resource exhaustion beat bad input beat physical-stage failures beat
-  // plain constraint infeasibility.
-  FlowErrorKind dominant_error_kind() const {
-    static const FlowErrorKind precedence[] = {
-        FlowErrorKind::kInternal,         FlowErrorKind::kResourceExhausted,
-        FlowErrorKind::kInput,            FlowErrorKind::kDefectInfeasible,
-        FlowErrorKind::kRoutingCongestion, FlowErrorKind::kPlacementScreen,
-        FlowErrorKind::kInfeasibleConstraint,
-    };
-    for (FlowErrorKind kind : precedence)
-      for (const FlowEvent& e : diag_.events)
-        if (e.kind == kind) return kind;
-    return FlowErrorKind::kInfeasibleConstraint;
   }
 
   // --- level order -----------------------------------------------------------
@@ -254,24 +243,6 @@ class FlowEngine {
   // stage failure records a typed trail entry and yields an invalid
   // candidate, which the search treats like an infeasible schedule.
   Candidate evaluate(int level) {
-    // Warm start: adopt the donor's snapshot verbatim when it is provably
-    // what this evaluation would compute anyway (same level, arch equal in
-    // everything these stages read). The trace value is re-recorded so the
-    // collected multiset is the same with warm starts on or off.
-    if (warm_ && warm_->schedule.valid && warm_->schedule.level == level &&
-        arch_equal_ignoring_channel_tracks(warm_->schedule_arch,
-                                           options_.arch)) {
-      warm_->stats.schedule_reused = true;
-      Candidate cand = warm_->schedule;
-      if (Trace::enabled() && cand.clustered.num_smbs > 0) {
-        NM_TRACE_VALUE("cluster.le_utilization",
-                       static_cast<double>(cand.clustered.les_used) /
-                           (static_cast<double>(cand.clustered.num_smbs) *
-                            options_.arch.les_per_smb()));
-      }
-      return cand;
-    }
-
     Candidate cand;
     cand.level = level;
     cand.cfg = make_folding_config(params_, level);
@@ -304,7 +275,7 @@ class FlowEngine {
             return;
           }
           FdsResult fr =
-              schedule_plane(graph, options_.arch, fds_opts, &pool_);
+              schedule_plane(graph, options_.arch, fds_opts);
           if (!fr.feasible) {
             feasible = false;
             return;
@@ -337,10 +308,6 @@ class FlowEngine {
     cand.plane_results = sched.plane_results;
     cand.schedule = std::move(sched);
     cand.valid = true;
-    if (warm_) {  // become the donor snapshot for the next chain member
-      warm_->schedule = cand;
-      warm_->schedule_arch = options_.arch;
-    }
     return cand;
   }
 
@@ -426,26 +393,6 @@ class FlowEngine {
     NM_TRACE_SPAN("route");
     std::optional<RrGraph> rr;
     RouteState route_state;
-    // Warm start: adopt the donor's RR graph + cycle cache when this
-    // placement is byte-identical to the one they were built against and
-    // the graph can be widened in place to rung 0's arch (after which the
-    // PR 6 replay admissibility rules guarantee byte-identical routing).
-    // The cache's entries are keyed by the donor graph's uid, so without
-    // the graph they could never match and are dropped with it. The
-    // donor slot is consumed either way — on success this climb's final
-    // state is published back for the next chain member.
-    if (warm_) {
-      if (warm_->rr_valid && warm_->rr &&
-          placements_equal(placed.placement, warm_->rr_placement) &&
-          can_widen_in_place(warm_->rr->arch(), rungs.front().arch)) {
-        rr = std::move(warm_->rr);
-        route_state = std::move(warm_->route_state);
-        warm_->stats.route_state_adopted = true;
-      }
-      warm_->rr.reset();
-      warm_->route_state = RouteState{};
-      warm_->rr_valid = false;
-    }
     auto tracks_differ = [](const ArchParams& a, const ArchParams& b) {
       return a.direct_links_per_side != b.direct_links_per_side ||
              a.len1_tracks != b.len1_tracks ||
@@ -509,12 +456,6 @@ class FlowEngine {
                       " repeat searches)"});
         *arch_used = rung.arch;
         *router_used = rung.router;
-        if (warm_) {
-          warm_->rr = std::move(rr);
-          warm_->route_state = std::move(route_state);
-          warm_->rr_placement = placed.placement;
-          warm_->rr_valid = true;
-        }
         return true;
       }
       record({"route", cand.level, attempt,
@@ -779,8 +720,7 @@ class FlowEngine {
 
   const Design& design_;
   FlowOptions options_;
-  FlowWarmStart* warm_ = nullptr;  // chain state; null outside the explorer
-  ThreadPool pool_;  // shared by every parallel stage of this flow run
+  ThreadPool pool_;  // the placement restarts' workers
   CircuitParams params_;
   std::map<int, Candidate> cache_;
   // Level order (start_level_search / next_level).
@@ -819,6 +759,19 @@ const char* flow_error_kind_name(FlowErrorKind kind) {
     case FlowErrorKind::kInternal: return "internal";
   }
   return "?";
+}
+
+FlowErrorKind dominant_error_kind(const std::vector<FlowErrorKind>& kinds) {
+  static const FlowErrorKind precedence[] = {
+      FlowErrorKind::kInternal,          FlowErrorKind::kResourceExhausted,
+      FlowErrorKind::kInput,             FlowErrorKind::kDefectInfeasible,
+      FlowErrorKind::kRoutingCongestion, FlowErrorKind::kPlacementScreen,
+      FlowErrorKind::kInfeasibleConstraint,
+  };
+  for (FlowErrorKind kind : precedence)
+    if (std::find(kinds.begin(), kinds.end(), kind) != kinds.end())
+      return kind;
+  return FlowErrorKind::kInfeasibleConstraint;
 }
 
 std::string FlowDiagnostics::to_string() const {
@@ -886,26 +839,6 @@ void validate_flow_options(const FlowOptions& o) {
   if (!o.fault_plan.empty()) parse_fault_plan(o.fault_plan);
 }
 
-bool arch_equal_ignoring_channel_tracks(const ArchParams& a,
-                                        const ArchParams& b) {
-  return a.lut_size == b.lut_size && a.ff_per_le == b.ff_per_le &&
-         a.les_per_mb == b.les_per_mb && a.mbs_per_smb == b.mbs_per_smb &&
-         a.num_reconf == b.num_reconf &&
-         a.reconf_time_ps == b.reconf_time_ps &&
-         a.lut_delay_ps == b.lut_delay_ps &&
-         a.mb_mux_delay_ps == b.mb_mux_delay_ps &&
-         a.local_mux_delay_ps == b.local_mux_delay_ps &&
-         a.direct_link_delay_ps == b.direct_link_delay_ps &&
-         a.len1_wire_delay_ps == b.len1_wire_delay_ps &&
-         a.len4_wire_delay_ps == b.len4_wire_delay_ps &&
-         a.global_wire_delay_ps == b.global_wire_delay_ps &&
-         a.ff_setup_ps == b.ff_setup_ps && a.le_area_um2 == b.le_area_um2 &&
-         a.nram_overhead == b.nram_overhead &&
-         a.smb_wiring_factor == b.smb_wiring_factor &&
-         a.direct_links_per_side == b.direct_links_per_side &&
-         a.defects.content_sig() == b.defects.content_sig();
-}
-
 std::vector<int> candidate_folding_levels(const CircuitParams& params,
                                           const FlowOptions& options) {
   if (options.forced_folding_level >= 0)
@@ -963,7 +896,7 @@ namespace {
 // here covers engine-level code (parameter extraction, candidate
 // generation) so no exception ever escapes to the caller.
 FlowResult run_flow_guarded(const Design& design, const FlowOptions& options,
-                            FlowWarmStart* warm, bool attach_trace) {
+                            bool attach_trace) {
   // Snapshot the collector (after the "flow" span closed) and attach the
   // machine-readable report. Used on the success and the error path, so
   // --report=json always has a document to write. A request-scoped
@@ -991,7 +924,7 @@ FlowResult run_flow_guarded(const Design& design, const FlowOptions& options,
     FlowResult r;
     {
       NM_TRACE_SPAN("flow");
-      r = FlowEngine(design, options, warm).run();
+      r = FlowEngine(design, options).run();
     }
     return finalize(std::move(r));
   } catch (const InputError& e) {
@@ -1011,12 +944,10 @@ FlowResult run_nanomap(const Design& design, const FlowOptions& options) {
   validate_flow_options(options);
   FaultScope faults(options.fault_plan);
   TraceScope trace(options.collect_trace);
-  return run_flow_guarded(design, options, /*warm=*/nullptr,
-                          options.collect_trace);
+  return run_flow_guarded(design, options, options.collect_trace);
 }
 
-FlowResult run_nanomap_job(const Design& design, const FlowOptions& options,
-                           FlowWarmStart* warm) {
+FlowResult run_nanomap_job(const Design& design, const FlowOptions& options) {
   validate_flow_options(options);
   // Process-wide scopes are the caller's business (run_nanomap_explore
   // owns one TraceScope for the whole sweep); this job only installs
@@ -1033,8 +964,7 @@ FlowResult run_nanomap_job(const Design& design, const FlowOptions& options,
   const bool request_scoped = current_request_trace_collector() != nullptr;
   std::optional<TraceSpanMuteScope> mute;
   if (!request_scoped) mute.emplace();
-  if (warm != nullptr) warm->stats = WarmStartStats{};
-  return run_flow_guarded(design, options, warm,
+  return run_flow_guarded(design, options,
                           /*attach_trace=*/request_scoped &&
                               options.collect_trace);
 }

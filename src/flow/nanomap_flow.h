@@ -58,6 +58,14 @@ enum class FlowErrorKind {
 
 const char* flow_error_kind_name(FlowErrorKind kind);
 
+// The most actionable failure among `kinds` — one precedence for the
+// flow's trail and the explorer's sweep alike: internal errors beat
+// resource exhaustion beat bad input beat defect infeasibility beat
+// routing congestion beat the placement screen beat plain constraint
+// infeasibility. kNone entries never rank; with nothing ranked the
+// answer is kInfeasibleConstraint.
+FlowErrorKind dominant_error_kind(const std::vector<FlowErrorKind>& kinds);
+
 // One retry/escalation/fallback event on the recovery ladder. The trail
 // of these is the authoritative record of what the flow tried and why;
 // the free-text `message` is rendered from the same entries.
@@ -84,8 +92,8 @@ struct FlowDiagnostics {
 
 // One candidate evaluated by the design-space explorer
 // (flow/explore.h): which point of the level x fabric space it was, what
-// came out, and how it was scheduled. Serialized inside the RunReport's
-// `explore` section (docs/FORMATS.md).
+// came out. Serialized inside the RunReport's `explore` section
+// (docs/FORMATS.md).
 struct ExploreCandidateOutcome {
   int index = 0;            // position in the fixed candidate order
   int level = 0;            // folding level (0 = no folding)
@@ -97,8 +105,6 @@ struct ExploreCandidateOutcome {
   int num_cycles = 0;
   double delay_ns = 0.0;
   double area_delay_product = 0.0;
-  bool warm_schedule = false;     // schedule+cluster adopted from a donor
-  bool warm_route_state = false;  // RR graph + cycle cache adopted
   bool on_pareto_front = false;
   bool winner = false;
   double cpu_seconds = 0.0;  // wall-clock; masked by to_json(false)
@@ -106,15 +112,14 @@ struct ExploreCandidateOutcome {
 
 // The explorer's section of the run report. Versioned independently of
 // the enclosing RunReport schema (adding this section is a
-// backward-compatible RunReport change, so kSchemaVersion stays 1).
+// backward-compatible RunReport change, so RunReport's kSchemaVersion
+// stays 1).
 struct ExploreReport {
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
   int version = kSchemaVersion;
-  std::string mode;          // "serial" | "parallel"
   int candidates = 0;
   int feasible_candidates = 0;
-  int warm_starts = 0;       // candidates that adopted any donor state
   int winner_index = -1;     // -1: no feasible candidate
   double wall_seconds = 0.0;  // whole-explore wall clock; masked
   std::vector<ExploreCandidateOutcome> outcomes;  // fixed candidate order
@@ -248,9 +253,9 @@ struct FlowOptions {
   SchedulerKind scheduler = SchedulerKind::kFds;  // overridden by use_fds=false
   bool refine_schedule = true;  // post-scheduling rebalancing sweeps
   std::uint64_t seed = 42;
-  // Worker threads for the parallel stages (multi-seed placement
-  // restarts, the FDS kernel). Within one restart, placement and routing
-  // are sequential. 0 = hardware concurrency. The thread count only
+  // Worker threads for the multi-seed placement restarts, the flow's
+  // only parallel stage. Within one restart, placement and routing are
+  // sequential. 0 = hardware concurrency. The thread count only
   // changes wall-clock time: the same (input, seed) produces
   // byte-identical placement, routing, and bitmap at any setting (see
   // tests/determinism_test.cc), and threads = 1 runs the serial code
@@ -358,65 +363,6 @@ int exit_code_for(const FlowResult& result);
 std::vector<int> candidate_folding_levels(const CircuitParams& params,
                                           const FlowOptions& options);
 
-// A scheduled + clustered candidate at one folding level — the unit the
-// level search evaluates before committing to the physical flow, and the
-// snapshot adjacent explorer candidates warm-start from.
-struct ScheduledCandidate {
-  bool valid = false;
-  int level = -1;  // 0 = no folding
-  FoldingConfig cfg;
-  DesignSchedule schedule;
-  ClusteredDesign clustered;
-  std::vector<FdsResult> plane_results;
-  int les = 0;
-  double est_delay_ns = 0.0;
-};
-
-// What a warm-started flow job actually adopted from its donor. Filled by
-// run_nanomap_job; deterministic (a function of the donor/candidate pair,
-// never of timing), so it is safe to report and test against.
-struct WarmStartStats {
-  bool schedule_reused = false;     // schedule + clustering copied over
-  bool route_state_adopted = false; // RR graph + cycle cache carried over
-};
-
-// True when two arch configs agree on everything the scheduling,
-// clustering and delay-estimate stages can observe — i.e. they differ at
-// most in the channel track counts, which only the RR graph reads. The
-// warm-start schedule adoption rule below and the explorer's chain
-// grouping both rest on this predicate.
-bool arch_equal_ignoring_channel_tracks(const ArchParams& a,
-                                        const ArchParams& b);
-
-// Donor state shared along a chain of adjacent explorer candidates.
-// Owned by the caller (one per sequential chain — never shared across
-// concurrent jobs) and both read and re-published by run_nanomap_job:
-//
-//  * schedule: adopted verbatim when the candidate's folding level
-//    matches and its arch differs from schedule_arch at most in the
-//    channel track counts (scheduling, clustering and the delay estimate
-//    never read those), else recomputed — so adoption is result-neutral
-//    by construction.
-//  * rr: adopted only when the candidate's placement is byte-identical
-//    to rr_placement AND the donor graph can be widened in place to the
-//    candidate's arch (can_widen_in_place: donor tracks <= candidate
-//    tracks, everything else equal). The graph is then widened to the
-//    candidate's *exact* capacities and the PR 6 replay admissibility
-//    rules take over, so a warm route is byte-identical to a cold one.
-//  * route_state: adopted together with rr, never alone — its cycle
-//    entries are keyed by the donor graph's uid and match no other graph.
-struct FlowWarmStart {
-  ScheduledCandidate schedule;
-  ArchParams schedule_arch;  // arch `schedule` was computed under
-
-  std::optional<RrGraph> rr;      // donor RR graph (winning rung)
-  RouteState route_state;         // donor cycle cache for `rr`
-  Placement rr_placement;         // placement `rr`/`route_state` assume
-  bool rr_valid = false;
-
-  WarmStartStats stats;  // what the *last* job adopted; reset per job
-};
-
 // Reentrant per-candidate core of run_nanomap: identical search, ladder
 // and result, but installs no process-wide scopes, so any number of jobs
 // may run concurrently (the parallel explorer's contract). Differences
@@ -428,11 +374,8 @@ struct FlowWarmStart {
 //    collector and, with collect_trace set, its snapshot fills the
 //    report; otherwise nothing is enabled or snapshotted — counters
 //    recorded by this job land in the caller's collection window and
-//    spans are muted (the parallel explorer's contract);
-//  * `warm`, when non-null, donates and receives chain state as
-//    documented on FlowWarmStart.
-FlowResult run_nanomap_job(const Design& design, const FlowOptions& options,
-                           FlowWarmStart* warm = nullptr);
+//    spans are muted (the parallel explorer's contract).
+FlowResult run_nanomap_job(const Design& design, const FlowOptions& options);
 
 // Assembles the report from a finished result and a trace snapshot
 // (pass a default-constructed snapshot when tracing was off).

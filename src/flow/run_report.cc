@@ -153,10 +153,8 @@ std::string RunReport::to_json(bool include_timings, bool compact) const {
     w.key("explore");
     w.begin_object();
     w.field("version", explore->version);
-    w.field("mode", explore->mode);
     w.field("candidates", explore->candidates);
     w.field("feasible_candidates", explore->feasible_candidates);
-    w.field("warm_starts", explore->warm_starts);
     w.field("winner_index", explore->winner_index);
     w.field("wall_seconds", include_timings ? explore->wall_seconds : 0.0);
 
@@ -174,8 +172,6 @@ std::string RunReport::to_json(bool include_timings, bool compact) const {
       w.field("num_cycles", o.num_cycles);
       w.field("delay_ns", o.delay_ns);
       w.field("area_delay_product", o.area_delay_product);
-      w.field("warm_schedule", o.warm_schedule);
-      w.field("warm_route_state", o.warm_route_state);
       w.field("on_pareto_front", o.on_pareto_front);
       w.field("winner", o.winner);
       w.field("cpu_seconds", include_timings ? o.cpu_seconds : 0.0);

@@ -245,7 +245,6 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "defect.smb_masked",     // place: dead SMB sites masked on the grid
       "defect.wire_masked",    // route/rr_graph: broken wire tracks masked
       "explore.candidates",    // flow/explore: candidate flow jobs run
-      "explore.warm_starts",   // flow/explore: candidates seeded from a donor
       "fds.candidates_scored", // core/fds_kernel: dirty (node,stage) rescored
       "fds.pins",              // core/fds_kernel: nodes pinned to a stage
       "fds.schedule_calls",    // core/fds_kernel: FDS scheduler invocations

@@ -155,9 +155,8 @@ TEST(Determinism, RandomDagAcrossRunsAndThreadCounts) {
 // Golden pin of the incremental FDS scheduling kernel: per-plane schedules
 // of every bundled paper circuit at folding levels 1 and 2, hashed
 // byte-exactly. The hashes were captured from the pre-kernel from-scratch
-// scheduler, and must not move — with or without a thread pool.
-std::uint64_t schedule_fingerprint(const Design& d, int level,
-                                   ThreadPool* pool) {
+// scheduler, and must not move.
+std::uint64_t schedule_fingerprint(const Design& d, int level) {
   CircuitParams p = extract_circuit_params(d.net);
   FoldingConfig cfg = make_folding_config(p, level);
   ArchParams arch = ArchParams::paper_instance_unbounded_k();
@@ -169,7 +168,7 @@ std::uint64_t schedule_fingerprint(const Design& d, int level,
   };
   for (int plane = 0; plane < p.num_plane; ++plane) {
     PlaneScheduleGraph g = build_schedule_graph(d, plane, cfg);
-    FdsResult r = schedule_plane(g, arch, FdsOptions{}, pool);
+    FdsResult r = schedule_plane(g, arch);
     add_int(g.num_stages);
     add_int(r.feasible ? 1 : 0);
     for (int s : r.stage_of) add_int(s);
@@ -196,15 +195,11 @@ TEST(Determinism, GoldenScheduleFingerprints) {
       {"ASPP4", 1, 0x08ab879bd3f3f42cull},
       {"ASPP4", 2, 0x9a094a3849776469ull},
   };
-  ThreadPool pool(4);
   for (const Case& c : cases) {
     Design d = make_benchmark(c.name);
-    EXPECT_EQ(schedule_fingerprint(d, c.level, nullptr), c.want)
+    EXPECT_EQ(schedule_fingerprint(d, c.level), c.want)
         << c.name << " level " << c.level
-        << " diverged from the from-scratch scheduler (no pool)";
-    EXPECT_EQ(schedule_fingerprint(d, c.level, &pool), c.want)
-        << c.name << " level " << c.level
-        << " diverged from the from-scratch scheduler (threads=4)";
+        << " diverged from the from-scratch scheduler";
   }
 }
 

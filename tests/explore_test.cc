@@ -1,10 +1,12 @@
 // Determinism contract of the parallel design-space explorer
-// (flow/explore.h, DESIGN.md §5h): run_nanomap_explore folds candidate
-// results identically in serial and parallel mode, at any thread count,
-// with warm starts on or off, and with a fault armed in one candidate —
-// winner, Pareto front, per-candidate bytes and the merged trail all
-// byte-identical. Plus: the explore RunReport section round-trips through
-// the real JSON parser, and a traced sweep only hits registered sites.
+// (flow/explore.h, DESIGN.md §5h): every candidate is byte-identical to a
+// standalone forced-level flow job, and run_nanomap_explore folds the
+// candidate results identically at any thread count, also with a fault
+// armed in one candidate — winner, Pareto front, per-candidate bytes and
+// the merged trail all byte-identical. Plus: a sweep over a dead fabric
+// reports defect-infeasible, the explore RunReport section round-trips
+// through the real JSON parser, and a traced sweep only hits registered
+// sites.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/defect.h"
 #include "bitstream/bitmap.h"
 #include "circuits/benchmarks.h"
 #include "circuits/random_dag.h"
@@ -30,8 +33,8 @@ FlowOptions base_options() {
   return opts;
 }
 
-// Strictly wider channels, otherwise identical: chains onto the base
-// candidate of the same level (schedule reuse + in-place widening).
+// Strictly wider channels, otherwise identical: the fabric variant the
+// sweeps below cross with every level.
 ArchParams wider(const ArchParams& base) {
   ArchParams arch = base;
   arch.len1_tracks += 2;
@@ -85,7 +88,7 @@ std::string result_fingerprint(const FlowResult& r) {
 }
 
 // The whole fold: every candidate's bytes, the winner, the Pareto front,
-// the warm-start decisions, and the merged diagnostic trail.
+// the per-candidate flags, and the merged diagnostic trail.
 std::string fold_fingerprint(const ExploreResult& ex) {
   std::string fp;
   auto add_int = [&](long long v) {
@@ -96,10 +99,7 @@ std::string fold_fingerprint(const ExploreResult& ex) {
   add_int(ex.winner_index);
   for (int idx : ex.explore.pareto) add_int(idx);
   for (const FlowResult& r : ex.results) fp += result_fingerprint(r);
-  add_int(ex.explore.warm_starts);
   for (const ExploreCandidateOutcome& o : ex.explore.outcomes) {
-    add_int(o.warm_schedule ? 1 : 0);
-    add_int(o.warm_route_state ? 1 : 0);
     add_int(o.on_pareto_front ? 1 : 0);
     add_int(o.winner ? 1 : 0);
     fp += o.label + "|" + o.error_kind;
@@ -114,60 +114,74 @@ std::string fold_fingerprint(const ExploreResult& ex) {
 }
 
 ExploreResult run_explore(const Design& d, const FlowOptions& flow,
-                          ExploreOptions eopts, ExploreMode mode,
-                          int threads) {
+                          const ExploreOptions& eopts, int threads) {
   FlowOptions f = flow;
   f.threads = threads;
-  eopts.mode = mode;
   return run_nanomap_explore(d, f, eopts);
 }
 
-// --- single candidate == forced-level flow ---------------------------------
+// --- every candidate == a standalone forced-level job ----------------------
 
 TEST(Explore, SingleCandidateMatchesForcedLevelFlow) {
+  // {L1, L2} x {base, wide}: each candidate is one cold job, so its bytes
+  // must equal a standalone forced-level run_nanomap_job on that
+  // candidate's arch.
   Design d = make_benchmark("ex1");
   FlowOptions flow = base_options();
   ExploreOptions eopts;
-  eopts.levels = {2};
+  eopts.levels = {1, 2};
+  FabricVariant v;
+  v.label = "wide";
+  v.arch = wider(flow.arch);
+  eopts.variants.push_back(v);
   ExploreResult ex = run_nanomap_explore(d, flow, eopts);
   ASSERT_TRUE(ex.feasible);
-  EXPECT_EQ(ex.winner_index, 0);
-  ASSERT_EQ(ex.results.size(), 1u);
-  EXPECT_TRUE(ex.explore.outcomes[0].winner);
-  EXPECT_TRUE(ex.explore.outcomes[0].on_pareto_front);
+  ASSERT_EQ(ex.results.size(), 4u);
 
-  FlowOptions forced = flow;
-  forced.forced_folding_level = 2;
-  FlowResult want = run_nanomap(d, forced);
-  ASSERT_TRUE(want.feasible) << want.message;
-  EXPECT_EQ(result_fingerprint(ex.winner), result_fingerprint(want));
+  for (const ExploreCandidateOutcome& o : ex.explore.outcomes) {
+    FlowOptions forced = flow;
+    forced.forced_folding_level = o.level;
+    if (o.variant == 1) forced.arch = v.arch;
+    FlowResult want = run_nanomap_job(d, forced);
+    ASSERT_TRUE(want.feasible) << o.label << ": " << want.message;
+    EXPECT_EQ(result_fingerprint(ex.results[static_cast<std::size_t>(
+                  o.index)]),
+              result_fingerprint(want))
+        << o.label;
+  }
+  EXPECT_TRUE(
+      ex.explore.outcomes[static_cast<std::size_t>(ex.winner_index)].winner);
+  EXPECT_EQ(result_fingerprint(ex.winner),
+            result_fingerprint(
+                ex.results[static_cast<std::size_t>(ex.winner_index)]));
 }
 
-// --- serial vs parallel vs thread count ------------------------------------
+// --- thread count ----------------------------------------------------------
 
 TEST(Explore, SerialParallelIdenticalAcrossSeeds) {
   // The differential sweep: 6 seeds x {L1, L2, no-fold}; the whole fold
-  // must be byte-identical between serial mode on one thread and
-  // parallel mode on four.
+  // must be byte-identical on one thread (candidates inline), on four,
+  // and on the hardware default.
   for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
     Design d = small_random_design(seed);
     FlowOptions flow = base_options();
     ExploreOptions eopts;
     eopts.levels = {1, 2, 0};
-    ExploreResult serial =
-        run_explore(d, flow, eopts, ExploreMode::kSerial, 1);
-    ExploreResult parallel =
-        run_explore(d, flow, eopts, ExploreMode::kParallel, 4);
-    ASSERT_TRUE(serial.feasible) << "seed " << seed;  // real physical runs
-    EXPECT_EQ(fold_fingerprint(serial), fold_fingerprint(parallel))
-        << "seed " << seed;
-    EXPECT_EQ(serial.winner_index, parallel.winner_index) << "seed " << seed;
+    ExploreResult t1 = run_explore(d, flow, eopts, 1);
+    ASSERT_TRUE(t1.feasible) << "seed " << seed;  // real physical runs
+    for (int threads : {4, 0}) {
+      ExploreResult tn = run_explore(d, flow, eopts, threads);
+      EXPECT_EQ(fold_fingerprint(t1), fold_fingerprint(tn))
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(t1.winner_index, tn.winner_index)
+          << "seed " << seed << " threads " << threads;
+    }
   }
 }
 
 TEST(Explore, ThreadCountInvariantReportBytes) {
-  // Same mode, threads 1 vs 4: the full report JSON must agree byte for
-  // byte once run.threads (which records the request) is normalized.
+  // Threads 1 vs 4: the full report JSON must agree byte for byte once
+  // run.threads (which records the request) is normalized.
   Design d = make_benchmark("ex1");
   FlowOptions flow = base_options();
   ExploreOptions eopts;
@@ -177,8 +191,8 @@ TEST(Explore, ThreadCountInvariantReportBytes) {
   v.arch = wider(flow.arch);
   eopts.variants.push_back(v);
 
-  ExploreResult t1 = run_explore(d, flow, eopts, ExploreMode::kParallel, 1);
-  ExploreResult t4 = run_explore(d, flow, eopts, ExploreMode::kParallel, 4);
+  ExploreResult t1 = run_explore(d, flow, eopts, 1);
+  ExploreResult t4 = run_explore(d, flow, eopts, 4);
   EXPECT_EQ(serialize_bitmap(t1.winner.bitmap),
             serialize_bitmap(t4.winner.bitmap));
   EXPECT_EQ(t1.explore.pareto, t4.explore.pareto);
@@ -205,73 +219,63 @@ TEST(Explore, WinnerMatchesSerialSearchForMeetBoth) {
             serialize_bitmap(serial.bitmap));
 }
 
-// --- warm starts -----------------------------------------------------------
-
-TEST(Explore, WarmStartIsResultNeutral) {
-  // Warm-started candidates must emit exactly the bytes their cold runs
-  // emit; only the warm counters may differ between the two sweeps.
-  Design d = make_benchmark("ex1");
-  FlowOptions flow = base_options();
-  ExploreOptions eopts;
-  eopts.levels = {1, 2};
-  FabricVariant v;
-  v.label = "wide";
-  v.arch = wider(flow.arch);
-  eopts.variants.push_back(v);
-
-  ExploreResult warm = run_explore(d, flow, eopts, ExploreMode::kParallel, 4);
-  eopts.warm_start = false;
-  ExploreResult cold = run_explore(d, flow, eopts, ExploreMode::kParallel, 4);
-
-  ASSERT_EQ(warm.results.size(), 4u);
-  EXPECT_GE(warm.explore.warm_starts, 1);
-  EXPECT_EQ(cold.explore.warm_starts, 0);
-  // The variant candidates (odd indices) share the base candidate's
-  // level and differ only in channel tracks, so they chain and at least
-  // reuse the schedule.
-  EXPECT_TRUE(warm.explore.outcomes[1].warm_schedule);
-  EXPECT_TRUE(warm.explore.outcomes[3].warm_schedule);
-  for (std::size_t i = 0; i < warm.results.size(); ++i)
-    EXPECT_EQ(result_fingerprint(warm.results[i]),
-              result_fingerprint(cold.results[i]))
-        << "candidate " << i;
-  EXPECT_EQ(warm.winner_index, cold.winner_index);
-  EXPECT_EQ(warm.explore.pareto, cold.explore.pareto);
-}
-
 // --- fault injection in one candidate --------------------------------------
 
 TEST(Explore, FaultInOneCandidateLeavesSurvivorsByteIdentical) {
   // Arm fds.schedule in candidate 0 only: that candidate degrades to a
   // clean infeasible result with the injected kind, every other
   // candidate matches the fault-free sweep byte for byte, and the
-  // surviving fold is still serial/parallel identical.
+  // surviving fold is identical at threads 1, 4 and the hardware default.
   Design d = make_benchmark("ex1");
   FlowOptions flow = base_options();
   ExploreOptions eopts;
   eopts.levels = {1, 2, 0};
 
-  ExploreResult clean = run_explore(d, flow, eopts, ExploreMode::kSerial, 1);
+  ExploreResult clean = run_explore(d, flow, eopts, 1);
   ASSERT_TRUE(clean.feasible);
 
   FlowOptions armed = flow;
   armed.fault_plan = "fds.schedule:1:check";
   ExploreOptions fopts = eopts;
   fopts.fault_candidate = 0;
-  ExploreResult serial = run_explore(d, armed, fopts, ExploreMode::kSerial, 1);
-  ExploreResult parallel =
-      run_explore(d, armed, fopts, ExploreMode::kParallel, 4);
+  ExploreResult t1 = run_explore(d, armed, fopts, 1);
 
-  EXPECT_FALSE(serial.results[0].feasible);
-  EXPECT_EQ(serial.explore.outcomes[0].error_kind,
+  EXPECT_FALSE(t1.results[0].feasible);
+  EXPECT_EQ(t1.explore.outcomes[0].error_kind,
             flow_error_kind_name(FlowErrorKind::kInternal));
-  for (std::size_t i = 1; i < serial.results.size(); ++i)
-    EXPECT_EQ(result_fingerprint(serial.results[i]),
+  for (std::size_t i = 1; i < t1.results.size(); ++i)
+    EXPECT_EQ(result_fingerprint(t1.results[i]),
               result_fingerprint(clean.results[i]))
         << "candidate " << i;
-  EXPECT_EQ(fold_fingerprint(serial), fold_fingerprint(parallel));
-  EXPECT_NE(serial.winner_index, 0);
-  EXPECT_TRUE(serial.feasible);
+  for (int threads : {4, 0})
+    EXPECT_EQ(fold_fingerprint(t1),
+              fold_fingerprint(run_explore(d, armed, fopts, threads)))
+        << "threads " << threads;
+  EXPECT_NE(t1.winner_index, 0);
+  EXPECT_TRUE(t1.feasible);
+}
+
+// --- failure kind of an all-infeasible sweep --------------------------------
+
+TEST(Explore, DeadFabricReportsDefectInfeasible) {
+  // 95% dead SMB sites: no candidate fits the surviving fabric. The sweep
+  // must report the flow's own dominant kind, as run_nanomap does.
+  Design d = make_benchmark("ex1");
+  FlowOptions flow;
+  flow.arch.defects = parse_defect_rates("seed=1,smb=0.95");
+  ExploreResult ex = run_nanomap_explore(d, flow);
+  ASSERT_FALSE(ex.feasible);
+  ASSERT_FALSE(ex.results.empty());
+  for (const ExploreCandidateOutcome& o : ex.explore.outcomes)
+    EXPECT_EQ(o.error_kind,
+              flow_error_kind_name(FlowErrorKind::kDefectInfeasible))
+        << o.label;
+  EXPECT_EQ(ex.winner.error_kind, FlowErrorKind::kDefectInfeasible);
+  EXPECT_EQ(ex.report.error_kind,
+            flow_error_kind_name(FlowErrorKind::kDefectInfeasible));
+  EXPECT_EQ(exit_code_for(ex.winner), 1);
+  EXPECT_EQ(run_nanomap(d, flow).error_kind,
+            FlowErrorKind::kDefectInfeasible);
 }
 
 // --- Pareto front properties -----------------------------------------------
@@ -325,22 +329,19 @@ TEST(Explore, TracedSweepHitsOnlyRegisteredSites) {
   ASSERT_TRUE(ex.feasible);
 
   // Candidate jobs run with spans muted: the span tree is just the
-  // explorer's own "explore" span, in serial and parallel mode alike.
+  // explorer's own "explore" span, at any thread count.
   ASSERT_EQ(ex.report.stages.size(), 1u);
   EXPECT_EQ(ex.report.stages[0].name, "explore");
 
-  long candidates = 0, warm = 0, cache_lookups = 0;
+  long candidates = 0, cache_lookups = 0;
   const auto& counter_reg = Trace::known_counter_sites();
   std::set<std::string> known(counter_reg.begin(), counter_reg.end());
   for (const TraceCounterRow& c : ex.report.counters) {
     EXPECT_TRUE(known.count(c.site)) << "unregistered site " << c.site;
     if (c.site == "explore.candidates") candidates = c.value;
-    if (c.site == "explore.warm_starts") warm = c.value;
     if (c.site == "route.cycle_cache_lookups") cache_lookups = c.value;
   }
   EXPECT_EQ(candidates, 6);
-  EXPECT_EQ(warm, static_cast<long>(ex.explore.warm_starts));
-  EXPECT_GE(warm, 1);
   EXPECT_GE(cache_lookups, 1);
 }
 
@@ -359,13 +360,14 @@ TEST(Explore, ReportExploreSectionRoundTripsThroughParser) {
   const JsonValue* explore = root.find("explore");
   ASSERT_NE(explore, nullptr);
   ASSERT_EQ(explore->kind, JsonValue::Kind::kObject);
-  for (const char* key : {"version", "mode", "candidates",
-                          "feasible_candidates", "warm_starts",
+  for (const char* key : {"version", "candidates", "feasible_candidates",
                           "winner_index", "wall_seconds"})
     ASSERT_NE(explore->find(key), nullptr) << key;
-  EXPECT_EQ(explore->find("version")->number,
-            static_cast<double>(ExploreReport::kSchemaVersion));
-  EXPECT_EQ(explore->find("mode")->string, "parallel");
+  EXPECT_EQ(explore->find("version")->number, 2.0);
+  EXPECT_EQ(root.find("version")->number, 1.0);  // RunReport stays v1
+  // Version 2 dropped the warm-start fields and the mode.
+  for (const char* key : {"mode", "warm_starts"})
+    EXPECT_EQ(explore->find(key), nullptr) << key;
   EXPECT_EQ(explore->find("candidates")->number, 2.0);
   EXPECT_EQ(explore->find("winner_index")->number,
             static_cast<double>(ex.winner_index));
@@ -375,9 +377,10 @@ TEST(Explore, ReportExploreSectionRoundTripsThroughParser) {
   for (const char* key :
        {"index", "level", "variant", "label", "feasible", "error_kind",
         "num_les", "num_cycles", "delay_ns", "area_delay_product",
-        "warm_schedule", "warm_route_state", "on_pareto_front", "winner",
-        "cpu_seconds"})
+        "on_pareto_front", "winner", "cpu_seconds"})
     EXPECT_NE(outcomes->items[0].find(key), nullptr) << key;
+  for (const char* key : {"warm_schedule", "warm_route_state"})
+    EXPECT_EQ(outcomes->items[0].find(key), nullptr) << key;
   const JsonValue* pareto = explore->find("pareto");
   ASSERT_NE(pareto, nullptr);
   EXPECT_EQ(pareto->kind, JsonValue::Kind::kArray);

@@ -9,7 +9,6 @@
 #include "core/fds_reference.h"
 #include "netlist/plane.h"
 #include "rtl/module_expander.h"
-#include "util/thread_pool.h"
 
 namespace nanomap {
 namespace {
@@ -304,26 +303,6 @@ TEST(Fds, DifferentialSweepMatchesReferenceScheduler) {
         EXPECT_EQ(got.max_le, want.max_le);
         EXPECT_EQ(got.le_count, want.le_count);
       }
-    }
-  }
-}
-
-TEST(Fds, ThreadPoolDoesNotChangeTheSchedule) {
-  // Parallel candidate scoring must be byte-invariant: pool sizes 1 and 3
-  // and no pool at all give identical schedules.
-  ThreadPool pool3(3);
-  ThreadPool pool1(1);
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  for (const char* name : {"ex1", "Biquad", "c5315"}) {
-    Design d = make_benchmark(name);
-    for (int level : {1, 2}) {
-      PlaneScheduleGraph g = graph_for(d, 0, level);
-      FdsResult serial = schedule_plane(g, arch, FdsOptions{}, nullptr);
-      FdsResult one = schedule_plane(g, arch, FdsOptions{}, &pool1);
-      FdsResult three = schedule_plane(g, arch, FdsOptions{}, &pool3);
-      EXPECT_EQ(serial.stage_of, one.stage_of) << name << " level " << level;
-      EXPECT_EQ(serial.stage_of, three.stage_of)
-          << name << " level " << level;
     }
   }
 }

@@ -26,12 +26,10 @@
 //   --threads N       worker threads (0 = hardware concurrency; never
 //                     changes results, only wall-clock time)
 //   --restarts N      independent placement restarts (best placement wins)
-//   --explore[=serial|parallel]
-//                     evaluate ALL candidate folding levels as flow jobs
-//                     (concurrent chains in parallel mode, the default)
-//                     and pick the winner by the objective over measured
-//                     results, instead of the serial first-feasible
-//                     search. Byte-identical results in both modes at any
+//   --explore         evaluate ALL candidate folding levels as concurrent
+//                     cold flow jobs and pick the winner by the objective
+//                     over measured results, instead of the serial
+//                     first-feasible search. Byte-identical results at any
 //                     --threads; the run report gains an `explore`
 //                     section (per-candidate outcomes + Pareto front).
 //   --pareto          with --explore (implied): print the Pareto front
@@ -88,7 +86,7 @@ int usage(const char* argv0) {
                "[--k N] [--defects FILE|seed=S,le=R,smb=R,wire=R] "
                "[--no-share] [--seed S] [--threads N] "
                "[--restarts N] "
-               "[--explore[=serial|parallel]] [--pareto] [--out FILE] "
+               "[--explore] [--pareto] [--out FILE] "
                "[--blif-out FILE] [--report] [--report=json FILE] "
                "[--trace] [--explain-failure] "
                "[--fault SITE:N[:KIND]] [--quiet]\n",
@@ -173,12 +171,8 @@ int main(int argc, char** argv) {
       opts.threads = std::atoi(next().c_str());
     } else if (arg == "--restarts") {
       opts.placement.restarts = std::atoi(next().c_str());
-    } else if (arg == "--explore" || arg == "--explore=parallel") {
+    } else if (arg == "--explore") {
       explore_enabled = true;
-      eopts.mode = ExploreMode::kParallel;
-    } else if (arg == "--explore=serial") {
-      explore_enabled = true;
-      eopts.mode = ExploreMode::kSerial;
     } else if (arg == "--pareto") {
       explore_enabled = true;
       print_pareto = true;
@@ -241,10 +235,9 @@ int main(int argc, char** argv) {
     if (explore_enabled) {
       ExploreResult ex = run_nanomap_explore(design, opts, eopts);
       if (!quiet)
-        std::printf("explore (%s): %d candidates, %d feasible, %d warm "
-                    "starts, %zu on the Pareto front\n",
-                    ex.explore.mode.c_str(), ex.explore.candidates,
-                    ex.explore.feasible_candidates, ex.explore.warm_starts,
+        std::printf("explore: %d candidates, %d feasible, %zu on the "
+                    "Pareto front\n",
+                    ex.explore.candidates, ex.explore.feasible_candidates,
                     ex.explore.pareto.size());
       if (print_pareto) {
         std::printf("pareto front (#LEs x delay x cycles):\n");
