@@ -1,17 +1,20 @@
-// Wall-clock speedup of the multi-seed annealing stage (the dominant hot
-// path) vs. --threads, on a >= 500-LUT random circuit. Each placement is
-// then routed (sequentially — routing has no parallel stage) to verify on
-// the fly that every thread count produced byte-identical results — the
-// determinism contract this parallelism is allowed to exist under.
+// Wall-clock speedup of the flow's two pooled stages vs. --threads, on a
+// >= 500-LUT random circuit: the multi-seed annealing restarts, then
+// routing of the placement with its folding cycles negotiated on the same
+// pool. Every thread count must produce byte-identical placement and
+// routing — the determinism contract this parallelism is allowed to
+// exist under — and the run exits 1 on any divergence.
 //
 // Usage: parallel_speedup [luts-per-plane] [restarts]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "circuits/random_dag.h"
 #include "core/estimate.h"
 #include "flow/nanomap_flow.h"
+#include "route/pathfinder.h"
 #include "route/rr_graph.h"
 
 using namespace nanomap;
@@ -62,10 +65,12 @@ int main(int argc, char** argv) {
   po.seed = 42;
   po.restarts = restarts;
 
-  std::printf("%-8s %14s %10s\n", "threads", "place-secs", "place-x");
+  std::printf("%-8s %14s %10s %14s %10s\n", "threads", "place-secs",
+              "place-x", "route-secs", "route-x");
   double place_t1 = 0.0;
+  double route_t1 = 0.0;
   std::vector<int> reference_sites;
-  long reference_wires = -1;
+  std::vector<std::vector<int>> reference_wires;
   for (int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
 
@@ -74,15 +79,21 @@ int main(int argc, char** argv) {
     double place_s = seconds_since(t0);
 
     RrGraph rr(placed.placement.grid, fo.arch);
-    RoutingResult routed = route_design(cd, placed.placement, rr);
+    t0 = std::chrono::steady_clock::now();
+    RoutingResult routed =
+        route_design(cd, placed.placement, rr, {}, nullptr, &pool);
+    double route_s = seconds_since(t0);
+    std::vector<std::vector<int>> wires;
+    for (const NetRoute& nr : routed.nets) wires.push_back(nr.wire_nodes);
 
     if (threads == 1) {
       place_t1 = place_s;
+      route_t1 = route_s;
       reference_sites = placed.placement.site_of_smb;
-      reference_wires = routed.usage.total();
+      reference_wires = wires;
     } else {
       if (placed.placement.site_of_smb != reference_sites ||
-          routed.usage.total() != reference_wires) {
+          wires != reference_wires) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION at threads=%d: results differ "
                      "from threads=1\n",
@@ -90,8 +101,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("%-8d %14.3f %9.2fx\n", threads, place_s,
-                place_t1 / place_s);
+    std::printf("%-8d %14.3f %9.2fx %14.3f %9.2fx\n", threads, place_s,
+                place_t1 / place_s, route_s, route_t1 / route_s);
   }
   std::printf("\nresults byte-identical across all thread counts: yes\n");
   return 0;

@@ -21,7 +21,15 @@
 //             asserted byte-identical to the cold reference run. This is
 //             the headline incremental speedup.
 //
-//   ./bench/route_throughput [--smoke] [out.json]   (default BENCH_route.json)
+// Plus a threads scenario: converge and ladder timed again with a pool of
+// N = min(4, hardware threads) workers negotiating the distinct folding
+// cycles concurrently. The pooled results join the identity gate — they
+// must equal the reference (converge) and the inline walk (ladder) byte
+// for byte. Rows sit under a host header: hardware threads, build type
+// and the `git describe` passed in.
+//
+//   ./bench/route_throughput [--smoke] [--git-describe D] [out.json]
+//   (default out.json: BENCH_route.json)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -112,12 +120,15 @@ bool identical(const RoutingResult& a, const RoutingResult& b) {
          a.usage.len4 == b.usage.len4 && a.usage.global == b.usage.global;
 }
 
-// Reference vs kernel: the cold kernel route must be byte-identical to
-// the reference, and so must a second route_design call against the
-// populated RouteState, which replays every folding cycle.
+// Reference vs kernel: the cold kernel route — inline and on `pool` —
+// must be byte-identical to the reference, and so must a second
+// route_design call against the populated RouteState, which replays every
+// folding cycle.
 bool check_identity(const Physical& ph, const RrGraph& rr,
-                    const RouterOptions& opts) {
+                    const RouterOptions& opts, ThreadPool* pool) {
   RoutingResult want = route_nets_reference(ph.cd, ph.p, rr, opts);
+  if (!identical(want, route_design(ph.cd, ph.p, rr, opts, nullptr, pool)))
+    return false;
   RouteState state;
   if (!identical(want, route_design(ph.cd, ph.p, rr, opts, &state)))
     return false;
@@ -153,6 +164,34 @@ std::vector<Rung> ladder_rungs(const ArchParams& base,
   return {{base, starved}, {base, raised}, {widened, raised}};
 }
 
+struct LadderWalk {
+  RoutingResult result;  // the last rung routed
+  int rung = 0;          // its index
+  long skipped = 0;      // net searches skipped over the walk
+};
+
+// The kernel's ladder walk: one graph widened in place and one RouteState
+// across rungs, routing on `pool` (null = inline).
+LadderWalk walk_ladder(const Physical& ph, const std::vector<Rung>& rungs,
+                       ThreadPool* pool) {
+  RrGraph rr(ph.p.grid, rungs.front().arch);
+  RouteState state;
+  LadderWalk walk;
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    const Rung& rung = rungs[i];
+    if (i > 0 && can_widen_in_place(rr.arch(), rung.arch) &&
+        (rr.arch().len1_tracks != rung.arch.len1_tracks ||
+         rr.arch().len4_tracks != rung.arch.len4_tracks ||
+         rr.arch().global_tracks != rung.arch.global_tracks))
+      rr.widen_channels(rung.arch);
+    walk.result = route_design(ph.cd, ph.p, rr, rung.router, &state, pool);
+    walk.rung = static_cast<int>(i);
+    walk.skipped += walk.result.reuse.nets_skipped;
+    if (walk.result.success) break;
+  }
+  return walk;
+}
+
 template <typename Fn>
 double measure_ms(int min_reps, Fn body) {
   double seconds = 0.0;
@@ -185,11 +224,13 @@ struct Row {
   int ladder_rung = 0;          // winning rung index
   long ladder_reused = 0;       // ladder walk, net searches skipped
   long skipped_nets = 0;        // converge scenario, clean-net skips
+  double pool_ms = 0.0;         // converge scenario, kernel on the pool
+  double ladder_pool_ms = 0.0;  // ladder walk, kernel on the pool
   bool identical = false;
 };
 
 Row measure(const std::string& name, int planes, int luts, int depth,
-            int level, std::uint64_t seed, bool smoke) {
+            int level, std::uint64_t seed, bool smoke, ThreadPool* pool) {
   const ArchParams arch = narrow_fabric();
   Physical ph = build_physical(planes, luts, depth, level, seed, arch);
   RrGraph rr(ph.p.grid, arch);
@@ -200,7 +241,7 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   row.luts = planes * luts;
   row.nets = static_cast<int>(ph.cd.nets.size());
   row.cycles = ph.cd.num_cycles;
-  row.identical = check_identity(ph, rr, full);
+  row.identical = check_identity(ph, rr, full, pool);
 
   const int reps = smoke ? 1 : 3;
   RoutingResult last;
@@ -213,6 +254,9 @@ Row measure(const std::string& name, int planes, int luts, int depth,
     last = route_design(ph.cd, ph.p, rr, full);
   });
   row.skipped_nets = last.reuse.nets_skipped;
+  row.pool_ms = measure_ms(reps, [&] {
+    last = route_design(ph.cd, ph.p, rr, full, nullptr, pool);
+  });
 
   // Warm replay: populate the state once, then measure repeat calls.
   {
@@ -237,23 +281,17 @@ Row measure(const std::string& name, int planes, int luts, int depth,
       }
     }
   });
-  row.ladder_kernel_ms = measure_ms(reps, [&] {
-    RrGraph warm(ph.p.grid, rungs.front().arch);
-    RouteState state;
-    long skipped = 0;
-    for (const Rung& rung : rungs) {
-      if (&rung != &rungs.front() &&
-          can_widen_in_place(warm.arch(), rung.arch) &&
-          (warm.arch().len1_tracks != rung.arch.len1_tracks ||
-           warm.arch().len4_tracks != rung.arch.len4_tracks ||
-           warm.arch().global_tracks != rung.arch.global_tracks))
-        warm.widen_channels(rung.arch);
-      last = route_design(ph.cd, ph.p, warm, rung.router, &state);
-      skipped += last.reuse.nets_skipped;
-      if (last.success) break;
-    }
-    row.ladder_reused = skipped;
-  });
+  LadderWalk inline_walk;
+  row.ladder_kernel_ms =
+      measure_ms(reps, [&] { inline_walk = walk_ladder(ph, rungs, nullptr); });
+  row.ladder_reused = inline_walk.skipped;
+  LadderWalk pooled_walk;
+  row.ladder_pool_ms =
+      measure_ms(reps, [&] { pooled_walk = walk_ladder(ph, rungs, pool); });
+  row.identical = row.identical &&
+                  identical(inline_walk.result, pooled_walk.result) &&
+                  inline_walk.rung == pooled_walk.rung &&
+                  inline_walk.skipped == pooled_walk.skipped;
 
   return row;
 }
@@ -262,22 +300,29 @@ Row measure(const std::string& name, int planes, int luts, int depth,
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  std::string git_describe = "unknown";
   std::string out_path = "BENCH_route.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke")
       smoke = true;
+    else if (arg == "--git-describe" && i + 1 < argc)
+      git_describe = argv[++i];
     else
       out_path = arg;
   }
+  const int pool_threads = std::min(4, ThreadPool::hardware_threads());
+  ThreadPool pool(pool_threads);
 
   std::vector<Row> rows;
   //                          planes luts depth level seed
-  rows.push_back(measure("random-dag120", 1, 120, 10, 1, 127, smoke));
+  rows.push_back(measure("random-dag120", 1, 120, 10, 1, 127, smoke, &pool));
   if (!smoke) {
-    rows.push_back(measure("random-dag160", 1, 160, 12, 1, 167, smoke));
-    rows.push_back(measure("random-dag4x80", 4, 80, 6, 1, 87, smoke));
-    rows.push_back(measure("random-dag120-l2", 1, 120, 10, 2, 127, smoke));
+    rows.push_back(
+        measure("random-dag160", 1, 160, 12, 1, 167, smoke, &pool));
+    rows.push_back(measure("random-dag4x80", 4, 80, 6, 1, 87, smoke, &pool));
+    rows.push_back(
+        measure("random-dag120-l2", 1, 120, 10, 2, 127, smoke, &pool));
   }
 
   // Emit BENCH_route.json (schema in docs/FORMATS.md) through the shared
@@ -295,6 +340,9 @@ int main(int argc, char** argv) {
   w.field("smoke", smoke);
   w.field("hardware_threads",
           static_cast<long>(ThreadPool::hardware_threads()));
+  w.field("build_type", NANOMAP_BUILD_TYPE);
+  w.field("git_describe", git_describe);
+  w.field("pool_threads", static_cast<long>(pool_threads));
   w.key("rows");
   w.begin_array();
   bool all_identical = true;
@@ -324,12 +372,21 @@ int main(int argc, char** argv) {
     w.field("ladder_winning_rung", r.ladder_rung);
     w.field("ladder_skipped_net_searches", r.ladder_reused);
     w.field("cold_skipped_net_searches", r.skipped_nets);
+    w.field("kernel_pool_ms", round2(r.pool_ms));
+    w.field("pool_speedup",
+            round2(r.pool_ms > 0 ? r.kernel_ms / r.pool_ms : 0.0));
+    w.field("ladder_pool_ms", round2(r.ladder_pool_ms));
+    w.field("ladder_pool_speedup",
+            round2(r.ladder_pool_ms > 0
+                       ? r.ladder_kernel_ms / r.ladder_pool_ms
+                       : 0.0));
     w.field("identical_routing", r.identical);
     w.end();
     std::printf(
         "%-16s luts %4d nets %4d cycles %2d wi %2d  "
         "cold %7.2f -> %7.2f ms (%5.2fx)  warm %7.3f ms (%6.2fx, %ld "
         "cycles replayed)  ladder %7.2f -> %7.2f ms (%5.2fx, rung %d)  "
+        "pool x%d cold %7.2f ms (%5.2fx) ladder %7.2f ms (%5.2fx)  "
         "identical %s\n",
         r.name.c_str(), r.luts, r.nets, r.cycles, r.worst_iterations,
         r.ref_ms, r.kernel_ms,
@@ -337,7 +394,10 @@ int main(int argc, char** argv) {
         r.warm_ms > 0 ? r.ref_ms / r.warm_ms : 0.0, r.warm_reused,
         r.ladder_ref_ms, r.ladder_kernel_ms,
         r.ladder_kernel_ms > 0 ? r.ladder_ref_ms / r.ladder_kernel_ms : 0.0,
-        r.ladder_rung, r.identical ? "yes" : "NO");
+        r.ladder_rung, pool_threads, r.pool_ms,
+        r.pool_ms > 0 ? r.kernel_ms / r.pool_ms : 0.0, r.ladder_pool_ms,
+        r.ladder_pool_ms > 0 ? r.ladder_kernel_ms / r.ladder_pool_ms : 0.0,
+        r.identical ? "yes" : "NO");
   }
   w.end();
   w.end();

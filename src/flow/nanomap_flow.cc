@@ -422,7 +422,7 @@ class FlowEngine {
         }
         rr_nodes = rr->size();
         *routed = route_design(cand.clustered, placed.placement, *rr,
-                               rung.router, &route_state);
+                               rung.router, &route_state, &pool_);
       });
       if (!ok) {
         *fatal = true;
@@ -720,7 +720,7 @@ class FlowEngine {
 
   const Design& design_;
   FlowOptions options_;
-  ThreadPool pool_;  // the placement restarts' workers
+  ThreadPool pool_;  // placement restarts and concurrent routing cycles
   CircuitParams params_;
   std::map<int, Candidate> cache_;
   // Level order (start_level_search / next_level).

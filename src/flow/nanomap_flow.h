@@ -253,9 +253,11 @@ struct FlowOptions {
   SchedulerKind scheduler = SchedulerKind::kFds;  // overridden by use_fds=false
   bool refine_schedule = true;  // post-scheduling rebalancing sweeps
   std::uint64_t seed = 42;
-  // Worker threads for the multi-seed placement restarts, the flow's
-  // only parallel stage. Within one restart, placement and routing are
-  // sequential. 0 = hardware concurrency. The thread count only
+  // Worker threads for the multi-seed placement restarts and for routing
+  // the distinct folding cycles of each route_design call concurrently.
+  // Within one restart placement is sequential, and so is the
+  // negotiation within one cycle. 0 = hardware concurrency. The thread
+  // count only
   // changes wall-clock time: the same (input, seed) produces
   // byte-identical placement, routing, and bitmap at any setting (see
   // tests/determinism_test.cc), and threads = 1 runs the serial code

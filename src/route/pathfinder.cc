@@ -18,13 +18,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <queue>
+#include <set>
 #include <sstream>
 
 #include "util/fault.h"
 #include "util/log.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 #ifdef NANOMAP_AUDIT_ROUTE
@@ -80,6 +84,21 @@ std::vector<int> sinks_farthest_first(const ClusteredDesign& cd,
   return sinks;
 }
 
+// One negotiated folding cycle's outputs: the slot its pool task writes
+// and nothing else reads until the fold. Trace observations are buffered
+// here (route.reroutes is stats.nets_rerouted) so every NM_TRACE_* site
+// runs on the calling thread, in cycle order. On an exception the slot
+// keeps the partial stats the fold emits before rethrowing.
+struct CycleOutcome {
+  std::vector<NetRoute> routes;  // cycle-net order
+  int iterations = 0;
+  long overused = 0;
+  bool saw_over = false;  // any cost read had the present term active
+  RouteReuseStats stats;  // nets_skipped / nets_rerouted
+  int iterations_started = 0;  // route.rip_ups_per_iter observations owed
+  std::exception_ptr error;
+};
+
 class CycleRouter {
  public:
   CycleRouter(const ClusteredDesign& cd, const Placement& placement,
@@ -90,7 +109,8 @@ class CycleRouter {
     node_stamp_.assign(static_cast<std::size_t>(rr.size()), 0);
   }
 
-  // Routes all nets of one folding cycle; returns residual overuse count.
+  // Routes all nets of one folding cycle into `out` (everything but
+  // `error`).
   //
   // Classical sequential PathFinder negotiation: each iteration rips up
   // and reroutes every net in net order against the occupancy the nets
@@ -101,11 +121,10 @@ class CycleRouter {
   // keeps its previous tree and NetRoute instead of re-running A* — the
   // rip-up/commit of its unchanged occupancy still happens, so every other
   // net sees exactly the snapshot the seed router would produce.
-  long route_cycle(const std::vector<int>& net_indices,
+  void route_cycle(const std::vector<int>& net_indices,
                    const std::vector<std::vector<int>>& sorted_sinks,
-                   std::vector<NetRoute>* out, int* iterations_used,
-                   RouteReuseStats* stats, bool* cycle_saw_over) {
-    const int num_nets = static_cast<int>(net_indices.size());
+                   CycleOutcome* out) {
+    RouteReuseStats* stats = &out->stats;
     std::vector<std::vector<int>> trees(net_indices.size());
     std::vector<NetRoute> routes(net_indices.size());
     std::unique_ptr<SearchState> ss;  // allocated at the first search
@@ -123,10 +142,9 @@ class CycleRouter {
       // Occupancy-wise every net is still ripped up and recommitted each
       // iteration (that is what keeps the snapshots seed-identical); only
       // the A* searches are skipped.
-      NM_TRACE_VALUE("route.rip_ups_per_iter", num_nets);
+      ++out->iterations_started;
       for (std::size_t ni = 0; ni < net_indices.size(); ++ni) {
         const bool dirty = is_dirty(ni, pres_fac);
-        NM_TRACE_COUNT("route.reroutes", dirty ? 1 : 0);
         stats->nets_rerouted += dirty ? 1 : 0;
         stats->nets_skipped += dirty ? 0 : 1;
         for (int n : trees[ni]) --occ_[static_cast<std::size_t>(n)];
@@ -158,11 +176,10 @@ class CycleRouter {
       if (overused == 0) break;
       pres_fac *= options_.pres_fac_mult;
     }
-    *iterations_used = std::min(iter, options_.max_iterations);
-    *cycle_saw_over = saw_over;
-
-    out->insert(out->end(), routes.begin(), routes.end());
-    return overused;
+    out->iterations = std::min(iter, options_.max_iterations);
+    out->overused = overused;
+    out->saw_over = saw_over;
+    out->routes = std::move(routes);
   }
 
  private:
@@ -423,6 +440,15 @@ bool entry_replayable(const RouteState::Entry& e, const RrGraph& rr,
          !e.saw_over;
 }
 
+// One folding cycle as the pre-pass sees it.
+struct CyclePlan {
+  std::vector<int> nets;  // indices into cd.nets, ascending
+  std::vector<std::vector<int>> sorted_sinks;  // farthest-first, per net
+  std::vector<std::int64_t> sig;               // the RouteState key
+  long sinks = 0;          // total sink count: the dispatch weight
+  bool negotiate = false;  // a representative (else replayed in the fold)
+};
+
 #ifdef NANOMAP_AUDIT_ROUTE
 void audit_against_reference(const RoutingResult& got,
                              const RoutingResult& want) {
@@ -448,60 +474,95 @@ void audit_against_reference(const RoutingResult& got,
 
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
-                           const RouterOptions& options, RouteState* reuse) {
+                           const RouterOptions& options, RouteState* reuse,
+                           ThreadPool* pool) {
   NM_FAULT_POINT("route.converge");
   NM_TRACE_COUNT("route.calls", 1);
   RoutingResult result;
   RouteState local_state;  // cross-cycle reuse even without a caller cache
   RouteState* state = reuse ? reuse : &local_state;
-  std::vector<std::vector<int>> per_cycle(
-      static_cast<std::size_t>(cd.num_cycles));
+  std::vector<CyclePlan> plans(static_cast<std::size_t>(cd.num_cycles));
   for (std::size_t i = 0; i < cd.nets.size(); ++i)
-    per_cycle[static_cast<std::size_t>(cd.nets[i].cycle)].push_back(
+    plans[static_cast<std::size_t>(cd.nets[i].cycle)].nets.push_back(
         static_cast<int>(i));
 
+  // Phase 1, serial in cycle order: sinks, signature and classification.
+  // A cycle is negotiated unless the caller's RouteState replays it or an
+  // earlier cycle of this call is negotiated under the same signature (it
+  // then replays that cycle's entry in the fold).
+  auto sig_less = [&](int a, int b) {
+    return plans[static_cast<std::size_t>(a)].sig <
+           plans[static_cast<std::size_t>(b)].sig;
+  };
+  std::set<int, decltype(sig_less)> negotiated_sigs(sig_less);
+  std::vector<int> reps;  // negotiated cycles, ascending
   for (int c = 0; c < cd.num_cycles; ++c) {
-    // Per-cycle router state allocation (the cycle loop is sequential, so
+    // Per-cycle router state allocation (the pre-pass is sequential, so
     // hit N is folding cycle N regardless of thread count or reuse).
     NM_FAULT_POINT("route.alloc");
-    const std::vector<int>& nets_idx =
-        per_cycle[static_cast<std::size_t>(c)];
-    std::vector<std::vector<int>> sorted_sinks(nets_idx.size());
-    std::vector<std::int64_t> sig;
-    for (std::size_t j = 0; j < nets_idx.size(); ++j) {
-      sorted_sinks[j] = sinks_farthest_first(cd, placement, nets_idx[j]);
-      append_net_signature(cd, placement, nets_idx[j], sorted_sinks[j],
-                           &sig);
+    CyclePlan& plan = plans[static_cast<std::size_t>(c)];
+    plan.sorted_sinks.resize(plan.nets.size());
+    for (std::size_t j = 0; j < plan.nets.size(); ++j) {
+      plan.sorted_sinks[j] = sinks_farthest_first(cd, placement, plan.nets[j]);
+      plan.sinks += static_cast<long>(plan.sorted_sinks[j].size());
+      append_net_signature(cd, placement, plan.nets[j], plan.sorted_sinks[j],
+                           &plan.sig);
     }
-    ++result.reuse.cycles_total;
+    if (negotiated_sigs.count(c)) continue;
+    auto it = state->entries().find(plan.sig);
+    if (it != state->entries().end() &&
+        entry_replayable(it->second, rr, options))
+      continue;
+    plan.negotiate = true;
+    negotiated_sigs.insert(c);
+    reps.push_back(c);
+  }
 
+  // Phase 2: negotiate the representatives, each on its own CycleRouter
+  // writing only its own slot. Heaviest first, so a dominant cycle does
+  // not start last; the order never reaches the result.
+  std::vector<CycleOutcome> outcomes(reps.size());
+  std::vector<std::size_t> order(reps.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return plans[static_cast<std::size_t>(reps[a])].sinks >
+                            plans[static_cast<std::size_t>(reps[b])].sinks;
+                   });
+  pool_for_each(
+      reps.size() > 1 ? pool : nullptr, static_cast<int>(reps.size()),
+      [&](int k) {
+        const std::size_t slot = order[static_cast<std::size_t>(k)];
+        const CyclePlan& plan = plans[static_cast<std::size_t>(reps[slot])];
+        CycleOutcome& out = outcomes[slot];
+        try {
+          CycleRouter router(cd, placement, rr, options);
+          router.route_cycle(plan.nets, plan.sorted_sinks, &out);
+        } catch (...) {
+          out.error = std::current_exception();
+        }
+      });
+
+  // Phase 3, serial in cycle order: emit, cache, replay, trace.
+  NM_TRACE_VALUE("route.cycle_tasks", reps.size());
+  std::size_t next_slot = 0;
+  for (CyclePlan& plan : plans) {
+    ++result.reuse.cycles_total;
     int iters = 0;
     long overused = 0;
     const std::size_t nets_before = result.nets.size();
     NM_TRACE_COUNT("route.cycle_cache_lookups", 1);
-    auto it = state->entries().find(sig);
-    if (it != state->entries().end() &&
-        entry_replayable(it->second, rr, options)) {
-      // Replay: emit the cached trees under this cycle's net identities.
-      const RouteState::Entry& e = it->second;
-      for (std::size_t j = 0; j < nets_idx.size(); ++j) {
-        NetRoute nr;
-        nr.net_index = nets_idx[j];
-        nr.sink_smbs = sorted_sinks[j];
-        nr.sink_delay_ps = e.nets[j].sink_delay_ps;
-        nr.wire_nodes = e.nets[j].wire_nodes;
-        result.nets.push_back(std::move(nr));
-      }
-      iters = e.iterations;
-      overused = e.overused;
-      ++result.reuse.cycles_reused;
-      result.reuse.nets_reused += static_cast<long>(nets_idx.size());
-      NM_TRACE_COUNT("route.cycles_reused", 1);
-    } else {
-      CycleRouter router(cd, placement, rr, options);
-      bool saw_over = false;
-      overused = router.route_cycle(nets_idx, sorted_sinks, &result.nets,
-                                    &iters, &result.reuse, &saw_over);
+    if (plan.negotiate) {
+      CycleOutcome& out = outcomes[next_slot++];
+      for (int i = 0; i < out.iterations_started; ++i)
+        NM_TRACE_VALUE("route.rip_ups_per_iter", plan.nets.size());
+      if (!plan.nets.empty() && out.iterations_started > 0)
+        NM_TRACE_COUNT("route.reroutes", out.stats.nets_rerouted);
+      if (out.error) std::rethrow_exception(out.error);
+      result.reuse.nets_skipped += out.stats.nets_skipped;
+      result.reuse.nets_rerouted += out.stats.nets_rerouted;
+      iters = out.iterations;
+      overused = out.overused;
       RouteState::Entry e;
       e.graph_uid = rr.uid();
       e.capacity_epoch = rr.capacity_epoch();
@@ -514,11 +575,28 @@ RoutingResult route_design(const ClusteredDesign& cd,
       e.hist_fac = options.hist_fac;
       e.iterations = iters;
       e.overused = overused;
-      e.saw_over = saw_over;
-      for (std::size_t i = nets_before; i < result.nets.size(); ++i)
-        e.nets.push_back({result.nets[i].wire_nodes,
-                          result.nets[i].sink_delay_ps});
-      state->entries()[std::move(sig)] = std::move(e);
+      e.saw_over = out.saw_over;
+      for (const NetRoute& nr : out.routes)
+        e.nets.push_back({nr.wire_nodes, nr.sink_delay_ps});
+      state->entries()[std::move(plan.sig)] = std::move(e);
+      std::move(out.routes.begin(), out.routes.end(),
+                std::back_inserter(result.nets));
+    } else {
+      // Replay: emit the cached trees under this cycle's net identities.
+      const RouteState::Entry& e = state->entries().at(plan.sig);
+      for (std::size_t j = 0; j < plan.nets.size(); ++j) {
+        NetRoute nr;
+        nr.net_index = plan.nets[j];
+        nr.sink_smbs = plan.sorted_sinks[j];
+        nr.sink_delay_ps = e.nets[j].sink_delay_ps;
+        nr.wire_nodes = e.nets[j].wire_nodes;
+        result.nets.push_back(std::move(nr));
+      }
+      iters = e.iterations;
+      overused = e.overused;
+      ++result.reuse.cycles_reused;
+      result.reuse.nets_reused += static_cast<long>(plan.nets.size());
+      NM_TRACE_COUNT("route.cycles_reused", 1);
     }
     result.worst_iterations = std::max(result.worst_iterations, iters);
     result.overused_nodes += overused;

@@ -22,7 +22,13 @@
 //     routed trees keyed by an exact geometric signature and replays them
 //     when the graph and the effective options make the replay provably
 //     identical — including across in-place channel widenings.
-// Routing is strictly sequential; nothing in it runs on a pool.
+// Cycles being independent, route_design negotiates the distinct ones
+// concurrently when handed a pool: a serial pre-pass in cycle order
+// classifies each cycle (replayed from the RouteState, duplicate of an
+// earlier cycle's signature, or negotiated), the negotiated ones run one
+// task each, and a serial fold in cycle order emits routes, cache entries
+// and trace records. Within a cycle the negotiation stays sequential, so
+// every tree is the same pure function at any pool width.
 // Building with -DNANOMAP_AUDIT_ROUTE=ON (CMake option, wired into the
 // tsan preset) cross-checks every route_design call against the reference
 // router, bit-exact.
@@ -37,6 +43,8 @@
 #include "route/rr_graph.h"
 
 namespace nanomap {
+
+class ThreadPool;
 
 struct RouterOptions {
   int max_iterations = 60;       // per folding cycle
@@ -130,13 +138,17 @@ class RouteState {
 };
 
 // Routes every folding cycle. The routed trees are a pure function of
-// (cd, placement, rr, options) — never of the contents of `reuse`. A
-// non-null `reuse` carries provably-identical cycle routings across calls
-// (cycles also reuse each other within one call either way).
+// (cd, placement, rr, options) — never of the contents of `reuse` or the
+// width of `pool`. A non-null `reuse` carries provably-identical cycle
+// routings across calls (cycles also reuse each other within one call
+// either way). A non-null `pool` negotiates the distinct cycles
+// concurrently; a null or 1-thread pool runs them inline. When cycles
+// throw, the lowest one's exception is rethrown.
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
                            const RouterOptions& options = {},
-                           RouteState* reuse = nullptr);
+                           RouteState* reuse = nullptr,
+                           ThreadPool* pool = nullptr);
 
 // Structural audit of a routing result against the design it routes:
 // every net present exactly once; every route a connected tree rooted at

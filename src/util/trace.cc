@@ -286,6 +286,7 @@ const std::vector<std::string>& Trace::known_value_sites() {
       "place.accepted_per_temp",    // place/annealer: accepts per temperature
       "place.cost",                 // place: winning placement cost
       "route.channel_occupancy",    // flow: wire nodes used / RR nodes, per route
+      "route.cycle_tasks",          // route: cycles negotiated per route_design call
       "route.iterations_per_cycle", // route: PathFinder iterations per cycle
       "route.overuse_per_cycle",    // route: residual overused nodes per cycle
       "route.rip_ups_per_iter",     // route: nets ripped up per iteration

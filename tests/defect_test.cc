@@ -411,6 +411,57 @@ TEST(DefectFlow, ActiveDefectsAreThreadInvariant) {
   EXPECT_EQ(serialize_bitmap(want.bitmap), serialize_bitmap(got.bitmap));
 }
 
+// The benchmark's defect fabric (every channel halved, seeded defect map)
+// is where routing dominates and folding cycles negotiate on the flow's
+// pool: Biquad must map byte-identically, with the same recovery trail
+// and the same trace counters and value summaries, at threads 1 and 4.
+TEST(DefectFlow, HalvedChannelFabricIsThreadInvariant) {
+  Design design = make_benchmark("Biquad");
+  FlowOptions base;
+  base.arch = ArchParams::paper_instance();
+  base.arch.len1_tracks = 14;
+  base.arch.len4_tracks = 7;
+  base.arch.global_tracks = 4;
+  base.arch.direct_links_per_side = 6;
+  base.arch.defects.seed = 1;
+  base.arch.defects.le_rate = 0.01;
+  base.arch.defects.wire_rate = 0.01;
+  base.arch.defects.smb_rate = 0.0025;
+  base.collect_trace = true;
+  base.threads = 1;
+  FlowResult want = run_nanomap(design, base);
+  ASSERT_TRUE(want.feasible) << want.message;
+
+  FlowOptions threads4 = base;
+  threads4.threads = 4;
+  FlowResult got = run_nanomap(design, threads4);
+  ASSERT_TRUE(got.feasible) << got.message;
+  EXPECT_EQ(serialize_bitmap(want.bitmap), serialize_bitmap(got.bitmap));
+  EXPECT_EQ(want.diagnostics.to_string(), got.diagnostics.to_string());
+
+  ASSERT_EQ(want.report.counters.size(), got.report.counters.size());
+  for (std::size_t i = 0; i < want.report.counters.size(); ++i) {
+    EXPECT_EQ(want.report.counters[i].site, got.report.counters[i].site);
+    EXPECT_EQ(want.report.counters[i].value, got.report.counters[i].value)
+        << want.report.counters[i].site;
+  }
+  ASSERT_EQ(want.report.values.size(), got.report.values.size());
+  for (std::size_t i = 0; i < want.report.values.size(); ++i) {
+    const TraceValueRow& a = want.report.values[i];
+    const TraceValueRow& b = got.report.values[i];
+    EXPECT_EQ(a.site, b.site);
+    EXPECT_EQ(a.count, b.count) << a.site;
+    EXPECT_EQ(a.sum, b.sum) << a.site;
+    EXPECT_EQ(a.min, b.min) << a.site;
+    EXPECT_EQ(a.max, b.max) << a.site;
+  }
+  // Some route call really negotiated several cycles at once.
+  bool concurrent = false;
+  for (const TraceValueRow& v : want.report.values)
+    if (v.site == "route.cycle_tasks") concurrent = v.max > 1;
+  EXPECT_TRUE(concurrent);
+}
+
 TEST(DefectFlow, ImpossibleFabricYieldsTypedReject) {
   Design design = make_benchmark("ex1");
   FlowOptions opts;

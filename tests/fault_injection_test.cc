@@ -21,6 +21,7 @@
 #include "flow/nanomap_flow.h"
 #include "route/pathfinder_reference.h"
 #include "util/fault.h"
+#include "util/trace.h"
 
 namespace nanomap {
 namespace {
@@ -186,6 +187,51 @@ TEST(FaultInjection, NthHitTargetsLaterStageCalls) {
                           }))
       << "hit 2 never reached a schedule_plane call";
   EXPECT_TRUE(r.feasible) << r.message;
+}
+
+// route.alloc is hit in route_design's serial pre-pass, once per folding
+// cycle in cycle order, before any cycle is negotiated on the pool. So on
+// a forced level (one clustering) the hits are the route calls times the
+// cycle count, hit N of the first call is folding cycle N, and the armed
+// flow's trail is identical at threads 1 and 4.
+TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
+  Design d = make_ex1(6);
+  FlowOptions opts = small_flow_options();
+  opts.forced_folding_level = 2;
+  opts.recovery.placement_reseeds = 0;
+  opts.placement.restarts = 2;
+  opts.collect_trace = true;
+  opts.fault_plan = "route.alloc:1000:check";  // never fires; counts hits
+  FlowResult probe = run_nanomap(d, opts);
+  ASSERT_TRUE(probe.feasible) << probe.message;
+  const int cycles = probe.clustered.num_cycles;
+  ASSERT_GE(cycles, 2) << "level 2 no longer folds into several cycles";
+  long route_calls = 0;
+  for (const TraceCounterRow& c : probe.report.counters)
+    if (c.site == "route.calls") route_calls = c.value;
+  ASSERT_GE(route_calls, 1);
+  EXPECT_EQ(FaultInjector::instance().hit_counts()["route.alloc"],
+            route_calls * cycles);
+
+  opts.collect_trace = false;
+  for (int nth = 1; nth <= std::min(cycles, 4); ++nth) {
+    opts.fault_plan = "route.alloc:" + std::to_string(nth) + ":check";
+    opts.threads = 1;
+    FlowResult serial;
+    ASSERT_NO_THROW(serial = run_nanomap(d, opts)) << "hit " << nth;
+    opts.threads = 4;
+    FlowResult parallel;
+    ASSERT_NO_THROW(parallel = run_nanomap(d, opts)) << "hit " << nth;
+    EXPECT_FALSE(serial.feasible) << "hit " << nth;
+    EXPECT_EQ(serial.message, parallel.message) << "hit " << nth;
+    EXPECT_EQ(serial.diagnostics.to_string(),
+              parallel.diagnostics.to_string())
+        << "hit " << nth;
+    EXPECT_NE(serial.diagnostics.to_string().find(
+                  "(hit " + std::to_string(nth) + ")"),
+              std::string::npos)
+        << serial.diagnostics.to_string();
+  }
 }
 
 // route.converge faults × incremental router state (DESIGN.md §5g). The

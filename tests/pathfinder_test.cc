@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 
 #include "circuits/random_dag.h"
@@ -8,6 +9,7 @@
 #include "core/temporal_cluster.h"
 #include "route/pathfinder.h"
 #include "route/pathfinder_reference.h"
+#include "util/thread_pool.h"
 
 namespace nanomap {
 namespace {
@@ -216,7 +218,10 @@ Physical build_physical(const RandomDagSpec& spec, int level,
   return ph;
 }
 
-TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
+// The differential sweep: seeds x folding levels x normal/narrowed
+// fabrics, each case handed to `check` with a context label.
+template <typename Check>
+void for_each_sweep_case(Check check) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     for (int level : {0, 1, 2}) {
       for (bool narrow : {false, true}) {
@@ -239,11 +244,18 @@ TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
                           (narrow ? " narrow" : " normal");
         RouterOptions opts;
         opts.max_iterations = 20;  // allow honest failures on narrow fabrics
-        expect_identical(route_design(ph.cd, ph.p, rr, opts),
-                         route_nets_reference(ph.cd, ph.p, rr, opts), ctx);
+        check(ph, rr, opts, ctx);
       }
     }
   }
+}
+
+TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
+  for_each_sweep_case([](const Physical& ph, const RrGraph& rr,
+                         const RouterOptions& opts, const std::string& ctx) {
+    expect_identical(route_design(ph.cd, ph.p, rr, opts),
+                     route_nets_reference(ph.cd, ph.p, rr, opts), ctx);
+  });
 }
 
 TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
@@ -289,6 +301,152 @@ TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
   expect_identical(r2, route_nets_reference(cd, p, rr, raised), "rung 2");
   EXPECT_GE(r2.reuse.cycles_reused, 1);
   EXPECT_TRUE(r2.success);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent cycle negotiation: route_design on a pool of any width must
+// reproduce the inline result, reuse stats and RouteState byte for byte.
+
+void expect_same_reuse(const RouteReuseStats& got,
+                       const RouteReuseStats& want, const std::string& ctx) {
+  EXPECT_EQ(got.cycles_total, want.cycles_total) << ctx;
+  EXPECT_EQ(got.cycles_reused, want.cycles_reused) << ctx;
+  EXPECT_EQ(got.nets_reused, want.nets_reused) << ctx;
+  EXPECT_EQ(got.nets_skipped, want.nets_skipped) << ctx;
+  EXPECT_EQ(got.nets_rerouted, want.nets_rerouted) << ctx;
+}
+
+// Pools of width 1, 2, 4 and 0 (hardware concurrency).
+std::vector<std::unique_ptr<ThreadPool>> test_pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int width : {1, 2, 4, 0})
+    pools.push_back(std::make_unique<ThreadPool>(width));
+  return pools;
+}
+
+TEST(PathFinderConcurrent, PoolWidthsMatchInlineAndReference) {
+  const auto pools = test_pools();
+  for_each_sweep_case([&](const Physical& ph, const RrGraph& rr,
+                          const RouterOptions& opts, const std::string& ctx) {
+    const RoutingResult want = route_design(ph.cd, ph.p, rr, opts);
+    expect_identical(want, route_nets_reference(ph.cd, ph.p, rr, opts), ctx);
+    for (const auto& pool : pools) {
+      const std::string wctx =
+          ctx + " width " + std::to_string(pool->num_threads());
+      const RoutingResult got =
+          route_design(ph.cd, ph.p, rr, opts, nullptr, pool.get());
+      expect_identical(got, want, wctx);
+      expect_same_reuse(got.reuse, want.reuse, wctx);
+    }
+  });
+}
+
+TEST(PathFinderConcurrent, RepeatedSignaturesAcrossLadderRungs) {
+  // Six cycles, two signatures repeated: cycles 0/2/4 are an easy net,
+  // cycles 1/3 the same congested corner, cycle 5 a heavier corner. One
+  // RouteState rides along a starved -> raised -> widened ladder; every
+  // pool width must emit the same results, reuse stats and cache size.
+  ArchParams arch = ArchParams::paper_instance();
+  arch.direct_links_per_side = 2;
+  arch.len1_tracks = 4;
+  arch.len4_tracks = 2;
+  arch.global_tracks = 2;
+  std::vector<PlacedNet> nets;
+  int id = 0;
+  for (int c = 0; c < 6; ++c) {
+    if (c % 2 == 0 && c < 5) {
+      nets.push_back(net(id++, c, 2, {3}));
+    } else {
+      const int corner = c == 5 ? 11 : 9;
+      for (int i = 0; i < corner; ++i) nets.push_back(net(id++, c, 0, {1}));
+    }
+  }
+  ClusteredDesign cd = synthetic(4, 6, std::move(nets));
+  Placement p = row_placement(4, 4);
+
+  RouterOptions starved;
+  starved.max_iterations = 2;
+  RouterOptions raised = starved;
+  raised.max_iterations = 60;
+  raised.pres_fac_mult = 1.0 + (raised.pres_fac_mult - 1.0) * 1.5;
+  raised.hist_fac *= 1.5;
+  ArchParams wide = arch;
+  wide.len1_tracks += 2;
+  wide.len4_tracks += 1;
+  wide.global_tracks += 1;
+
+  struct Rung {
+    RoutingResult result;
+    std::size_t cache_size = 0;
+  };
+  // Climbs the ladder on a fresh graph and cache through `pool`.
+  auto climb = [&](ThreadPool* pool) {
+    RrGraph rr(p.grid, arch);
+    RouteState state;
+    std::vector<Rung> rungs;
+    for (int r = 0; r < 3; ++r) {
+      if (r == 2) rr.widen_channels(wide);
+      const RouterOptions& opts = r == 0 ? starved : raised;
+      Rung rung;
+      rung.result = route_design(cd, p, rr, opts, &state, pool);
+      rung.cache_size = state.size();
+      expect_identical(rung.result, route_nets_reference(cd, p, rr, opts),
+                       "rung " + std::to_string(r));
+      rungs.push_back(std::move(rung));
+    }
+    return rungs;
+  };
+
+  const std::vector<Rung> want = climb(nullptr);
+  EXPECT_FALSE(want[0].result.success);  // the starved rung really fails
+  EXPECT_GE(want[0].result.reuse.cycles_reused, 2);  // in-call duplicates
+  EXPECT_GE(want[1].result.reuse.cycles_reused, 3);  // easy cycles replay
+  EXPECT_TRUE(want[2].result.success);
+  for (const auto& pool : test_pools()) {
+    const std::vector<Rung> got = climb(pool.get());
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      const std::string ctx = "width " + std::to_string(pool->num_threads()) +
+                              " rung " + std::to_string(r);
+      expect_identical(got[r].result, want[r].result, ctx);
+      expect_same_reuse(got[r].result.reuse, want[r].result.reuse, ctx);
+      EXPECT_EQ(got[r].cache_size, want[r].cache_size) << ctx;
+    }
+  }
+}
+
+TEST(PathFinderConcurrent, LowestFailingCycleRethrowsAtEveryWidth) {
+  // Direct links only: a sink two sites from its driver is unreachable.
+  // Cycles 1 and 3 each hold such a net; cycle 3 is the heavier one (so
+  // it is dispatched first), but the error of cycle 1 must win.
+  ArchParams arch = ArchParams::paper_instance();
+  arch.direct_links_per_side = 2;
+  arch.len1_tracks = 0;
+  arch.len4_tracks = 0;
+  arch.global_tracks = 0;
+  std::vector<PlacedNet> nets;
+  nets.push_back(net(0, 0, 0, {1}));
+  nets.push_back(net(1, 1, 0, {2}));  // unreachable sink at (2,0)
+  for (int i = 0; i < 4; ++i) nets.push_back(net(2 + i, 2, 1, {0}));
+  for (int i = 0; i < 6; ++i) nets.push_back(net(6 + i, 3, 1, {2}));
+  nets.push_back(net(12, 3, 0, {3}));  // unreachable sink at (3,0)
+  ClusteredDesign cd = synthetic(4, 4, std::move(nets));
+  Placement p = row_placement(4, 4);
+  RrGraph rr(p.grid, arch);
+
+  auto message = [&](ThreadPool* pool) {
+    try {
+      route_design(cd, p, rr, {}, nullptr, pool);
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string want = message(nullptr);
+  EXPECT_NE(want.find("sink unreachable at (2,0)"), std::string::npos)
+      << want;
+  for (const auto& pool : test_pools())
+    EXPECT_EQ(message(pool.get()), want)
+        << "width " << pool->num_threads();
 }
 
 TEST(PathFinderIncremental, CrossCycleReuseWithinOneCall) {
