@@ -148,9 +148,17 @@ ExploreResult run_nanomap_explore(const Design& design,
   out.explore.candidates = static_cast<int>(cands.size());
   out.explore.outcomes.resize(cands.size());
 
-  // The explorer owns the sweep's single collection window; candidate
-  // jobs record counters/values into it (spans are muted per job).
-  TraceScope trace(flow.collect_trace);
+  // The sweep records into the caller's collector, or a private one when
+  // asked to trace and none is bound (the run_nanomap rule). Each
+  // candidate records into its own collector; after the pool joins,
+  // their counters and values (not their spans) fold into the sweep's in
+  // candidate order.
+  TraceCollector own;
+  TraceCollector* collector = active_trace_collector();
+  if (collector == nullptr && flow.collect_trace) collector = &own;
+  TraceScope bind(collector);
+  std::vector<TraceCollector> cand_traces(collector != nullptr ? cands.size()
+                                                               : 0);
   const auto t0 = std::chrono::steady_clock::now();
   {
     NM_TRACE_SPAN("explore");
@@ -160,18 +168,21 @@ ExploreResult run_nanomap_explore(const Design& design,
     ThreadPool pool(slice.jobs);
     pool.parallel_for(num_cands, [&](int idx) {
       const CandidatePoint& c = cands[static_cast<std::size_t>(idx)];
+      TraceScope cand_bind(collector != nullptr
+                               ? &cand_traces[static_cast<std::size_t>(idx)]
+                               : nullptr);
       NM_TRACE_COUNT("explore.candidates", 1);
 
       FlowOptions job = flow;
       job.arch = c.arch;
       job.forced_folding_level = c.level;
-      job.collect_trace = false;  // the sweep's TraceScope is ours
+      job.collect_trace = false;  // the sweep's report carries the trace
       job.threads = slice.threads_per_job;
       if (explore.fault_candidate >= 0 && explore.fault_candidate != c.index)
         job.fault_plan.clear();
 
       FlowResult& r = out.results[static_cast<std::size_t>(idx)];
-      r = run_nanomap_job(design, job);
+      r = run_nanomap(design, job);
 
       ExploreCandidateOutcome& o =
           out.explore.outcomes[static_cast<std::size_t>(idx)];
@@ -191,6 +202,7 @@ ExploreResult run_nanomap_explore(const Design& design,
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  for (const TraceCollector& t : cand_traces) collector->absorb(t);
 
   // --- deterministic fold: winner, Pareto front, section totals ----------
   out.winner_index = select_winner(flow.objective, out.results);
@@ -227,10 +239,9 @@ ExploreResult run_nanomap_explore(const Design& design,
         true;
 
   // --- report: winner-based, with the sweep's trail and explore section --
-  out.report = build_run_report(flow, out.winner,
-                                flow.collect_trace
-                                    ? Trace::instance().snapshot()
-                                    : TraceSnapshot{});
+  out.report = build_run_report(
+      flow, out.winner,
+      flow.collect_trace ? collector->snapshot() : TraceSnapshot{});
   out.report.levels_tried = out.explore.candidates;
   out.report.cpu_seconds = out.wall_seconds;
   out.report.events.clear();

@@ -11,14 +11,16 @@
 //
 //  * Candidate order is fixed up front (level-major, base arch before
 //    variants); every tie anywhere breaks toward the lowest index.
-//  * Each candidate is one run_nanomap_job at a forced folding level on
-//    its own arch, sharing no state with any other candidate, so every
+//  * Each candidate is one run_nanomap at a forced folding level on its
+//    own arch, sharing no state with any other candidate, so every
 //    counter and every result byte is identical at any --threads. The
 //    pool is sized by slice_pool(threads, candidates); a 1-thread budget
 //    runs the candidates inline, one after another.
-//  * Each candidate runs in its own request context via run_nanomap_job:
-//    no process-wide scopes, thread-local fault plans, muted trace
-//    spans. The explorer owns the single TraceScope for the sweep.
+//  * Each candidate arms its own fault plan and, when the sweep traces,
+//    records into its own collector. After the pool joins, the
+//    candidates' counters and values (not their spans) fold into the
+//    sweep's collector in candidate order, so the sweep's span tree is
+//    the single "explore" span.
 //
 // The winner is selected by the FlowOptions objective over *measured*
 // results (not first-feasible-wins), and the report gains an `explore`
@@ -50,7 +52,7 @@ struct ExploreOptions {
 
   // Restrict FlowOptions::fault_plan to this candidate index (-1 = arm
   // it in every candidate). Either way each candidate counts hits in its
-  // own ThreadFaultScope, so attribution is exact and deterministic.
+  // own FaultScope, so attribution is exact and deterministic.
   int fault_candidate = -1;
 };
 
@@ -61,7 +63,7 @@ struct ExploreResult {
 
   // Full flow result of the winning candidate (default-constructed
   // infeasible result when none won). Byte-identical to what
-  // run_nanomap_job returns for that candidate alone.
+  // run_nanomap returns for that candidate alone.
   FlowResult winner;
 
   // Per-candidate full results, in candidate order (index == position).

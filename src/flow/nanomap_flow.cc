@@ -259,8 +259,7 @@ class FlowEngine {
     sched.folding = cand.cfg;
     sched.planes_share = cand.cfg.no_folding() ? false : options_.planes_share;
     FdsOptions fds_opts;
-    fds_opts.scheduler =
-        options_.use_fds ? options_.scheduler : SchedulerKind::kAsap;
+    fds_opts.scheduler = options_.scheduler;
     fds_opts.refine = options_.refine_schedule;
     bool feasible = true;
     bool ok;
@@ -888,28 +887,25 @@ std::vector<int> candidate_folding_levels(const CircuitParams& params,
   return levels;
 }
 
-namespace {
+FlowResult run_nanomap(const Design& design, const FlowOptions& options) {
+  // Option problems are the caller's contract violation and do throw
+  // (InputError); everything past this point returns a clean result.
+  validate_flow_options(options);
+  FaultScope faults(options.fault_plan);
+  // Record into the caller's collector, or a private one when asked to
+  // trace and none is bound.
+  TraceCollector own;
+  TraceCollector* collector = active_trace_collector();
+  if (collector == nullptr && options.collect_trace) collector = &own;
+  TraceScope bind(collector);
 
-// The shared body of run_nanomap / run_nanomap_job: engine run, report
-// assembly, and the last-resort exception boundary. The per-stage guards
-// inside FlowEngine handle stage failures with retry/fallback; the catch
-// here covers engine-level code (parameter extraction, candidate
-// generation) so no exception ever escapes to the caller.
-FlowResult run_flow_guarded(const Design& design, const FlowOptions& options,
-                            bool attach_trace) {
   // Snapshot the collector (after the "flow" span closed) and attach the
   // machine-readable report. Used on the success and the error path, so
-  // --report=json always has a document to write. A request-scoped
-  // collector (flow-as-a-service) takes precedence over the process-wide
-  // one, so a server job's report carries exactly that job's records.
+  // --report=json always has a document to write.
   auto finalize = [&](FlowResult r) {
-    TraceSnapshot snap;
-    if (attach_trace) {
-      TraceCollector* request = current_request_trace_collector();
-      snap = request != nullptr ? request->snapshot()
-                                : Trace::instance().snapshot();
-    }
-    r.report = build_run_report(options, r, snap);
+    r.report = build_run_report(
+        options, r,
+        options.collect_trace ? collector->snapshot() : TraceSnapshot{});
     return r;
   };
   auto error_result = [&](FlowErrorKind kind, const std::string& what) {
@@ -920,6 +916,10 @@ FlowResult run_flow_guarded(const Design& design, const FlowOptions& options,
     r.message = std::string(flow_error_kind_name(kind)) + " error: " + what;
     return finalize(std::move(r));
   };
+  // The last-resort exception boundary. The per-stage guards inside
+  // FlowEngine handle stage failures with retry/fallback; this catch
+  // covers engine-level code (parameter extraction, candidate
+  // generation) so no exception ever escapes to the caller.
   try {
     FlowResult r;
     {
@@ -934,39 +934,6 @@ FlowResult run_flow_guarded(const Design& design, const FlowOptions& options,
   } catch (const std::bad_alloc&) {
     return error_result(FlowErrorKind::kResourceExhausted, "out of memory");
   }
-}
-
-}  // namespace
-
-FlowResult run_nanomap(const Design& design, const FlowOptions& options) {
-  // Option problems are the caller's contract violation and do throw
-  // (InputError); everything past this point returns a clean result.
-  validate_flow_options(options);
-  FaultScope faults(options.fault_plan);
-  TraceScope trace(options.collect_trace);
-  return run_flow_guarded(design, options, options.collect_trace);
-}
-
-FlowResult run_nanomap_job(const Design& design, const FlowOptions& options) {
-  validate_flow_options(options);
-  // Process-wide scopes are the caller's business (run_nanomap_explore
-  // owns one TraceScope for the whole sweep); this job only installs
-  // thread-local ones, so any number of jobs can run concurrently.
-  ThreadFaultScope faults(options.fault_plan);
-  // Two request-context shapes (DESIGN.md §5k):
-  //  * a request-scoped collector is bound (the server's per-job
-  //    TraceRequestScope): the job owns its whole trace window, so spans
-  //    record normally into the private collector and, when asked, the
-  //    report snapshots it;
-  //  * no binding (the explorer's candidates over the process-wide
-  //    window): spans are muted so the shared span tree stays
-  //    deterministic — counters and values keep recording.
-  const bool request_scoped = current_request_trace_collector() != nullptr;
-  std::optional<TraceSpanMuteScope> mute;
-  if (!request_scoped) mute.emplace();
-  return run_flow_guarded(design, options,
-                          /*attach_trace=*/request_scoped &&
-                              options.collect_trace);
 }
 
 int exit_code_for(const FlowResult& r) {

@@ -249,8 +249,7 @@ struct FlowOptions {
   // -1 = search; 0 = force no-folding; >0 = force level-p folding.
   int forced_folding_level = -1;
   bool run_physical = true;  // placement + routing + STA + bitmap
-  bool use_fds = true;       // false: ASAP scheduling (ablation shortcut)
-  SchedulerKind scheduler = SchedulerKind::kFds;  // overridden by use_fds=false
+  SchedulerKind scheduler = SchedulerKind::kFds;  // kAsap: ablation shortcut
   bool refine_schedule = true;  // post-scheduling rebalancing sweeps
   std::uint64_t seed = 42;
   // Worker threads for the multi-seed placement restarts and for routing
@@ -267,14 +266,15 @@ struct FlowOptions {
   PlacementOptions placement;
   RouterOptions router;
   RecoveryOptions recovery;
-  // Deterministic fault injection: "site:N[:check|input|alloc]" arms
-  // util/fault.h's injector for the duration of this run (empty = off).
-  // The CLI exposes it as --fault / the NM_FAULT environment variable.
+  // Deterministic fault injection: "site:N[:check|input|alloc]" arms a
+  // util/fault.h FaultScope on the calling thread for the duration of
+  // this run (empty = off). The CLI exposes it as --fault / the NM_FAULT
+  // environment variable.
   std::string fault_plan;
   // Collect per-stage spans / counters / value histograms (util/trace.h)
   // for this run and fill FlowResult::report's stages/counters/values
-  // sections. Off (the default) costs one relaxed atomic load per site
-  // and on it never changes a result byte (tests/trace_test.cc). The CLI
+  // sections. Off (the default) costs one thread-local read per site and
+  // on it never changes a result byte (tests/trace_test.cc). The CLI
   // exposes it as --trace and --report=json.
   bool collect_trace = false;
   // Shared RR-graph source (flow-as-a-service). When set, every RR graph
@@ -347,6 +347,14 @@ struct FlowResult {
   }
 };
 
+// The NanoMap flow (§4, Fig. 2). Reentrant: every piece of per-run state
+// is the call's own or thread-local, so any number of runs may execute
+// concurrently on different threads (tests/flow_reentrancy_test.cc).
+//  * options.fault_plan arms a FaultScope on the calling thread.
+//  * Trace records land in the collector the caller bound with a
+//    TraceScope; when none is bound and options.collect_trace is set,
+//    the run binds a private one. With collect_trace set, the report
+//    snapshots whichever collector recorded.
 FlowResult run_nanomap(const Design& design, const FlowOptions& options);
 
 // The fixed exit-code taxonomy shared by the nanomap CLI and the
@@ -364,20 +372,6 @@ int exit_code_for(const FlowResult& result);
 // same candidate space as the flow itself.
 std::vector<int> candidate_folding_levels(const CircuitParams& params,
                                           const FlowOptions& options);
-
-// Reentrant per-candidate core of run_nanomap: identical search, ladder
-// and result, but installs no process-wide scopes, so any number of jobs
-// may run concurrently (the parallel explorer's contract). Differences
-// from run_nanomap:
-//  * options.fault_plan arms a thread-local ThreadFaultScope (hit
-//    counting private to this job) instead of the process-wide injector;
-//  * tracing is the caller's: under a TraceRequestScope (the serving
-//    layer binds one per job) this job's counters/spans land in that
-//    collector and, with collect_trace set, its snapshot fills the
-//    report; otherwise nothing is enabled or snapshotted — counters
-//    recorded by this job land in the caller's collection window and
-//    spans are muted (the parallel explorer's contract).
-FlowResult run_nanomap_job(const Design& design, const FlowOptions& options);
 
 // Assembles the report from a finished result and a trace snapshot
 // (pass a default-constructed snapshot when tracing was off).

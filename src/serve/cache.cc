@@ -45,20 +45,13 @@ Design load_design_spec(const std::string& spec) {
 }
 
 std::shared_ptr<const Design> ServeCaches::design(const std::string& spec) {
-  // Hit/miss depends on which sibling job ran first, so the counters must
-  // never reach a request-scoped collector (they would leak interleaving
-  // into response bytes). Unbind for the duration: counts fall through to
-  // the process-wide collector, or nowhere.
-  TraceRequestScope unbind(nullptr);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = designs_.find(spec);
   if (it != designs_.end()) {
     ++stats_.design_hits;
-    NM_TRACE_COUNT("serve.cache.design_hits", 1);
     return it->second;
   }
   ++stats_.design_misses;
-  NM_TRACE_COUNT("serve.cache.design_misses", 1);
   auto loaded = std::make_shared<const Design>(load_design_spec(spec));
   designs_.emplace(spec, loaded);
   return loaded;
@@ -72,16 +65,13 @@ std::shared_ptr<const ArchParams> ServeCaches::arch(
   // but one path can never alias another's resolution.
   const std::string key = arch_content_key(base) + kKeySep + arch_file +
                           kKeySep + defects;
-  TraceRequestScope unbind(nullptr);  // see design(): interleaving-dependent
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = archs_.find(key);
   if (it != archs_.end()) {
     ++stats_.arch_hits;
-    NM_TRACE_COUNT("serve.cache.arch_hits", 1);
     return it->second;
   }
   ++stats_.arch_misses;
-  NM_TRACE_COUNT("serve.cache.arch_misses", 1);
   ArchParams resolved =
       arch_file.empty() ? base : parse_arch_file(arch_file, base);
   if (!defects.empty())
@@ -97,21 +87,20 @@ RrGraph ServeCaches::make(const GridSize& grid, const ArchParams& arch) {
   const std::string key = arch_content_key(arch) + kKeySep +
                           std::to_string(grid.width) + "x" +
                           std::to_string(grid.height);
-  // make() runs *inside* the flow, under the job's TraceRequestScope —
-  // without the unbind, whether this job hit or missed (a fact about its
-  // siblings) would land in its trace report and break byte-determinism.
-  TraceRequestScope unbind(nullptr);
   std::shared_ptr<const RrGraph> prototype;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = rr_graphs_.find(key);
     if (it != rr_graphs_.end()) {
       ++stats_.rr_hits;
-      NM_TRACE_COUNT("serve.cache.rr_hits", 1);
       prototype = it->second;
     } else {
       ++stats_.rr_misses;
-      NM_TRACE_COUNT("serve.cache.rr_misses", 1);
+      // make() runs inside the flow, under a traced job's collector. The
+      // constructor records defect.wire_masked, so build unbound: only
+      // the one job that misses would see it, and which job that is
+      // depends on its siblings — it must not reach the job's report.
+      TraceScope unbind(nullptr);
       prototype = std::make_shared<const RrGraph>(grid, arch);
       rr_graphs_.emplace(key, prototype);
     }

@@ -27,11 +27,11 @@
 // count. Hits are a lock + shared_ptr copy; make()'s clone_for_reuse()
 // copy of the immutable prototype happens after the lock is released.
 //
-// Determinism: cache state never leaks into response bytes. Counters are
-// recorded through NM_TRACE_COUNT (serve.cache.* sites) and surface only
-// in the server's stderr summary and the bench's BENCH_serve.json —
-// never in a per-job response line, whose bytes must not depend on which
-// sibling jobs ran first (docs/SERVING.md "Determinism").
+// Determinism: cache state never leaks into response bytes. Hit/miss
+// counts live in Stats and surface only in the server's stderr summary
+// and the bench's BENCH_serve.json — never in a per-job response line,
+// whose bytes must not depend on which sibling jobs ran first
+// (docs/SERVING.md "Determinism").
 #pragma once
 
 #include <map>

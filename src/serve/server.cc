@@ -9,7 +9,6 @@
 #include <istream>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "util/check.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
-#include "util/trace.h"
 
 namespace nanomap {
 namespace {
@@ -111,9 +109,8 @@ class JobRunner {
                            "deadline of " + json_number(job.deadline_ms) +
                                " ms expired before the job started");
 
-    // Cache resolution happens before the job's trace collector is bound,
-    // so parse/build work (and its hit-or-miss fate) never lands in the
-    // job's own report.
+    // Cache resolution happens outside run_nanomap, so parse work (and its
+    // hit-or-miss fate) never lands in a traced job's report.
     std::shared_ptr<const Design> design;
     std::shared_ptr<const ArchParams> arch;
     try {
@@ -140,16 +137,11 @@ class JobRunner {
     fopts.collect_trace = job.trace;
     fopts.rr_provider = caches_;
 
+    // Worker threads bind no collector, so a traced job records into
+    // run_nanomap's private one and an untraced job records nothing.
     FlowResult r;
     try {
-      // The job's private trace window: spans/counters recorded by this
-      // job (on this thread and on its inner pool workers) land in
-      // `collector`, never in a sibling's. Bound only when the job asked
-      // to trace — untraced jobs skip collection entirely.
-      TraceCollector collector;
-      std::optional<TraceRequestScope> bind;
-      if (job.trace) bind.emplace(&collector);
-      r = run_nanomap_job(*design, fopts);
+      r = run_nanomap(*design, fopts);
     } catch (const InputError& e) {
       return error_outcome(pending, id, JobStatus::kRejected, "input",
                            e.what());
@@ -179,7 +171,6 @@ class JobRunner {
     w.raw(r.report.to_json(options_.include_timings, /*compact=*/true));
     w.end();
     o.response = w.str();
-    NM_TRACE_COUNT("serve.jobs_done", 1);
     return o;
   }
 
@@ -199,9 +190,6 @@ class JobRunner {
             options_.include_timings ? ms_since(pending.arrival) : 0.0);
     w.end();
     o.response = w.str();
-    NM_TRACE_COUNT(status == JobStatus::kDeadline ? "serve.jobs_deadline"
-                                                  : "serve.jobs_rejected",
-                   1);
     return o;
   }
 
@@ -312,11 +300,7 @@ ServeSummary serve_jobs(std::istream& in, std::ostream& out,
     slot_free.notify_one();
   };
 
-  // Workers record into the caller's request-scoped trace collector, the
-  // same binding ThreadPool tasks inherit.
-  TraceCollector* trace = current_request_trace_collector();
   auto work = [&] {
-    TraceRequestScope scope(trace);
     for (;;) {
       PendingJob job;
       {

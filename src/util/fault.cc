@@ -4,10 +4,13 @@
 
 namespace nanomap {
 
-namespace {
+namespace internal {
 
-// Innermost live ThreadFaultScope on this thread (nullptr when none).
-thread_local ThreadFaultScope* tls_fault_scope = nullptr;
+constinit thread_local FaultScope* tls_fault_scope = nullptr;
+
+}  // namespace internal
+
+namespace {
 
 void throw_fault(FaultKind kind, const std::string& what) {
   switch (kind) {
@@ -18,7 +21,7 @@ void throw_fault(FaultKind kind, const std::string& what) {
 }
 
 void check_known_site(const std::string& site) {
-  const std::vector<std::string>& sites = FaultInjector::known_sites();
+  const std::vector<std::string>& sites = FaultScope::known_sites();
   for (const std::string& s : sites)
     if (s == site) return;
   throw InputError("fault plan targets unknown site '" + site + "'");
@@ -69,19 +72,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
   return plan;
 }
 
-FaultInjector& FaultInjector::instance() {
-  static FaultInjector injector;
-  return injector;
-}
-
-std::atomic<int>& FaultInjector::armed_count() {
-  // Number of live plans: 0 or 1 for the process plan, plus one per live
-  // ThreadFaultScope. Fault points take the slow path iff it's nonzero.
-  static std::atomic<int> count{0};
-  return count;
-}
-
-const std::vector<std::string>& FaultInjector::known_sites() {
+const std::vector<std::string>& FaultScope::known_sites() {
   // One entry per NM_FAULT_POINT in the codebase (DESIGN.md §5e).
   static const std::vector<std::string> sites = {
       "fds.schedule",    // core/fds.cc: plane scheduling
@@ -95,70 +86,26 @@ const std::vector<std::string>& FaultInjector::known_sites() {
   return sites;
 }
 
-void FaultInjector::arm(const FaultPlan& plan) {
-  check_known_site(plan.site);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    plan_ = plan;
-    if (!has_plan_) {
-      has_plan_ = true;
-      armed_count().fetch_add(1, std::memory_order_relaxed);
-    }
-    hits_.clear();
-  }
-}
-
-void FaultInjector::disarm() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (has_plan_) {
-    has_plan_ = false;
-    armed_count().fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void FaultInjector::on_hit(const char* site) {
-  // A live ThreadFaultScope shadows the process plan on this thread —
-  // all state is thread-local, so no lock and no cross-job interference.
-  if (ThreadFaultScope* scope = tls_fault_scope) {
-    long n = ++scope->hits_[site];
-    if (scope->plan_.site != site || n != scope->plan_.nth_hit) return;
-    throw_fault(scope->plan_.kind,
-                "injected fault at '" + scope->plan_.site + "' (hit " +
-                    std::to_string(scope->plan_.nth_hit) + ")");
-  }
-  FaultKind kind;
-  std::string what;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!has_plan_) return;  // armed by a ThreadFaultScope elsewhere
-    long n = ++hits_[site];
-    if (plan_.site != site || n != plan_.nth_hit) return;
-    kind = plan_.kind;
-    what = "injected fault at '" + plan_.site + "' (hit " +
-           std::to_string(plan_.nth_hit) + ")";
-  }
-  throw_fault(kind, what);
-}
-
-std::map<std::string, long> FaultInjector::hit_counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-ThreadFaultScope::ThreadFaultScope(const std::string& plan_text) {
+FaultScope::FaultScope(const std::string& plan_text) {
   if (plan_text.empty()) return;
   plan_ = parse_fault_plan(plan_text);
   check_known_site(plan_.site);
-  previous_ = tls_fault_scope;
-  tls_fault_scope = this;
+  previous_ = internal::tls_fault_scope;
+  internal::tls_fault_scope = this;
   active_ = true;
-  FaultInjector::armed_count().fetch_add(1, std::memory_order_relaxed);
 }
 
-ThreadFaultScope::~ThreadFaultScope() {
-  if (!active_) return;
-  tls_fault_scope = previous_;
-  FaultInjector::armed_count().fetch_sub(1, std::memory_order_relaxed);
+FaultScope::~FaultScope() {
+  if (active_) internal::tls_fault_scope = previous_;
+}
+
+void FaultScope::on_hit(const char* site) {
+  FaultScope* scope = internal::tls_fault_scope;
+  const long n = ++scope->hits_[site];
+  if (scope->plan_.site != site || n != scope->plan_.nth_hit) return;
+  throw_fault(scope->plan_.kind,
+              "injected fault at '" + scope->plan_.site + "' (hit " +
+                  std::to_string(scope->plan_.nth_hit) + ")");
 }
 
 }  // namespace nanomap

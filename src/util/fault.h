@@ -1,34 +1,29 @@
 // Deterministic fault injection for the flow's resilience tests.
 //
 // Stages mark recoverable failure boundaries with NM_FAULT_POINT("site");
-// a test (or the --fault CLI knob / NM_FAULT env var) arms the process-wide
-// FaultInjector with a plan "site:N[:kind]" meaning "the Nth execution of
-// fault point `site` throws an exception of `kind`". Everything else about
-// the run is untouched, so the sweep in tests/fault_injection_test.cc can
-// prove that every stage boundary either recovers or degrades into a clean
-// infeasible FlowResult — never a crash, never a lost failure reason.
+// a FaultScope (run_nanomap installs one from FlowOptions::fault_plan,
+// which the --fault CLI knob / NM_FAULT env var set) arms a plan
+// "site:N[:kind]" meaning "the Nth execution of fault point `site` on
+// this thread throws an exception of `kind`". Everything else about the
+// run is untouched, so the sweep in tests/fault_injection_test.cc can
+// prove that every stage boundary either recovers or degrades into a
+// clean infeasible FlowResult — never a crash, never a lost failure
+// reason.
 //
-// Determinism contract: every fault point sits in sequential flow code
-// (never inside a parallel_for body), so the Nth hit of a site is the same
-// hit at any --threads value and the armed flow stays byte-identical
-// across thread counts. Keep it that way when adding sites.
+// Plans and hit counts are thread-local: nothing is process-wide, so
+// concurrent flow runs on different threads never fire or count each
+// other's faults. This is exact because every fault point sits in
+// sequential flow code (never inside a parallel_for body): all of one
+// run's fault points execute on the thread that called run_nanomap, so
+// the Nth hit is the Nth hit *of that run*, the same hit at any
+// --threads value, and the armed flow stays byte-identical across thread
+// counts. Keep it that way when adding sites.
 //
-// Concurrent flow jobs (the parallel design-space explorer) can't use the
-// process-wide plan: Nth-hit counting across interleaved candidates would
-// attribute the fault to whichever candidate got there first. A job that
-// wants a fault installs a ThreadFaultScope instead — a thread-local plan
-// with thread-local hit counting that shadows the process plan on that
-// thread. A candidate's fault points all execute on the thread running
-// that candidate (they live in sequential flow code), so the Nth hit is
-// the Nth hit *of that candidate*, at any thread count.
-//
-// Cost when disarmed: one relaxed atomic load per fault point (the
-// process-wide armed count), no lock, no string work.
+// Cost when disarmed: one thread-local read per fault point, no lock, no
+// string work.
 #pragma once
 
-#include <atomic>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,88 +50,52 @@ struct FaultPlan {
 // just "site"). Throws InputError on malformed text.
 FaultPlan parse_fault_plan(const std::string& text);
 
-class FaultInjector {
+class FaultScope;
+
+namespace internal {
+
+// The innermost live FaultScope on this thread (null when none). constinit
+// for the same reason as util/trace.h's binding: no thread_local init
+// wrapper on the fast path.
+extern constinit thread_local FaultScope* tls_fault_scope;
+
+}  // namespace internal
+
+// Arms one fault plan on the current thread for the scope's lifetime (see
+// the contract above) and counts the hits of every fault point executed on
+// this thread meanwhile. An empty plan string is a no-op (nothing armed,
+// nothing counted), so run_nanomap can construct one unconditionally.
+// Nestable; the innermost armed scope wins and restores the previous one
+// on exit.
+class FaultScope {
  public:
-  // The process-wide injector used by NM_FAULT_POINT.
-  static FaultInjector& instance();
+  // Throws InputError on a malformed plan or one whose site is not in
+  // known_sites() (catches typos in test plans and CLI arguments before a
+  // silently-armed-nowhere run).
+  explicit FaultScope(const std::string& plan_text);
+  ~FaultScope();
+  FaultScope(const FaultScope&) = delete;
+  FaultScope& operator=(const FaultScope&) = delete;
 
-  // True iff some plan is armed — the process plan and/or any live
-  // ThreadFaultScope. Relaxed: the count only gates the slow path, and
-  // arm/disarm happen strictly outside the code they guard.
-  static bool armed() {
-    return armed_count().load(std::memory_order_relaxed) > 0;
-  }
+  // True iff a plan is armed on this thread.
+  static bool armed() { return internal::tls_fault_scope != nullptr; }
 
-  // Arms `plan` and resets all hit counters. Throws InputError if the
-  // site is not in known_sites() (catches typos in test plans and CLI
-  // arguments before a silently-armed-nowhere run).
-  void arm(const FaultPlan& plan);
-  void arm(const std::string& plan_text) { arm(parse_fault_plan(plan_text)); }
-  void disarm();
+  // Slow path behind NM_FAULT_POINT: counts the hit against this
+  // thread's armed scope and throws when its plan matches this site's
+  // Nth execution.
+  static void on_hit(const char* site);
 
-  // Slow path behind NM_FAULT_POINT: counts the hit and throws when the
-  // armed plan matches this site's Nth execution.
-  void on_hit(const char* site);
-
-  // Hits per site since the last arm() (sites never hit are absent).
-  std::map<std::string, long> hit_counts() const;
+  // Hits per site on this thread since construction (sites never hit are
+  // absent; always empty for a no-op scope).
+  const std::map<std::string, long>& hit_counts() const { return hits_; }
 
   // The canonical site registry. Tests sweep this list; adding an
   // NM_FAULT_POINT with a name not listed here fails the coverage test.
   static const std::vector<std::string>& known_sites();
 
  private:
-  friend class ThreadFaultScope;
-
-  static std::atomic<int>& armed_count();
-
-  mutable std::mutex mu_;
-  bool has_plan_ = false;
-  FaultPlan plan_;
-  std::map<std::string, long> hits_;
-};
-
-// RAII arm/disarm for one flow run. An empty plan string is a no-op, so
-// run_nanomap can construct one unconditionally from FlowOptions.
-class FaultScope {
- public:
-  explicit FaultScope(const std::string& plan_text) {
-    if (!plan_text.empty()) {
-      FaultInjector::instance().arm(plan_text);
-      armed_ = true;
-    }
-  }
-  ~FaultScope() {
-    if (armed_) FaultInjector::instance().disarm();
-  }
-  FaultScope(const FaultScope&) = delete;
-  FaultScope& operator=(const FaultScope&) = delete;
-
- private:
-  bool armed_ = false;
-};
-
-// Thread-local fault plan for one concurrent flow job (see the contract
-// above). While alive, fault points hit *on this thread* count against
-// this scope's plan and hit counters; the process-wide plan is shadowed
-// on this thread (fault points on other threads are unaffected). An
-// empty plan string is a no-op, so job runners can construct one
-// unconditionally. Nestable; the innermost scope wins.
-class ThreadFaultScope {
- public:
-  explicit ThreadFaultScope(const std::string& plan_text);
-  ~ThreadFaultScope();
-  ThreadFaultScope(const ThreadFaultScope&) = delete;
-  ThreadFaultScope& operator=(const ThreadFaultScope&) = delete;
-
-  // Hits per site on this thread since construction (active scopes only).
-  const std::map<std::string, long>& hit_counts() const { return hits_; }
-
- private:
-  friend class FaultInjector;
-
   bool active_ = false;
-  ThreadFaultScope* previous_ = nullptr;
+  FaultScope* previous_ = nullptr;
   FaultPlan plan_;
   std::map<std::string, long> hits_;
 };
@@ -148,6 +107,6 @@ class ThreadFaultScope {
 // parallel code (don't).
 #define NM_FAULT_POINT(site)                                   \
   do {                                                         \
-    if (::nanomap::FaultInjector::armed())                     \
-      ::nanomap::FaultInjector::instance().on_hit(site);       \
+    if (::nanomap::FaultScope::armed())                        \
+      ::nanomap::FaultScope::on_hit(site);                     \
   } while (0)

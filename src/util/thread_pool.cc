@@ -63,15 +63,13 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
     (*task)();  // degenerate pool: run inline, future is already ready
     return future;
   }
-  // The submitting thread's request-scoped trace collector (flow-as-a-
-  // service: one per server job) rides along with the task, so a job's
-  // pool-side work records into the job's own collector instead of the
-  // worker's ambient one.
-  TraceCollector* trace = current_request_trace_collector();
+  // The submitting thread's trace collector rides along with the task,
+  // so a run's pool-side work records into the run's own collector.
+  TraceCollector* trace = active_trace_collector();
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back([task, trace] {
-      TraceRequestScope scope(trace);
+      TraceScope scope(trace);
       (*task)();
     });
   }
@@ -141,10 +139,8 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
   auto state = std::make_shared<ForState>();
   state->n = n;
   state->fn = &fn;
-  // Helpers inherit the calling thread's request-scoped trace collector
-  // (see submit()) so a request-context job's parallel stages keep
-  // recording into the job's own collector.
-  TraceCollector* trace = current_request_trace_collector();
+  // Helpers inherit the calling thread's trace collector (see submit()).
+  TraceCollector* trace = active_trace_collector();
   // One helper task per worker that could usefully participate; the
   // calling thread is the final participant.
   const int helpers = std::min(static_cast<int>(workers_.size()), n - 1);
@@ -152,7 +148,7 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     for (int h = 0; h < helpers; ++h) {
       queue_.push_back([state, trace] {
-        TraceRequestScope scope(trace);
+        TraceScope scope(trace);
         state->run_indices();
         {
           std::lock_guard<std::mutex> slock(state->mu);

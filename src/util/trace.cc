@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -13,7 +14,7 @@ using Clock = std::chrono::steady_clock;
 
 namespace internal {
 
-constinit thread_local TraceCollector* tls_request_collector = nullptr;
+constinit thread_local TraceCollector* tls_trace_collector = nullptr;
 
 }  // namespace internal
 
@@ -31,16 +32,14 @@ struct SpanRecord {
 // Per-thread span nesting stack (indices into Impl::spans). Thread-local
 // so a stray span on a worker thread nests within that thread only
 // instead of corrupting the flow's stage tree. The stack belongs to one
-// (collector, epoch) pair: tls_epoch invalidates it when a new collection
-// window begins, and tls_span_owner invalidates it when the thread
+// (collector, epoch) pair: tls_span_owner invalidates it when the thread
 // switches between collectors (e.g. a server worker moving to the next
-// request's collector). Epoch values are process-unique, so a collector
-// reallocated at a recycled address can't revive a stale stack either.
+// job's collector), and tls_epoch when a new collector reuses a freed
+// one's address — per-run collectors live on the stack, so recycled
+// addresses are routine. Epoch values are process-unique.
 thread_local std::vector<int> tls_span_stack;
 thread_local long tls_epoch = -1;
 thread_local const void* tls_span_owner = nullptr;
-// Set by TraceSpanMuteScope: spans opened on this thread are dropped.
-thread_local bool tls_span_muted = false;
 
 // Process-unique epoch source shared by every collector.
 long next_trace_epoch() {
@@ -62,22 +61,13 @@ struct TraceCollector::Impl {
   // therefore of thread interleaving).
   std::map<std::string, std::vector<double>> values;
   std::vector<SpanRecord> spans;
-  // Epoch guard: renewed by reset(), so end_span ids and per-thread
-  // nesting stacks from a previous collection window can't write into
-  // the new one.
-  long epoch = next_trace_epoch();
+  // Process-unique, so a thread's nesting stack from a dead collector at
+  // the same address can't leak into this one.
+  const long epoch = next_trace_epoch();
 };
 
 TraceCollector::TraceCollector() : impl_(new Impl) {}
 TraceCollector::~TraceCollector() { delete impl_; }
-
-void TraceCollector::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->counters.clear();
-  impl_->values.clear();
-  impl_->spans.clear();
-  impl_->epoch = next_trace_epoch();
-}
 
 void TraceCollector::count(const char* site, long delta) {
   std::lock_guard<std::mutex> lock(impl_->mu);
@@ -89,8 +79,23 @@ void TraceCollector::value(const char* site, double v) {
   impl_->values[site].push_back(v);
 }
 
+void TraceCollector::absorb(const TraceCollector& other) {
+  std::map<std::string, long> counters;
+  std::map<std::string, std::vector<double>> values;
+  {
+    std::lock_guard<std::mutex> lock(other.impl_->mu);
+    counters = other.impl_->counters;
+    values = other.impl_->values;
+  }
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  for (const auto& [site, value] : counters) impl_->counters[site] += value;
+  for (const auto& [site, raw] : values) {
+    std::vector<double>& mine = impl_->values[site];
+    mine.insert(mine.end(), raw.begin(), raw.end());
+  }
+}
+
 int TraceCollector::begin_span(const char* name) {
-  if (tls_span_muted) return -1;
   const Clock::time_point now = Clock::now();
   std::lock_guard<std::mutex> lock(impl_->mu);
   if (tls_epoch != impl_->epoch || tls_span_owner != impl_) {
@@ -107,21 +112,17 @@ int TraceCollector::begin_span(const char* name) {
   int id = static_cast<int>(impl_->spans.size());
   impl_->spans.push_back(rec);
   tls_span_stack.push_back(id);
-  // Encode the epoch so an id outliving a reset() cycle is inert.
-  return static_cast<int>(impl_->epoch % 1024) * 1000000 + id;
+  return id;
 }
 
 void TraceCollector::end_span(int id) {
   const Clock::time_point now = Clock::now();
   std::lock_guard<std::mutex> lock(impl_->mu);
-  if (id / 1000000 != static_cast<int>(impl_->epoch % 1024)) return;
-  int index = id % 1000000;
-  if (index < 0 || index >= static_cast<int>(impl_->spans.size())) return;
-  SpanRecord& rec = impl_->spans[static_cast<std::size_t>(index)];
+  SpanRecord& rec = impl_->spans[static_cast<std::size_t>(id)];
   rec.end = now;
   rec.open = false;
   if (tls_epoch == impl_->epoch && tls_span_owner == impl_ &&
-      !tls_span_stack.empty() && tls_span_stack.back() == index)
+      !tls_span_stack.empty() && tls_span_stack.back() == id)
     tls_span_stack.pop_back();
 }
 
@@ -155,31 +156,6 @@ TraceSnapshot TraceCollector::snapshot() const {
   }
   return snap;
 }
-
-Trace& Trace::instance() {
-  static Trace trace;
-  return trace;
-}
-
-std::atomic<bool>& Trace::enabled_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-void Trace::enable() {
-  collector_.reset();
-  enabled_flag().store(true, std::memory_order_relaxed);
-}
-
-void Trace::disable() {
-  enabled_flag().store(false, std::memory_order_relaxed);
-}
-
-TraceSpanMuteScope::TraceSpanMuteScope() : previous_(tls_span_muted) {
-  tls_span_muted = true;
-}
-
-TraceSpanMuteScope::~TraceSpanMuteScope() { tls_span_muted = previous_; }
 
 std::vector<TraceSpan> TraceSnapshot::aggregate_spans() const {
   // Fold spans that share a path (root/.../name). Paths are built from
@@ -264,15 +240,6 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "route.cycles_reused",   // route/pathfinder: cycles replayed from cache
       "route.defect_avoided",  // route/pathfinder: capacity-0 channels kept clean
       "route.reroutes",        // route/pathfinder: net searches executed
-      "serve.cache.arch_hits",     // serve/cache: arch configs served cached
-      "serve.cache.arch_misses",   // serve/cache: arch configs parsed fresh
-      "serve.cache.design_hits",   // serve/cache: circuits served cached
-      "serve.cache.design_misses", // serve/cache: circuits parsed fresh
-      "serve.cache.rr_hits",       // serve/cache: RR graphs copied from a prototype
-      "serve.cache.rr_misses",     // serve/cache: RR prototypes built fresh
-      "serve.jobs_deadline",   // serve/server: jobs expired before admission
-      "serve.jobs_done",       // serve/server: jobs run to a flow result
-      "serve.jobs_rejected",   // serve/server: malformed/invalid job lines
   };
   return sites;
 }

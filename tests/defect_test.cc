@@ -484,7 +484,7 @@ TEST(DefectFlow, TraceCountersCoverDefectSites) {
   FlowResult r = run_nanomap(design, opts);
   ASSERT_TRUE(r.feasible) << r.message;
   std::set<std::string> sites;
-  for (const TraceCounterRow& row : Trace::instance().snapshot().counters)
+  for (const TraceCounterRow& row : r.report.counters)
     sites.insert(row.site);
   EXPECT_TRUE(sites.count("defect.wire_masked"));
   EXPECT_TRUE(sites.count("defect.smb_masked"));

@@ -124,7 +124,7 @@ ExploreResult run_explore(const Design& d, const FlowOptions& flow,
 
 TEST(Explore, SingleCandidateMatchesForcedLevelFlow) {
   // {L1, L2} x {base, wide}: each candidate is one cold job, so its bytes
-  // must equal a standalone forced-level run_nanomap_job on that
+  // must equal a standalone forced-level run_nanomap on that
   // candidate's arch.
   Design d = make_benchmark("ex1");
   FlowOptions flow = base_options();
@@ -142,7 +142,7 @@ TEST(Explore, SingleCandidateMatchesForcedLevelFlow) {
     FlowOptions forced = flow;
     forced.forced_folding_level = o.level;
     if (o.variant == 1) forced.arch = v.arch;
-    FlowResult want = run_nanomap_job(d, forced);
+    FlowResult want = run_nanomap(d, forced);
     ASSERT_TRUE(want.feasible) << o.label << ": " << want.message;
     EXPECT_EQ(result_fingerprint(ex.results[static_cast<std::size_t>(
                   o.index)]),

@@ -55,8 +55,8 @@ TEST(FaultPlan, RejectsMalformedPlans) {
 }
 
 TEST(FaultPlan, ArmRejectsUnknownSites) {
-  EXPECT_THROW(FaultInjector::instance().arm("no.such.site:1"), InputError);
-  EXPECT_FALSE(FaultInjector::armed());
+  EXPECT_THROW(FaultScope("no.such.site:1"), InputError);
+  EXPECT_FALSE(FaultScope::armed());
 }
 
 // --- the sweep -------------------------------------------------------------
@@ -83,20 +83,24 @@ bool trail_has_kind(const FlowDiagnostics& diag, FlowErrorKind kind) {
 // Every registered site, every exception kind: the armed flow never
 // throws, and the injected failure is always visible in the typed trail.
 // With a free folding-level search the flow recovers by falling back to
-// another level, so the result additionally stays feasible.
+// another level, so the result additionally stays feasible. The plan is
+// armed by a test-owned FaultScope (the run's own, from an empty
+// fault_plan, is a no-op), so the test can read the run's hit counts.
 TEST(FaultInjection, EverySiteEveryKindReturnsCleanResult) {
   Design d = make_ex1(4);
-  for (const std::string& site : FaultInjector::known_sites()) {
+  for (const std::string& site : FaultScope::known_sites()) {
     for (const char* kind : {"check", "input", "alloc"}) {
       FlowOptions opts = small_flow_options();
-      opts.fault_plan = site + ":1:" + kind;
       FlowResult r;
-      ASSERT_NO_THROW(r = run_nanomap(d, opts))
-          << "site " << site << " kind " << kind;
-      EXPECT_FALSE(FaultInjector::armed());  // FaultScope disarmed
+      std::map<std::string, long> hits;
+      {
+        FaultScope faults(site + ":1:" + kind);
+        ASSERT_NO_THROW(r = run_nanomap(d, opts))
+            << "site " << site << " kind " << kind;
+        hits = faults.hit_counts();
+      }
+      EXPECT_FALSE(FaultScope::armed());  // FaultScope disarmed
       // The site must actually have been exercised.
-      std::map<std::string, long> hits =
-          FaultInjector::instance().hit_counts();
       EXPECT_GE(hits[site], 1) << site;
       // The injected failure is recorded with the right typed kind...
       EXPECT_TRUE(trail_has_kind(r.diagnostics, expected_kind(kind)))
@@ -118,7 +122,7 @@ TEST(FaultInjection, EverySiteEveryKindReturnsCleanResult) {
 // the injected exception, with the trail populated.
 TEST(FaultInjection, ForcedLevelDegradesCleanlyWithTypedKind) {
   Design d = make_ex1(6);  // level 2 maps cleanly without the fault
-  for (const std::string& site : FaultInjector::known_sites()) {
+  for (const std::string& site : FaultScope::known_sites()) {
     for (const char* kind : {"check", "input", "alloc"}) {
       FlowOptions opts = small_flow_options();
       opts.forced_folding_level = 2;
@@ -145,7 +149,7 @@ TEST(FaultInjection, ForcedLevelDegradesCleanlyWithTypedKind) {
 // whole recovery path — is thread-count independent.
 TEST(FaultInjection, ArmedFlowIsThreadCountInvariant) {
   Design d = make_ex1(4);
-  for (const std::string& site : FaultInjector::known_sites()) {
+  for (const std::string& site : FaultScope::known_sites()) {
     FlowOptions opts = small_flow_options();
     opts.fault_plan = site + ":1:check";
     opts.placement.restarts = 3;   // give the pool real parallel work
@@ -174,10 +178,10 @@ TEST(FaultInjection, ArmedFlowIsThreadCountInvariant) {
 TEST(FaultInjection, NthHitTargetsLaterStageCalls) {
   Design d = make_ex1(4);
   FlowOptions opts = small_flow_options();
-  opts.fault_plan = "fds.schedule:2:check";
+  FaultScope faults("fds.schedule:2:check");
   FlowResult r;
   ASSERT_NO_THROW(r = run_nanomap(d, opts));
-  std::map<std::string, long> hits = FaultInjector::instance().hit_counts();
+  std::map<std::string, long> hits = faults.hit_counts();
   EXPECT_GE(hits["fds.schedule"], 2);
   EXPECT_TRUE(trail_has_kind(r.diagnostics, FlowErrorKind::kInternal));
   EXPECT_TRUE(std::any_of(r.diagnostics.events.begin(),
@@ -201,8 +205,13 @@ TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
   opts.recovery.placement_reseeds = 0;
   opts.placement.restarts = 2;
   opts.collect_trace = true;
-  opts.fault_plan = "route.alloc:1000:check";  // never fires; counts hits
-  FlowResult probe = run_nanomap(d, opts);
+  std::map<std::string, long> hits;
+  FlowResult probe;
+  {
+    FaultScope faults("route.alloc:1000:check");  // never fires; counts hits
+    probe = run_nanomap(d, opts);
+    hits = faults.hit_counts();
+  }
   ASSERT_TRUE(probe.feasible) << probe.message;
   const int cycles = probe.clustered.num_cycles;
   ASSERT_GE(cycles, 2) << "level 2 no longer folds into several cycles";
@@ -210,8 +219,7 @@ TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
   for (const TraceCounterRow& c : probe.report.counters)
     if (c.site == "route.calls") route_calls = c.value;
   ASSERT_GE(route_calls, 1);
-  EXPECT_EQ(FaultInjector::instance().hit_counts()["route.alloc"],
-            route_calls * cycles);
+  EXPECT_EQ(hits["route.alloc"], route_calls * cycles);
 
   opts.collect_trace = false;
   for (int nth = 1; nth <= std::min(cycles, 4); ++nth) {
@@ -270,11 +278,10 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
   // only ever fault cold router state.
   int clean_hits = 0;
   {
-    FlowOptions opts = make_options();
-    opts.fault_plan = "route.converge:1000:check";
-    FlowResult probe = run_nanomap(d, opts);
+    FaultScope faults("route.converge:1000:check");
+    FlowResult probe = run_nanomap(d, make_options());
     ASSERT_TRUE(probe.feasible) << probe.message;
-    std::map<std::string, long> hits = FaultInjector::instance().hit_counts();
+    std::map<std::string, long> hits = faults.hit_counts();
     clean_hits = static_cast<int>(hits["route.converge"]);
     ASSERT_GE(clean_hits, 2)
         << "fabric no longer starves rung 0; re-pin the congestion case";
@@ -289,9 +296,18 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
     opts.threads = 1;
     FlowResult serial;
     ASSERT_NO_THROW(serial = run_nanomap(d, opts)) << "hit " << nth;
+    // The parallel run arms the same plan through a test-owned FaultScope,
+    // so its hit counts stay readable below.
     opts.threads = 4;
     FlowResult parallel;
-    ASSERT_NO_THROW(parallel = run_nanomap(d, opts)) << "hit " << nth;
+    std::map<std::string, long> hits;
+    {
+      FaultScope faults(opts.fault_plan);
+      FlowOptions unarmed = opts;
+      unarmed.fault_plan.clear();
+      ASSERT_NO_THROW(parallel = run_nanomap(d, unarmed)) << "hit " << nth;
+      hits = faults.hit_counts();
+    }
 
     // The armed hit index is reached in sequential flow code, so the
     // whole recovery path is thread-count independent, byte for byte.
@@ -303,7 +319,6 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
         << "hit " << nth;
 
     // The injected failure fired and is visible in the typed trail...
-    std::map<std::string, long> hits = FaultInjector::instance().hit_counts();
     ASSERT_GE(hits["route.converge"], nth) << "hit " << nth;
     EXPECT_TRUE(trail_has_kind(serial.diagnostics, FlowErrorKind::kInternal))
         << "hit " << nth << "\n" << serial.diagnostics.to_string();

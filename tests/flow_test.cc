@@ -201,7 +201,7 @@ TEST(Flow, UseFdsOffStillLegal) {
   Design d = make_ex1(6);
   FlowOptions opts;
   opts.arch = ArchParams::paper_instance_unbounded_k();
-  opts.use_fds = false;
+  opts.scheduler = SchedulerKind::kAsap;
   opts.forced_folding_level = 1;
   FlowResult r = run_nanomap(d, opts);
   ASSERT_TRUE(r.feasible) << r.message;

@@ -45,7 +45,7 @@ std::vector<RankedLevel> eager_at_ranking(const Design& d,
     sched.folding = cfg;
     sched.planes_share = cfg.no_folding() ? false : opts.planes_share;
     FdsOptions fds;
-    fds.scheduler = opts.use_fds ? opts.scheduler : SchedulerKind::kAsap;
+    fds.scheduler = opts.scheduler;
     fds.refine = opts.refine_schedule;
     bool feasible = true;
     for (int p = 0; p < params.num_plane && feasible; ++p) {

@@ -542,14 +542,38 @@ TEST(ServeTrace, PerJobTraceIsolationAtAnyWorkerCount) {
   const JsonValue* counters = report->find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_GT(counters->items.size(), 0u);
-  // No serve.cache.* counter may ride in response bytes — hit/miss fate
-  // depends on sibling interleaving.
+  // No serve-layer counter may ride in response bytes — cache hit/miss
+  // fate depends on sibling interleaving.
   for (const JsonValue& row : counters->items) {
     const JsonValue* site = row.find("site");
     ASSERT_NE(site, nullptr);
     EXPECT_EQ(site->string.rfind("serve.", 0), std::string::npos)
         << site->string;
   }
+}
+
+// Which job builds a shared RR prototype depends on the job stream, and
+// the RrGraph constructor records defect.wire_masked. A traced defect
+// job's report must not change when an earlier job already built the
+// prototype it routes on.
+TEST(ServeTrace, TracedReportIgnoresWhoBuiltTheRrPrototype) {
+  ServeJob job = quick_job(1);
+  job.id = "a";
+  job.defects = "seed=7,wire=0.05";
+  job.trace = true;
+  ServeJob earlier = job;
+  earlier.id = "b";
+
+  const std::vector<std::string> solo =
+      lines_of(run_serve("\n" + write_job_line(job) + "\n", 1).output);
+  const std::vector<std::string> after = lines_of(
+      run_serve(write_job_line(earlier) + "\n" + write_job_line(job) + "\n",
+                1)
+          .output);
+  ASSERT_EQ(solo.size(), 1u);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_NE(solo[0].find("\"counters\""), std::string::npos);
+  EXPECT_EQ(after[1], solo[0]);
 }
 
 TEST(ServeCache, CountsAreDeterministicAndSharedAcrossJobs) {

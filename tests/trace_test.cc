@@ -102,24 +102,32 @@ TEST(Trace, DisabledByDefaultAndMacrosInert) {
   NM_TRACE_COUNT("place.calls", 1);
   NM_TRACE_VALUE("place.cost", 3.5);
   { NM_TRACE_SPAN("flow"); }
-  TraceScope scope(true);
+  TraceCollector collector;
+  TraceScope scope(&collector);
   ASSERT_TRUE(Trace::enabled());
-  TraceSnapshot snap = Trace::instance().snapshot();
+  TraceSnapshot snap = collector.snapshot();
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.values.empty());
   EXPECT_TRUE(snap.spans.empty());
 }
 
 TEST(Trace, ScopeDisablesOnExit) {
+  TraceCollector outer, inner;
   {
-    TraceScope scope(true);
+    TraceScope scope(&outer);
+    EXPECT_EQ(active_trace_collector(), &outer);
+    {
+      TraceScope nested(&inner);
+      EXPECT_EQ(active_trace_collector(), &inner);
+    }
+    EXPECT_EQ(active_trace_collector(), &outer);  // binding restored
+    {
+      TraceScope unbind(nullptr);
+      EXPECT_FALSE(Trace::enabled());
+    }
     EXPECT_TRUE(Trace::enabled());
   }
   EXPECT_FALSE(Trace::enabled());
-  {
-    TraceScope scope(false);
-    EXPECT_FALSE(Trace::enabled());
-  }
 }
 
 TEST(Trace, CountersExactUnderConcurrentRecording) {
@@ -127,14 +135,16 @@ TEST(Trace, CountersExactUnderConcurrentRecording) {
   // must land on the exact total under any interleaving, and integral
   // value sums must be exact too (that is the determinism contract for
   // sites recorded from pool workers, e.g. place.accepted_per_temp).
-  TraceScope scope(true);
+  // The pool propagates the binding to its workers.
+  TraceCollector collector;
+  TraceScope scope(&collector);
   ThreadPool pool(8);
   const int kTasks = 8000;
   pool_for_each(&pool, kTasks, [](int i) {
     NM_TRACE_COUNT("place.moves", 3);
     NM_TRACE_VALUE("place.accepted_per_temp", i % 7);
   });
-  TraceSnapshot snap = Trace::instance().snapshot();
+  TraceSnapshot snap = collector.snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].site, "place.moves");
   EXPECT_EQ(snap.counters[0].value, 3L * kTasks);
@@ -150,14 +160,15 @@ TEST(Trace, CountersExactUnderConcurrentRecording) {
 }
 
 TEST(Trace, SpanTreeNestsAndAggregates) {
-  TraceScope scope(true);
+  TraceCollector collector;
+  TraceScope scope(&collector);
   {
     NM_TRACE_SPAN("flow");
     for (int i = 0; i < 3; ++i) {
       NM_TRACE_SPAN("place");
     }
   }
-  TraceSnapshot snap = Trace::instance().snapshot();
+  TraceSnapshot snap = collector.snapshot();
   ASSERT_EQ(snap.spans.size(), 4u);
   EXPECT_EQ(snap.spans[0].name, "flow");
   EXPECT_EQ(snap.spans[0].parent, -1);
@@ -180,13 +191,54 @@ TEST(Trace, SpanTreeNestsAndAggregates) {
   EXPECT_EQ(text.find("place"), text.rfind("place")) << text;
 }
 
-TEST(Trace, EnableClearsThePreviousWindow) {
+TEST(Trace, CollectorsAreIsolated) {
+  TraceCollector first, second;
   {
-    TraceScope scope(true);
+    TraceScope scope(&first);
     NM_TRACE_COUNT("route.calls", 7);
+    { NM_TRACE_SPAN("route"); }
   }
-  TraceScope scope(true);
-  EXPECT_TRUE(Trace::instance().snapshot().counters.empty());
+  {
+    TraceScope scope(&second);
+    NM_TRACE_VALUE("place.cost", 2.0);
+  }
+  const TraceSnapshot a = first.snapshot();
+  const TraceSnapshot b = second.snapshot();
+  ASSERT_EQ(a.counters.size(), 1u);
+  EXPECT_EQ(a.counters[0].value, 7);
+  EXPECT_TRUE(a.values.empty());
+  EXPECT_EQ(a.spans.size(), 1u);
+  EXPECT_TRUE(b.counters.empty());
+  EXPECT_TRUE(b.spans.empty());
+  ASSERT_EQ(b.values.size(), 1u);
+  EXPECT_EQ(b.values[0].count, 1);
+}
+
+// absorb() folds counters and raw value observations, never spans, and the
+// folded summary is independent of the absorb order.
+TEST(Trace, AbsorbFoldsCountersAndValuesNotSpans) {
+  TraceCollector parts[2];
+  const double obs[2][2] = {{0.1, 0.7}, {0.2, 1e16}};
+  for (int i = 0; i < 2; ++i) {
+    TraceScope scope(&parts[i]);
+    NM_TRACE_SPAN("place");
+    NM_TRACE_COUNT("place.calls", i + 1);
+    for (double v : obs[i]) NM_TRACE_VALUE("place.cost", v);
+  }
+  TraceCollector forward, backward;
+  forward.absorb(parts[0]);
+  forward.absorb(parts[1]);
+  backward.absorb(parts[1]);
+  backward.absorb(parts[0]);
+  const TraceSnapshot f = forward.snapshot();
+  const TraceSnapshot b = backward.snapshot();
+  EXPECT_TRUE(f.spans.empty());
+  ASSERT_EQ(f.counters.size(), 1u);
+  EXPECT_EQ(f.counters[0].value, 3);
+  ASSERT_EQ(f.values.size(), 1u);
+  EXPECT_EQ(f.values[0].count, 4);
+  EXPECT_EQ(f.render(), b.render());
+  EXPECT_EQ(f.values[0].sum, b.values[0].sum);  // bit-identical
 }
 
 // The tentpole guarantee: tracing never changes a result byte. Both the

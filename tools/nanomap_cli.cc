@@ -231,6 +231,8 @@ int main(int argc, char** argv) {
     }
 
     opts.collect_trace = trace || !report_json.empty();
+    TraceCollector collector;
+    TraceScope bind(opts.collect_trace ? &collector : nullptr);
     FlowResult r;
     if (explore_enabled) {
       ExploreResult ex = run_nanomap_explore(design, opts, eopts);
@@ -255,8 +257,7 @@ int main(int argc, char** argv) {
       r = run_nanomap(design, opts);
     }
     if (trace)
-      std::fprintf(stderr, "%s",
-                   Trace::instance().snapshot().render().c_str());
+      std::fprintf(stderr, "%s", collector.snapshot().render().c_str());
     if (!report_json.empty()) {
       std::ofstream out(report_json);
       if (!out) throw InputError("cannot write " + report_json);

@@ -20,9 +20,6 @@
 //                   own "defects" key replaces it
 //   --timings       emit real elapsed_ms / report timings instead of the
 //                   deterministic zeros
-//   --trace         collect process-wide trace counters (including the
-//                   serve.cache.* / serve.jobs_* sites) and render them
-//                   to stderr after the stream ends
 //   --quiet         suppress the stderr summary
 //
 // Exit codes: 0 once the input stream is fully processed (per-job
@@ -33,8 +30,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-
-#include "util/trace.h"
 
 #include "arch/arch_file.h"
 #include "arch/defect.h"
@@ -48,7 +43,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--workers N] [--threads N] [--seed S] "
                "[--arch FILE] [--defects FILE|seed=S,le=R,smb=R,wire=R] "
-               "[--timings] [--trace] [--quiet] < jobs.jsonl\n",
+               "[--timings] [--quiet] < jobs.jsonl\n",
                argv0);
   return 2;
 }
@@ -57,7 +52,7 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   ServeOptions opts;
-  bool quiet = false, trace = false;
+  bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -98,8 +93,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--timings") {
       opts.include_timings = true;
-    } else if (arg == "--trace") {
-      trace = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -108,14 +101,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  ServeSummary summary;
-  {
-    TraceScope scope(trace);
-    summary = serve_jobs(std::cin, std::cout, opts);
-    if (trace)
-      std::fprintf(stderr, "%s",
-                   Trace::instance().snapshot().render().c_str());
-  }
+  const ServeSummary summary = serve_jobs(std::cin, std::cout, opts);
 
   if (!quiet) {
     std::fprintf(stderr,
