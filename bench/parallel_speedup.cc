@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
 
     RrGraph rr(placed.placement.grid, fo.arch);
     t0 = std::chrono::steady_clock::now();
-    RoutingResult routed =
-        route_design(cd, placed.placement, rr, {}, nullptr, &pool);
+    RoutingResult routed = route_design(cd, placed.placement, rr, {}, &pool);
     double route_s = seconds_since(t0);
     std::vector<std::vector<int>> wires;
     for (const NetRoute& nr : routed.nets) wires.push_back(nr.wire_nodes);

@@ -3,30 +3,26 @@
 // (route_nets_reference), on congested narrowed-channel random DAGs.
 // Besides the wall-clock comparison, every run *asserts* byte-identity —
 // trees, delays, iteration counts — between the reference and the
-// incremental router, cold and warm, so the benchmark doubles as an
-// end-to-end identity check and exits nonzero on any divergence.
+// incremental router, so the benchmark doubles as an end-to-end identity
+// check and exits nonzero on any divergence.
 //
-// Three scenarios per circuit (schema in docs/FORMATS.md):
-//   converge  one cold route_design call with full budgets — measures the
-//             incremental bookkeeping overhead against the seed router
-//             when nothing can be reused (expected ~parity);
+// Two scenarios per circuit (schema in docs/FORMATS.md):
+//   converge  one route_design call with full budgets — measures the
+//             clean-net skip's bookkeeping against the seed router;
 //   ladder    the flow's recovery-ladder walk (starved budgets, raised
 //             budgets, widened channels), stopping at the first rung that
-//             converges — the reference rebuilds the RR graph and
-//             re-routes cold at every rung, the kernel shares one
-//             in-place-widened graph and one RouteState across rungs;
-//   warm      a repeat route_design call against an already-populated
-//             RouteState (the recovery-ladder / re-entrant flow path) —
-//             every folding cycle replays from cache, and the result is
-//             asserted byte-identical to the cold reference run. This is
-//             the headline incremental speedup.
+//             converges — the reference rebuilds the RR graph at every
+//             rung; the kernel, as the flow does, shares the rung-0 graph
+//             across the budget rungs and builds a fresh one for the
+//             channel rung.
 //
 // Plus a threads scenario: converge and ladder timed again with a pool of
-// N = min(4, hardware threads) workers negotiating the distinct folding
-// cycles concurrently. The pooled results join the identity gate — they
-// must equal the reference (converge) and the inline walk (ladder) byte
-// for byte. Rows sit under a host header: hardware threads, build type
-// and the `git describe` passed in.
+// N = min(4, hardware threads) workers negotiating the folding cycles
+// concurrently. The pooled results join the identity gate — they must
+// equal the reference (converge) and the inline walk (ladder) byte for
+// byte, and the inline walk must end on the reference's rung and result.
+// Rows sit under a host header: hardware threads, build type and the
+// `git describe` passed in.
 //
 //   ./bench/route_throughput [--smoke] [--git-describe D] [out.json]
 //   (default out.json: BENCH_route.json)
@@ -36,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,20 +117,13 @@ bool identical(const RoutingResult& a, const RoutingResult& b) {
          a.usage.len4 == b.usage.len4 && a.usage.global == b.usage.global;
 }
 
-// Reference vs kernel: the cold kernel route — inline and on `pool` —
-// must be byte-identical to the reference, and so must a second
-// route_design call against the populated RouteState, which replays every
-// folding cycle.
+// Reference vs kernel: the kernel route — inline and on `pool` — must be
+// byte-identical to the reference.
 bool check_identity(const Physical& ph, const RrGraph& rr,
                     const RouterOptions& opts, ThreadPool* pool) {
   RoutingResult want = route_nets_reference(ph.cd, ph.p, rr, opts);
-  if (!identical(want, route_design(ph.cd, ph.p, rr, opts, nullptr, pool)))
-    return false;
-  RouteState state;
-  if (!identical(want, route_design(ph.cd, ph.p, rr, opts, &state)))
-    return false;
-  RoutingResult warm = route_design(ph.cd, ph.p, rr, opts, &state);
-  return identical(want, warm) && warm.reuse.cycles_reused == ph.cd.num_cycles;
+  return identical(want, route_design(ph.cd, ph.p, rr, opts)) &&
+         identical(want, route_design(ph.cd, ph.p, rr, opts, pool));
 }
 
 // The recovery-ladder walk the flow performs when budgets are starved:
@@ -142,6 +132,7 @@ bool check_identity(const Physical& ph, const RrGraph& rr,
 struct Rung {
   ArchParams arch;
   RouterOptions router;
+  bool new_graph;  // the channel rung: routes on a graph of its own
 };
 
 std::vector<Rung> ladder_rungs(const ArchParams& base,
@@ -161,7 +152,8 @@ std::vector<Rung> ladder_rungs(const ArchParams& base,
   widened.global_tracks = std::max(base.global_tracks + 1,
                                    static_cast<int>(std::ceil(
                                        base.global_tracks * 1.25)));
-  return {{base, starved}, {base, raised}, {widened, raised}};
+  return {{base, starved, false}, {base, raised, false},
+          {widened, raised, true}};
 }
 
 struct LadderWalk {
@@ -170,23 +162,31 @@ struct LadderWalk {
   long skipped = 0;      // net searches skipped over the walk
 };
 
-// The kernel's ladder walk: one graph widened in place and one RouteState
-// across rungs, routing on `pool` (null = inline).
+// The kernel's ladder walk, routing on `pool` (null = inline): the budget
+// rungs share the rung-0 graph, the channel rung builds its own.
 LadderWalk walk_ladder(const Physical& ph, const std::vector<Rung>& rungs,
                        ThreadPool* pool) {
-  RrGraph rr(ph.p.grid, rungs.front().arch);
-  RouteState state;
+  std::optional<RrGraph> rr;
   LadderWalk walk;
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     const Rung& rung = rungs[i];
-    if (i > 0 && can_widen_in_place(rr.arch(), rung.arch) &&
-        (rr.arch().len1_tracks != rung.arch.len1_tracks ||
-         rr.arch().len4_tracks != rung.arch.len4_tracks ||
-         rr.arch().global_tracks != rung.arch.global_tracks))
-      rr.widen_channels(rung.arch);
-    walk.result = route_design(ph.cd, ph.p, rr, rung.router, &state, pool);
+    if (!rr || rung.new_graph) rr.emplace(ph.p.grid, rung.arch);
+    walk.result = route_design(ph.cd, ph.p, *rr, rung.router, pool);
     walk.rung = static_cast<int>(i);
     walk.skipped += walk.result.reuse.nets_skipped;
+    if (walk.result.success) break;
+  }
+  return walk;
+}
+
+// The reference's ladder walk: a fresh graph and a cold route per rung.
+LadderWalk walk_ladder_reference(const Physical& ph,
+                                 const std::vector<Rung>& rungs) {
+  LadderWalk walk;
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    RrGraph rr(ph.p.grid, rungs[i].arch);
+    walk.result = route_nets_reference(ph.cd, ph.p, rr, rungs[i].router);
+    walk.rung = static_cast<int>(i);
     if (walk.result.success) break;
   }
   return walk;
@@ -217,12 +217,10 @@ struct Row {
   bool converged = false;       // full-budget routing is overuse-free
   double ref_ms = 0.0;          // converge scenario, reference router
   double kernel_ms = 0.0;       // converge scenario, incremental kernel
-  double warm_ms = 0.0;         // warm scenario, replay call
-  long warm_reused = 0;         // warm scenario, cycles replayed
-  double ladder_ref_ms = 0.0;   // ladder walk, cold reference per rung
-  double ladder_kernel_ms = 0.0;  // ladder walk, shared graph + state
+  double ladder_ref_ms = 0.0;   // ladder walk, reference, graph per rung
+  double ladder_kernel_ms = 0.0;  // ladder walk, kernel, graph per arch
   int ladder_rung = 0;          // winning rung index
-  long ladder_reused = 0;       // ladder walk, net searches skipped
+  long ladder_skipped = 0;      // ladder walk, net searches skipped
   long skipped_nets = 0;        // converge scenario, clean-net skips
   double pool_ms = 0.0;         // converge scenario, kernel on the pool
   double ladder_pool_ms = 0.0;  // ladder walk, kernel on the pool
@@ -255,40 +253,26 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   });
   row.skipped_nets = last.reuse.nets_skipped;
   row.pool_ms = measure_ms(reps, [&] {
-    last = route_design(ph.cd, ph.p, rr, full, nullptr, pool);
+    last = route_design(ph.cd, ph.p, rr, full, pool);
   });
-
-  // Warm replay: populate the state once, then measure repeat calls.
-  {
-    RouteState state;
-    route_design(ph.cd, ph.p, rr, full, &state);
-    row.warm_ms = measure_ms(reps, [&] {
-      last = route_design(ph.cd, ph.p, rr, full, &state);
-    });
-    row.warm_reused = last.reuse.cycles_reused;
-  }
 
   RouterOptions starved = full;
   starved.max_iterations = 2;
   const std::vector<Rung> rungs = ladder_rungs(arch, starved);
-  row.ladder_ref_ms = measure_ms(reps, [&] {
-    for (std::size_t i = 0; i < rungs.size(); ++i) {
-      RrGraph cold(ph.p.grid, rungs[i].arch);
-      last = route_nets_reference(ph.cd, ph.p, cold, rungs[i].router);
-      if (last.success) {
-        row.ladder_rung = static_cast<int>(i);
-        break;
-      }
-    }
-  });
+  LadderWalk ref_walk;
+  row.ladder_ref_ms = measure_ms(
+      reps, [&] { ref_walk = walk_ladder_reference(ph, rungs); });
+  row.ladder_rung = ref_walk.rung;
   LadderWalk inline_walk;
   row.ladder_kernel_ms =
       measure_ms(reps, [&] { inline_walk = walk_ladder(ph, rungs, nullptr); });
-  row.ladder_reused = inline_walk.skipped;
+  row.ladder_skipped = inline_walk.skipped;
   LadderWalk pooled_walk;
   row.ladder_pool_ms =
       measure_ms(reps, [&] { pooled_walk = walk_ladder(ph, rungs, pool); });
   row.identical = row.identical &&
+                  identical(ref_walk.result, inline_walk.result) &&
+                  ref_walk.rung == inline_walk.rung &&
                   identical(inline_walk.result, pooled_walk.result) &&
                   inline_walk.rung == pooled_walk.rung &&
                   inline_walk.skipped == pooled_walk.skipped;
@@ -359,10 +343,6 @@ int main(int argc, char** argv) {
     w.field("kernel_cold_ms", round2(r.kernel_ms));
     w.field("cold_speedup",
             round2(r.kernel_ms > 0 ? r.ref_ms / r.kernel_ms : 0.0));
-    w.field("kernel_warm_ms", round2(r.warm_ms));
-    w.field("warm_speedup",
-            round2(r.warm_ms > 0 ? r.ref_ms / r.warm_ms : 0.0));
-    w.field("warm_reused_cycles", r.warm_reused);
     w.field("ladder_reference_ms", round2(r.ladder_ref_ms));
     w.field("ladder_kernel_ms", round2(r.ladder_kernel_ms));
     w.field("ladder_speedup",
@@ -370,7 +350,7 @@ int main(int argc, char** argv) {
                        ? r.ladder_ref_ms / r.ladder_kernel_ms
                        : 0.0));
     w.field("ladder_winning_rung", r.ladder_rung);
-    w.field("ladder_skipped_net_searches", r.ladder_reused);
+    w.field("ladder_skipped_net_searches", r.ladder_skipped);
     w.field("cold_skipped_net_searches", r.skipped_nets);
     w.field("kernel_pool_ms", round2(r.pool_ms));
     w.field("pool_speedup",
@@ -384,15 +364,13 @@ int main(int argc, char** argv) {
     w.end();
     std::printf(
         "%-16s luts %4d nets %4d cycles %2d wi %2d  "
-        "cold %7.2f -> %7.2f ms (%5.2fx)  warm %7.3f ms (%6.2fx, %ld "
-        "cycles replayed)  ladder %7.2f -> %7.2f ms (%5.2fx, rung %d)  "
+        "cold %7.2f -> %7.2f ms (%5.2fx)  "
+        "ladder %7.2f -> %7.2f ms (%5.2fx, rung %d)  "
         "pool x%d cold %7.2f ms (%5.2fx) ladder %7.2f ms (%5.2fx)  "
         "identical %s\n",
         r.name.c_str(), r.luts, r.nets, r.cycles, r.worst_iterations,
         r.ref_ms, r.kernel_ms,
-        r.kernel_ms > 0 ? r.ref_ms / r.kernel_ms : 0.0, r.warm_ms,
-        r.warm_ms > 0 ? r.ref_ms / r.warm_ms : 0.0, r.warm_reused,
-        r.ladder_ref_ms, r.ladder_kernel_ms,
+        r.kernel_ms > 0 ? r.ref_ms / r.kernel_ms : 0.0, r.ladder_ref_ms, r.ladder_kernel_ms,
         r.ladder_kernel_ms > 0 ? r.ladder_ref_ms / r.ladder_kernel_ms : 0.0,
         r.ladder_rung, pool_threads, r.pool_ms,
         r.pool_ms > 0 ? r.kernel_ms / r.pool_ms : 0.0, r.ladder_pool_ms,

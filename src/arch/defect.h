@@ -13,9 +13,8 @@
 //
 // Determinism contract: a spec with all rates zero and no loaded map is
 // inactive and must leave every stage byte-identical to the defect-free
-// flow. An *active* spec's content signature joins the equality checks
-// that guard in-place channel widening and the serving caches' fabric
-// keys, so no cached graph or route crosses a differing defect mask.
+// flow. An *active* spec's content signature joins the serving caches'
+// fabric keys, so no cached graph crosses a differing defect mask.
 //
 // This header is included by arch/nature.h; it must not include it back.
 // All queries therefore take plain ints and the local wire-kind enum.
@@ -79,8 +78,8 @@ bool defect_smb_dead(const DefectSpec& spec, int x, int y);
 bool defect_le_dead(const DefectSpec& spec, int x, int y, int slot);
 // Number of broken tracks in the channel (kind, x, y, dir) out of
 // `tracks` physical tracks. Monotone in `tracks` for both generated and
-// loaded specs: widening a channel never loses a surviving track, so
-// in-place RR widening agrees with a fresh build at the widened arch.
+// loaded specs: widening a channel never loses a surviving track, so a
+// channel-bump rung never has less capacity than the rung before it.
 int defect_broken_tracks(const DefectSpec& spec, DefectWireKind kind, int x,
                          int y, int dir, int tracks);
 

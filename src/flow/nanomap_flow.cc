@@ -46,6 +46,8 @@ struct RouteRung {
   std::string name;
   RouterOptions router;
   ArchParams arch;
+  bool new_graph = false;  // a channel rung: routes on a graph built at
+                           // its own widths
 };
 
 class FlowEngine {
@@ -353,7 +355,7 @@ class FlowEngine {
                                std::to_string(widened.len4_tracks) +
                                ", global " +
                                std::to_string(widened.global_tracks) + ")",
-                           esc, widened});
+                           esc, widened, /*new_graph=*/true});
     }
   }
 
@@ -372,16 +374,13 @@ class FlowEngine {
   // set when a rung died on an exception (already recorded), which aborts
   // the level instead of climbing further.
   //
-  // The RR graph and the router's cycle cache persist across rungs:
-  // budget rungs re-route on the very same graph, channel rungs widen it
-  // in place (same node ids, bumped capacity epoch), and folding cycles
-  // whose replay is provably identical are served from the RouteState
-  // instead of re-negotiated. Both are scoped to this climb — an
-  // abandoned or faulted climb drops all incremental state with them.
-  // `rungs` is the slice of the ladder this climb covers and `rung_offset`
-  // its index into the full ladder (0 for the classic whole-ladder climb;
-  // the budget count when the defect-aware finish() climbs the channel
-  // suffix separately) — only rung numbering in the trail depends on it.
+  // Every rung routes every folding cycle from scratch. Budget rungs share
+  // the graph of the first rung they climb; each channel rung builds a
+  // fresh graph at its own widths. `rungs` is the slice of the ladder this
+  // climb covers and `rung_offset` its index into the full ladder (0 for
+  // the classic whole-ladder climb; the budget count when the defect-aware
+  // finish() climbs the channel suffix separately) — only rung numbering
+  // in the trail depends on it.
   bool climb_route_ladder(const Candidate& cand,
                           const PlacementResult& placed, int attempt,
                           const std::vector<RouteRung>& rungs,
@@ -391,37 +390,23 @@ class FlowEngine {
     *fatal = false;
     NM_TRACE_SPAN("route");
     std::optional<RrGraph> rr;
-    RouteState route_state;
-    auto tracks_differ = [](const ArchParams& a, const ArchParams& b) {
-      return a.direct_links_per_side != b.direct_links_per_side ||
-             a.len1_tracks != b.len1_tracks ||
-             a.len4_tracks != b.len4_tracks ||
-             a.global_tracks != b.global_tracks;
-    };
     for (std::size_t r = 0; r < rungs.size(); ++r) {
       const RouteRung& rung = rungs[r];
       int rr_nodes = 0;
-      // Graph builds go through the shared prototype cache when the
-      // caller installed one (flow-as-a-service); the copy handed out is
-      // indistinguishable from a fresh build, so the ladder widens it in
-      // place exactly as before.
-      auto build_rr = [&](const GridSize& grid, const ArchParams& arch) {
-        return options_.rr_provider != nullptr
-                   ? options_.rr_provider->make(grid, arch)
-                   : RrGraph(grid, arch);
-      };
       bool ok = guard("route", cand.level, attempt, [&] {
-        if (!rr) {
-          rr = build_rr(placed.placement.grid, rung.arch);
-        } else if (!can_widen_in_place(rr->arch(), rung.arch)) {
-          // full rebuild
-          rr = build_rr(placed.placement.grid, rung.arch);
-        } else if (tracks_differ(rr->arch(), rung.arch)) {
-          rr->widen_channels(rung.arch);
+        if (!rr || rung.new_graph) {
+          // Graph builds go through the shared prototype cache when the
+          // caller installed one (flow-as-a-service); the copy handed out
+          // equals a fresh build.
+          NM_TRACE_SPAN("rr_build");
+          rr = options_.rr_provider != nullptr
+                   ? options_.rr_provider->make(placed.placement.grid,
+                                                rung.arch)
+                   : RrGraph(placed.placement.grid, rung.arch);
         }
         rr_nodes = rr->size();
         *routed = route_design(cand.clustered, placed.placement, *rr,
-                               rung.router, &route_state, &pool_);
+                               rung.router, &pool_);
       });
       if (!ok) {
         *fatal = true;
@@ -445,12 +430,7 @@ class FlowEngine {
                       (attempt > 0
                            ? ", reseeded placement " + std::to_string(attempt)
                            : "") +
-                      ", reused " +
-                      std::to_string(routed->reuse.cycles_reused) + " of " +
-                      std::to_string(routed->reuse.cycles_total) +
-                      " cycles / " +
-                      std::to_string(routed->reuse.nets_reused) +
-                      " nets, skipped " +
+                      ", skipped " +
                       std::to_string(routed->reuse.nets_skipped) +
                       " repeat searches)"});
         *arch_used = rung.arch;

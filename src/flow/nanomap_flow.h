@@ -223,15 +223,12 @@ struct RecoveryOptions {
 };
 
 // Factory hook for RR graphs, the flow-as-a-service shared-cache seam
-// (src/serve/cache.h implements it). make() must return a graph
-// indistinguishable from RrGraph(grid, arch) — same nodes, edges, delays,
-// costs and capacities — that the flow owns outright and may mutate
-// (the recovery ladder widens channels in place), so a caching provider
-// hands out *copies* of an immutable prototype, never the prototype
-// itself. Result-neutral by construction: only the graph's uid (a pure
-// cache key for RouteState, never an input to routing decisions) may
-// differ from a fresh build. Implementations must be thread-safe —
-// concurrent jobs share one provider.
+// (src/serve/cache.h implements it). make() must return a graph equal to
+// RrGraph(grid, arch) — same nodes, edges, delays, costs and capacities —
+// that the flow owns outright, so a caching provider hands out copies of
+// an immutable prototype. Result-neutral by construction.
+// Implementations must be thread-safe — concurrent jobs share one
+// provider.
 class RrGraphProvider {
  public:
   virtual ~RrGraphProvider() = default;
@@ -253,7 +250,7 @@ struct FlowOptions {
   bool refine_schedule = true;  // post-scheduling rebalancing sweeps
   std::uint64_t seed = 42;
   // Worker threads for the multi-seed placement restarts and for routing
-  // the distinct folding cycles of each route_design call concurrently.
+  // the non-empty folding cycles of each route_design call concurrently.
   // Within one restart placement is sequential, and so is the
   // negotiation within one cycle. 0 = hardware concurrency. The thread
   // count only

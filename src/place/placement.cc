@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <numeric>
 #include <optional>
 
 #include "place/annealer.h"
@@ -207,24 +207,15 @@ PlaceLegality::PlaceLegality(const ClusteredDesign& cd,
 
 bool PlaceLegality::feasible() const {
   if (!active_) return num_smbs_ <= sites_;
+  std::vector<int> order(static_cast<std::size_t>(sites_));
+  std::iota(order.begin(), order.end(), 0);
   std::vector<int> smb_at_site(static_cast<std::size_t>(sites_), -1);
+  std::vector<int> site_of_smb(static_cast<std::size_t>(num_smbs_), -1);
   std::vector<char> visited(static_cast<std::size_t>(sites_));
-  std::function<bool(int)> augment = [&](int smb) {
-    for (int site = 0; site < sites_; ++site) {
-      if (visited[static_cast<std::size_t>(site)] || !ok(site, smb))
-        continue;
-      visited[static_cast<std::size_t>(site)] = 1;
-      int holder = smb_at_site[static_cast<std::size_t>(site)];
-      if (holder < 0 || augment(holder)) {
-        smb_at_site[static_cast<std::size_t>(site)] = smb;
-        return true;
-      }
-    }
-    return false;
-  };
   for (int m = 0; m < num_smbs_; ++m) {
     std::fill(visited.begin(), visited.end(), 0);
-    if (!augment(m)) return false;
+    if (!augment_smb(*this, order, m, &smb_at_site, &site_of_smb, &visited))
+      return false;
   }
   return true;
 }

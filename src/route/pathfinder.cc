@@ -7,23 +7,16 @@
 //     inputs can have changed: a touched node's occupancy-in-snapshot or
 //     history cost moved (tracked with monotone stamps), or the search
 //     read a present-congestion term and pres_fac has since grown.
-//   * A whole folding cycle is replayed from a RouteState cache when the
-//     graph identity and the subset of options its negotiation actually
-//     consumed are unchanged — including across in-place channel
-//     widenings, where capacity growth can only alter costs the cached
-//     negotiation never read (it converged in one iteration and never saw
-//     an over-capacity term).
 #include "route/pathfinder.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <exception>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <queue>
-#include <set>
 #include <sstream>
 
 #include "util/fault.h"
@@ -93,7 +86,6 @@ struct CycleOutcome {
   std::vector<NetRoute> routes;  // cycle-net order
   int iterations = 0;
   long overused = 0;
-  bool saw_over = false;  // any cost read had the present term active
   RouteReuseStats stats;  // nets_skipped / nets_rerouted
   int iterations_started = 0;  // route.rip_ups_per_iter observations owed
   std::exception_ptr error;
@@ -133,7 +125,6 @@ class CycleRouter {
     routed_stamp_.assign(net_indices.size(), -1);
     searched_pres_fac_.assign(net_indices.size(), 0.0);
     net_saw_pres_.assign(net_indices.size(), 0);
-    bool saw_over = false;
 
     double pres_fac = options_.initial_pres_fac;
     long overused = 0;
@@ -158,7 +149,6 @@ class CycleRouter {
           // The net's own occupancy delta is stamped after its snapshot.
           routed_stamp_[ni] = stamp_++;
           mark_diff(old_tree, trees[ni]);
-          if (net_saw_pres_[ni]) saw_over = true;
         }
         for (int n : trees[ni]) ++occ_[static_cast<std::size_t>(n)];
       }
@@ -178,7 +168,6 @@ class CycleRouter {
     }
     out->iterations = std::min(iter, options_.max_iterations);
     out->overused = overused;
-    out->saw_over = saw_over;
     out->routes = std::move(routes);
   }
 
@@ -393,60 +382,11 @@ class CycleRouter {
   std::vector<char> net_saw_pres_;
 };
 
-// Appends the exact geometric identity of one net's routing problem to a
-// cycle signature (the cycle cache key): the driver coordinates, the
-// criticality bit pattern, the sink count, and the sink coordinates in the
-// farthest-first order the router will visit them.
-void append_net_signature(const ClusteredDesign& cd,
-                          const Placement& placement, int net_index,
-                          const std::vector<int>& sinks,
-                          std::vector<std::int64_t>* sig) {
-  const PlacedNet& pn = cd.nets[static_cast<std::size_t>(net_index)];
-  sig->push_back(placement.x_of(pn.driver_smb));
-  sig->push_back(placement.y_of(pn.driver_smb));
-  static_assert(sizeof(double) == sizeof(std::int64_t));
-  std::int64_t crit_bits = 0;
-  std::memcpy(&crit_bits, &pn.criticality, sizeof(crit_bits));
-  sig->push_back(crit_bits);
-  sig->push_back(static_cast<std::int64_t>(sinks.size()));
-  for (int s : sinks) {
-    sig->push_back(placement.x_of(s));
-    sig->push_back(placement.y_of(s));
-  }
-}
-
-// Replaying a cached cycle is valid when the replay would provably run
-// the exact same negotiation. Same graph generation + same full option
-// set always qualifies; a cycle that converged in one clean iteration
-// only consumed the iteration-1 options; and after in-place widenings
-// (same uid, higher epoch) it additionally must never have read a cost
-// with the present-congestion term active — the only cost component a
-// pure capacity raise can change.
-bool entry_replayable(const RouteState::Entry& e, const RrGraph& rr,
-                      const RouterOptions& o) {
-  if (e.graph_uid != rr.uid()) return false;
-  if (e.timing_driven != o.timing_driven ||
-      e.initial_pres_fac != o.initial_pres_fac ||
-      e.astar_weight != o.astar_weight ||
-      e.delay_norm_ps != o.delay_norm_ps)
-    return false;
-  const bool one_clean_iter = e.iterations == 1 && e.overused == 0;
-  if (e.capacity_epoch == rr.capacity_epoch()) {
-    if (one_clean_iter) return true;
-    return e.max_iterations == o.max_iterations &&
-           e.pres_fac_mult == o.pres_fac_mult && e.hist_fac == o.hist_fac;
-  }
-  return e.capacity_epoch < rr.capacity_epoch() && one_clean_iter &&
-         !e.saw_over;
-}
-
 // One folding cycle as the pre-pass sees it.
 struct CyclePlan {
   std::vector<int> nets;  // indices into cd.nets, ascending
   std::vector<std::vector<int>> sorted_sinks;  // farthest-first, per net
-  std::vector<std::int64_t> sig;               // the RouteState key
-  long sinks = 0;          // total sink count: the dispatch weight
-  bool negotiate = false;  // a representative (else replayed in the fold)
+  long sinks = 0;  // total sink count: the dispatch weight
 };
 
 #ifdef NANOMAP_AUDIT_ROUTE
@@ -474,66 +414,46 @@ void audit_against_reference(const RoutingResult& got,
 
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
-                           const RouterOptions& options, RouteState* reuse,
-                           ThreadPool* pool) {
+                           const RouterOptions& options, ThreadPool* pool) {
   NM_FAULT_POINT("route.converge");
   NM_TRACE_COUNT("route.calls", 1);
   RoutingResult result;
-  RouteState local_state;  // cross-cycle reuse even without a caller cache
-  RouteState* state = reuse ? reuse : &local_state;
   std::vector<CyclePlan> plans(static_cast<std::size_t>(cd.num_cycles));
   for (std::size_t i = 0; i < cd.nets.size(); ++i)
     plans[static_cast<std::size_t>(cd.nets[i].cycle)].nets.push_back(
         static_cast<int>(i));
 
-  // Phase 1, serial in cycle order: sinks, signature and classification.
-  // A cycle is negotiated unless the caller's RouteState replays it or an
-  // earlier cycle of this call is negotiated under the same signature (it
-  // then replays that cycle's entry in the fold).
-  auto sig_less = [&](int a, int b) {
-    return plans[static_cast<std::size_t>(a)].sig <
-           plans[static_cast<std::size_t>(b)].sig;
-  };
-  std::set<int, decltype(sig_less)> negotiated_sigs(sig_less);
-  std::vector<int> reps;  // negotiated cycles, ascending
+  // Phase 1, serial in cycle order: sink orders and the dispatch list.
+  std::vector<int> tasks;  // non-empty cycles, ascending
   for (int c = 0; c < cd.num_cycles; ++c) {
     // Per-cycle router state allocation (the pre-pass is sequential, so
-    // hit N is folding cycle N regardless of thread count or reuse).
+    // hit N is folding cycle N regardless of thread count).
     NM_FAULT_POINT("route.alloc");
     CyclePlan& plan = plans[static_cast<std::size_t>(c)];
     plan.sorted_sinks.resize(plan.nets.size());
     for (std::size_t j = 0; j < plan.nets.size(); ++j) {
       plan.sorted_sinks[j] = sinks_farthest_first(cd, placement, plan.nets[j]);
       plan.sinks += static_cast<long>(plan.sorted_sinks[j].size());
-      append_net_signature(cd, placement, plan.nets[j], plan.sorted_sinks[j],
-                           &plan.sig);
     }
-    if (negotiated_sigs.count(c)) continue;
-    auto it = state->entries().find(plan.sig);
-    if (it != state->entries().end() &&
-        entry_replayable(it->second, rr, options))
-      continue;
-    plan.negotiate = true;
-    negotiated_sigs.insert(c);
-    reps.push_back(c);
+    if (!plan.nets.empty()) tasks.push_back(c);
   }
 
-  // Phase 2: negotiate the representatives, each on its own CycleRouter
+  // Phase 2: negotiate every non-empty cycle, each on its own CycleRouter
   // writing only its own slot. Heaviest first, so a dominant cycle does
   // not start last; the order never reaches the result.
-  std::vector<CycleOutcome> outcomes(reps.size());
-  std::vector<std::size_t> order(reps.size());
+  std::vector<CycleOutcome> outcomes(tasks.size());
+  std::vector<std::size_t> order(tasks.size());
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return plans[static_cast<std::size_t>(reps[a])].sinks >
-                            plans[static_cast<std::size_t>(reps[b])].sinks;
+                     return plans[static_cast<std::size_t>(tasks[a])].sinks >
+                            plans[static_cast<std::size_t>(tasks[b])].sinks;
                    });
   pool_for_each(
-      reps.size() > 1 ? pool : nullptr, static_cast<int>(reps.size()),
+      tasks.size() > 1 ? pool : nullptr, static_cast<int>(tasks.size()),
       [&](int k) {
         const std::size_t slot = order[static_cast<std::size_t>(k)];
-        const CyclePlan& plan = plans[static_cast<std::size_t>(reps[slot])];
+        const CyclePlan& plan = plans[static_cast<std::size_t>(tasks[slot])];
         CycleOutcome& out = outcomes[slot];
         try {
           CycleRouter router(cd, placement, rr, options);
@@ -543,60 +463,27 @@ RoutingResult route_design(const ClusteredDesign& cd,
         }
       });
 
-  // Phase 3, serial in cycle order: emit, cache, replay, trace.
-  NM_TRACE_VALUE("route.cycle_tasks", reps.size());
+  // Phase 3, serial in cycle order: emit and trace.
+  NM_TRACE_VALUE("route.cycle_tasks", tasks.size());
   std::size_t next_slot = 0;
-  for (CyclePlan& plan : plans) {
-    ++result.reuse.cycles_total;
-    int iters = 0;
+  for (const CyclePlan& plan : plans) {
+    // An empty cycle converges in PathFinder's first iteration.
+    int iters = std::min(1, options.max_iterations);
     long overused = 0;
     const std::size_t nets_before = result.nets.size();
-    NM_TRACE_COUNT("route.cycle_cache_lookups", 1);
-    if (plan.negotiate) {
+    if (!plan.nets.empty()) {
       CycleOutcome& out = outcomes[next_slot++];
       for (int i = 0; i < out.iterations_started; ++i)
         NM_TRACE_VALUE("route.rip_ups_per_iter", plan.nets.size());
-      if (!plan.nets.empty() && out.iterations_started > 0)
+      if (out.iterations_started > 0)
         NM_TRACE_COUNT("route.reroutes", out.stats.nets_rerouted);
       if (out.error) std::rethrow_exception(out.error);
       result.reuse.nets_skipped += out.stats.nets_skipped;
       result.reuse.nets_rerouted += out.stats.nets_rerouted;
       iters = out.iterations;
       overused = out.overused;
-      RouteState::Entry e;
-      e.graph_uid = rr.uid();
-      e.capacity_epoch = rr.capacity_epoch();
-      e.timing_driven = options.timing_driven;
-      e.initial_pres_fac = options.initial_pres_fac;
-      e.astar_weight = options.astar_weight;
-      e.delay_norm_ps = options.delay_norm_ps;
-      e.max_iterations = options.max_iterations;
-      e.pres_fac_mult = options.pres_fac_mult;
-      e.hist_fac = options.hist_fac;
-      e.iterations = iters;
-      e.overused = overused;
-      e.saw_over = out.saw_over;
-      for (const NetRoute& nr : out.routes)
-        e.nets.push_back({nr.wire_nodes, nr.sink_delay_ps});
-      state->entries()[std::move(plan.sig)] = std::move(e);
       std::move(out.routes.begin(), out.routes.end(),
                 std::back_inserter(result.nets));
-    } else {
-      // Replay: emit the cached trees under this cycle's net identities.
-      const RouteState::Entry& e = state->entries().at(plan.sig);
-      for (std::size_t j = 0; j < plan.nets.size(); ++j) {
-        NetRoute nr;
-        nr.net_index = plan.nets[j];
-        nr.sink_smbs = plan.sorted_sinks[j];
-        nr.sink_delay_ps = e.nets[j].sink_delay_ps;
-        nr.wire_nodes = e.nets[j].wire_nodes;
-        result.nets.push_back(std::move(nr));
-      }
-      iters = e.iterations;
-      overused = e.overused;
-      ++result.reuse.cycles_reused;
-      result.reuse.nets_reused += static_cast<long>(plan.nets.size());
-      NM_TRACE_COUNT("route.cycles_reused", 1);
     }
     result.worst_iterations = std::max(result.worst_iterations, iters);
     result.overused_nodes += overused;
@@ -638,15 +525,13 @@ RoutingResult route_design(const ClusteredDesign& cd,
   NM_LOG(kDebug) << "routing: " << result.nets.size() << " nets, usage d/1/4/g "
                  << result.usage.direct << "/" << result.usage.len1 << "/"
                  << result.usage.len4 << "/" << result.usage.global
-                 << (result.success ? "" : " [OVERUSED]") << ", reuse c/n/s "
-                 << result.reuse.cycles_reused << "/"
-                 << result.reuse.nets_reused << "/"
-                 << result.reuse.nets_skipped;
+                 << (result.success ? "" : " [OVERUSED]") << ", skipped "
+                 << result.reuse.nets_skipped << " repeat searches";
 #ifdef NANOMAP_AUDIT_ROUTE
   // Bit-exact cross-check against the seed router — auditing the clean-net
-  // skip and the cycle cache on every call — plus a structural replay
-  // through validate_routing, which re-walks every emitted tree (replayed
-  // ones included) from the driver and re-checks per-cycle occupancy.
+  // skip on every call — plus a structural replay through
+  // validate_routing, which re-walks every emitted tree from the driver
+  // and re-checks per-cycle occupancy.
   audit_against_reference(result,
                           route_nets_reference(cd, placement, rr, options));
   {

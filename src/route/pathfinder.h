@@ -14,28 +14,22 @@
 //
 // Incremental kernel (DESIGN.md §5g). The router is byte-identical to the
 // seed algorithm (kept alive as route_nets_reference) but avoids repeating
-// work it can prove redundant:
-//   * within a cycle, a net is re-searched only when some RR node its last
-//     A* read has changed cost inputs since (occupancy, history, or the
-//     present-congestion factor), tracked with monotone stamps;
-//   * across cycles / route_design calls, a RouteState caches each cycle's
-//     routed trees keyed by an exact geometric signature and replays them
-//     when the graph and the effective options make the replay provably
-//     identical — including across in-place channel widenings.
-// Cycles being independent, route_design negotiates the distinct ones
-// concurrently when handed a pool: a serial pre-pass in cycle order
-// classifies each cycle (replayed from the RouteState, duplicate of an
-// earlier cycle's signature, or negotiated), the negotiated ones run one
-// task each, and a serial fold in cycle order emits routes, cache entries
-// and trace records. Within a cycle the negotiation stays sequential, so
-// every tree is the same pure function at any pool width.
+// work it can prove redundant: within a cycle, a net is re-searched only
+// when some RR node its last A* read has changed cost inputs since
+// (occupancy, history, or the present-congestion factor), tracked with
+// monotone stamps. Every route_design call routes every folding cycle
+// from scratch; nothing is cached across cycles or calls.
+// Cycles being independent, route_design negotiates them concurrently
+// when handed a pool: a serial pre-pass in cycle order sorts each cycle's
+// sinks, the non-empty cycles run one task each, and a serial fold in
+// cycle order emits routes and trace records. Within a cycle the
+// negotiation stays sequential, so every tree is the same pure function
+// at any pool width.
 // Building with -DNANOMAP_AUDIT_ROUTE=ON (CMake option, wired into the
 // tsan preset) cross-checks every route_design call against the reference
 // router, bit-exact.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -75,11 +69,8 @@ struct WireUsage {
 };
 
 // Work the incremental kernel proved redundant and skipped. Purely
-// informational: the routed trees never depend on what was reused.
+// informational: the routed trees never depend on what was skipped.
 struct RouteReuseStats {
-  long cycles_total = 0;
-  long cycles_reused = 0;   // folding cycles replayed from a RouteState
-  long nets_reused = 0;     // nets inside those replayed cycles
   long nets_skipped = 0;    // clean-net skips inside live PathFinder loops
   long nets_rerouted = 0;   // A* net searches executed
 };
@@ -93,61 +84,14 @@ struct RoutingResult {
   RouteReuseStats reuse;
 };
 
-// Cross-call route cache. Hand the same RouteState to successive
-// route_design calls (e.g. the recovery ladder's rungs) and any folding
-// cycle whose replay is provably byte-identical is served from the cache
-// instead of re-negotiated. Entries are keyed by an exact geometric
-// signature (driver/sink coordinates + criticalities) and validated
-// against the RR graph's uid/capacity_epoch and the routing options; a
-// cycle routed on a narrower graph is replayable after widen_channels only
-// if it converged in one iteration without ever reading a congested cost.
-// The contents are internal to the router — treat as opaque.
-class RouteState {
- public:
-  struct CachedNet {
-    std::vector<int> wire_nodes;        // sorted, deduplicated
-    std::vector<double> sink_delay_ps;  // farthest-first sink order
-  };
-  struct Entry {
-    std::uint64_t graph_uid = 0;
-    int capacity_epoch = 0;
-    // Options that shape PathFinder iteration 1 (sufficient key for
-    // cycles that converged immediately):
-    bool timing_driven = true;
-    double initial_pres_fac = 0.0;
-    double astar_weight = 0.0;
-    double delay_norm_ps = 0.0;
-    // Options that only matter from iteration 2 on:
-    int max_iterations = 0;
-    double pres_fac_mult = 0.0;
-    double hist_fac = 0.0;
-    int iterations = 0;     // iterations the cached negotiation took
-    long overused = 0;      // residual overuse of the cached result
-    bool saw_over = false;  // any cost read had the present term active
-    std::vector<CachedNet> nets;  // cycle-net order
-  };
-
-  void clear() { entries_.clear(); }
-  std::size_t size() const { return entries_.size(); }
-
-  // Internal (router-only): signature -> cached cycle.
-  std::map<std::vector<std::int64_t>, Entry>& entries() { return entries_; }
-
- private:
-  std::map<std::vector<std::int64_t>, Entry> entries_;
-};
-
 // Routes every folding cycle. The routed trees are a pure function of
-// (cd, placement, rr, options) — never of the contents of `reuse` or the
-// width of `pool`. A non-null `reuse` carries provably-identical cycle
-// routings across calls (cycles also reuse each other within one call
-// either way). A non-null `pool` negotiates the distinct cycles
-// concurrently; a null or 1-thread pool runs them inline. When cycles
-// throw, the lowest one's exception is rethrown.
+// (cd, placement, rr, options) — never of the width of `pool`. A non-null
+// `pool` negotiates the non-empty cycles concurrently; a null or 1-thread
+// pool runs them inline. When cycles throw, the lowest one's exception is
+// rethrown.
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
                            const RouterOptions& options = {},
-                           RouteState* reuse = nullptr,
                            ThreadPool* pool = nullptr);
 
 // Structural audit of a routing result against the design it routes:

@@ -8,7 +8,7 @@
 // contract is enforced three ways:
 //   * tests/pathfinder_test.cc runs a randomized differential sweep of
 //     route_design vs. route_nets_reference across seeds, folding levels
-//     and channel widths, plus fuzzed incremental-edit sequences;
+//     and channel widths, plus fuzzed ladder walks;
 //   * tests/flow_robustness_test.cc re-routes recovered flow results with
 //     this reference and byte-compares the winning rung's trees;
 //   * bench/route_throughput asserts identical route trees while measuring
@@ -26,7 +26,7 @@ namespace nanomap {
 
 // Routes every folding cycle with the seed algorithm. Semantically
 // identical to route_design (any divergence is a bug in the incremental
-// kernel). Never consults or fills a RouteState.
+// kernel).
 RoutingResult route_nets_reference(const ClusteredDesign& cd,
                                    const Placement& placement,
                                    const RrGraph& rr,

@@ -1,6 +1,5 @@
 #include "route/rr_graph.h"
 
-#include <atomic>
 #include <map>
 #include <sstream>
 
@@ -22,41 +21,8 @@ DefectWireKind defect_kind_of(RrType type) {
   NM_CHECK_MSG(false, "pins have no defect wire kind");
   return DefectWireKind::kDirect;
 }
-std::uint64_t next_rr_uid() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ++counter;
-}
 
 }  // namespace
-
-bool can_widen_in_place(const ArchParams& from, const ArchParams& to) {
-  // Track counts: non-decreasing, and nodes that were never built (zero
-  // tracks) cannot spring into existence.
-  auto widens = [](int f, int t) { return t >= f && (f > 0 || t == 0); };
-  if (!widens(from.direct_links_per_side, to.direct_links_per_side) ||
-      !widens(from.len1_tracks, to.len1_tracks) ||
-      !widens(from.len4_tracks, to.len4_tracks) ||
-      !widens(from.global_tracks, to.global_tracks))
-    return false;
-  // Everything that shapes topology, delay or base cost must be unchanged.
-  return from.lut_size == to.lut_size && from.ff_per_le == to.ff_per_le &&
-         from.les_per_mb == to.les_per_mb &&
-         from.mbs_per_smb == to.mbs_per_smb &&
-         from.num_reconf == to.num_reconf &&
-         from.reconf_time_ps == to.reconf_time_ps &&
-         from.lut_delay_ps == to.lut_delay_ps &&
-         from.mb_mux_delay_ps == to.mb_mux_delay_ps &&
-         from.local_mux_delay_ps == to.local_mux_delay_ps &&
-         from.direct_link_delay_ps == to.direct_link_delay_ps &&
-         from.len1_wire_delay_ps == to.len1_wire_delay_ps &&
-         from.len4_wire_delay_ps == to.len4_wire_delay_ps &&
-         from.global_wire_delay_ps == to.global_wire_delay_ps &&
-         from.ff_setup_ps == to.ff_setup_ps &&
-         from.le_area_um2 == to.le_area_um2 &&
-         from.nram_overhead == to.nram_overhead &&
-         from.smb_wiring_factor == to.smb_wiring_factor &&
-         from.defects.content_sig() == to.defects.content_sig();
-}
 
 const char* rr_type_name(RrType type) {
   switch (type) {
@@ -71,41 +37,9 @@ const char* rr_type_name(RrType type) {
 }
 
 RrGraph::RrGraph(const GridSize& grid, const ArchParams& arch)
-    : grid_(grid), arch_(arch), uid_(next_rr_uid()) {
+    : grid_(grid), arch_(arch) {
   NM_CHECK(grid.width >= 1 && grid.height >= 1);
   build(arch);
-}
-
-RrGraph RrGraph::clone_for_reuse() const {
-  RrGraph copy = *this;
-  copy.uid_ = next_rr_uid();
-  return copy;
-}
-
-void RrGraph::widen_channels(const ArchParams& to) {
-  NM_CHECK_MSG(can_widen_in_place(arch_, to),
-               "widen_channels: arch change is not a pure channel widening");
-  for (RrNode& n : nodes_) {
-    int tracks = -1;
-    switch (n.type) {
-      case RrType::kDirect: tracks = to.direct_links_per_side; break;
-      case RrType::kLen1: tracks = to.len1_tracks; break;
-      case RrType::kLen4: tracks = to.len4_tracks; break;
-      case RrType::kGlobal: tracks = to.global_tracks; break;
-      case RrType::kOpin:
-      case RrType::kIpin: continue;  // pin capacity is not a channel width
-    }
-    // Re-derive the surviving capacity from the (unchanged) defect spec
-    // at the widened track count. The per-track Bernoulli model only
-    // appends draws when tracks grow, so the surviving count matches a
-    // fresh build at `to` and never shrinks in place.
-    int cap = tracks - defect_broken_tracks(to.defects, defect_kind_of(n.type),
-                                            n.x, n.y, n.dir, tracks);
-    NM_CHECK(cap >= n.capacity);
-    n.capacity = cap;
-  }
-  arch_ = to;
-  ++capacity_epoch_;
 }
 
 int RrGraph::add_node(RrType type, int x, int y, int capacity, double delay,

@@ -53,14 +53,6 @@ struct RrNode {
   std::vector<int> edges;  // outgoing neighbor node ids
 };
 
-// True when an RR graph built for `from` can be morphed into one for `to`
-// without adding or removing nodes or edges: only channel track counts may
-// change, each non-decreasing, and a channel type that was absent (zero
-// tracks, so its nodes were never built) must stay absent. Everything else
-// — grid-independent topology knobs, delays, logic hierarchy, and the
-// defect spec (masked capacities are recomputed from it) — must match.
-bool can_widen_in_place(const ArchParams& from, const ArchParams& to);
-
 class RrGraph {
  public:
   RrGraph(const GridSize& grid, const ArchParams& arch);
@@ -71,29 +63,6 @@ class RrGraph {
   }
   const GridSize& grid() const { return grid_; }
   const ArchParams& arch() const { return arch_; }
-
-  // Identity of this graph instance (construction order; never reused).
-  // Cached route state keyed on a uid is invalid against any other graph.
-  std::uint64_t uid() const { return uid_; }
-  // Bumped by every widen_channels call. Route trees proven legal at epoch
-  // e stay legal at any epoch >= e (capacities only ever grow), but cost
-  // equality across epochs additionally needs the "never saw overuse"
-  // guarantee tracked by the router.
-  int capacity_epoch() const { return capacity_epoch_; }
-
-  // Raises channel capacities in place to `to`'s track counts without
-  // touching topology, delays or base costs — the incremental router's
-  // occupancy/history arrays stay index-compatible. Requires
-  // can_widen_in_place(arch(), to).
-  void widen_channels(const ArchParams& to);
-
-  // Copy of this graph under a fresh uid — the shared-prototype handout
-  // path (src/serve/cache.h). Cached route state is keyed by uid, so two
-  // live copies of one cached prototype must never share identity: a job
-  // holding two graphs stamped from the same prototype would otherwise
-  // replay RouteState entries across distinct instances. Everything
-  // routing reads (nodes, edges, capacities) is copied verbatim.
-  RrGraph clone_for_reuse() const;
 
   int opin(int x, int y) const;
   int ipin(int x, int y) const;
@@ -108,8 +77,6 @@ class RrGraph {
 
   GridSize grid_;
   ArchParams arch_;
-  std::uint64_t uid_ = 0;
-  int capacity_epoch_ = 0;
   std::vector<RrNode> nodes_;
   std::vector<int> opin_;  // site -> node id
   std::vector<int> ipin_;

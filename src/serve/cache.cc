@@ -106,7 +106,7 @@ RrGraph ServeCaches::make(const GridSize& grid, const ArchParams& arch) {
     }
   }
   // The prototype is immutable, so concurrent jobs copy it in parallel.
-  return prototype->clone_for_reuse();
+  return *prototype;
 }
 
 ServeCaches::Stats ServeCaches::stats() const {

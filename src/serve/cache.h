@@ -15,17 +15,15 @@
 //             file edits aliasing a stale entry).
 //   rr      — RrGraph prototypes keyed by write_arch() + defect signature
 //             + grid, plugged into FlowOptions::rr_provider. make() hands
-//             out clone_for_reuse() copies (fresh uid, everything else
-//             byte-identical), so the flow may widen its copy in place
-//             while the prototype stays pristine.
+//             out plain copies, so the prototype stays pristine.
 //
 // Thread safety: one mutex guards all three maps; a miss builds *under*
 // the lock. That serializes concurrent first builds of the same key —
 // deliberately: it guarantees exactly one miss per distinct key
 // regardless of job interleaving, which keeps the hit/miss counters (and
 // BENCH_serve.json) deterministic for a fixed job stream at any worker
-// count. Hits are a lock + shared_ptr copy; make()'s clone_for_reuse()
-// copy of the immutable prototype happens after the lock is released.
+// count. Hits are a lock + shared_ptr copy; make()'s copy of the
+// immutable prototype happens after the lock is released.
 //
 // Determinism: cache state never leaks into response bytes. Hit/miss
 // counts live in Stats and surface only in the server's stderr summary
@@ -71,8 +69,8 @@ class ServeCaches : public RrGraphProvider {
                                          const std::string& defects,
                                          const ArchParams& base);
 
-  // RrGraphProvider: a clone_for_reuse() copy of the cached prototype for
-  // (grid, arch) — byte-identical to RrGraph(grid, arch) except the uid.
+  // RrGraphProvider: a copy of the cached prototype for (grid, arch) —
+  // equal to RrGraph(grid, arch).
   RrGraph make(const GridSize& grid, const ArchParams& arch) override;
 
   Stats stats() const;

@@ -236,8 +236,6 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "place.smb_sets",        // place: distinct SMB sets (annealer boxes)
       "place.temperatures",    // place/annealer: temperature steps annealed
       "route.calls",           // route: route_design invocations
-      "route.cycle_cache_lookups",  // route/pathfinder: RouteState probes
-      "route.cycles_reused",   // route/pathfinder: cycles replayed from cache
       "route.defect_avoided",  // route/pathfinder: capacity-0 channels kept clean
       "route.reroutes",        // route/pathfinder: net searches executed
   };
@@ -253,7 +251,7 @@ const std::vector<std::string>& Trace::known_value_sites() {
       "place.accepted_per_temp",    // place/annealer: accepts per temperature
       "place.cost",                 // place: winning placement cost
       "route.channel_occupancy",    // flow: wire nodes used / RR nodes, per route
-      "route.cycle_tasks",          // route: cycles negotiated per route_design call
+      "route.cycle_tasks",          // route: non-empty cycles per route_design call
       "route.iterations_per_cycle", // route: PathFinder iterations per cycle
       "route.overuse_per_cycle",    // route: residual overused nodes per cycle
       "route.rip_ups_per_iter",     // route: nets ripped up per iteration
@@ -273,6 +271,7 @@ const std::vector<std::string>& Trace::known_span_names() {
       "flow",      // flow: whole run_nanomap body
       "place",     // flow: placement (all restarts + screen)
       "route",     // flow: routing ladder for one placement attempt
+      "rr_build",  // flow: one RR-graph build inside the routing ladder
       "schedule",  // flow: scheduling of all planes at one level
       "sta",       // flow: static timing analysis
   };

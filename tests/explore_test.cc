@@ -333,16 +333,16 @@ TEST(Explore, TracedSweepHitsOnlyRegisteredSites) {
   ASSERT_EQ(ex.report.stages.size(), 1u);
   EXPECT_EQ(ex.report.stages[0].name, "explore");
 
-  long candidates = 0, cache_lookups = 0;
+  long candidates = 0, route_calls = 0;
   const auto& counter_reg = Trace::known_counter_sites();
   std::set<std::string> known(counter_reg.begin(), counter_reg.end());
   for (const TraceCounterRow& c : ex.report.counters) {
     EXPECT_TRUE(known.count(c.site)) << "unregistered site " << c.site;
     if (c.site == "explore.candidates") candidates = c.value;
-    if (c.site == "route.cycle_cache_lookups") cache_lookups = c.value;
+    if (c.site == "route.calls") route_calls = c.value;
   }
   EXPECT_EQ(candidates, 6);
-  EXPECT_GE(cache_lookups, 1);
+  EXPECT_GE(route_calls, 1);
 }
 
 // --- report schema ---------------------------------------------------------

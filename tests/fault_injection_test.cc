@@ -242,15 +242,15 @@ TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
   }
 }
 
-// route.converge faults × incremental router state (DESIGN.md §5g). The
-// ladder keeps an RR graph and a RouteState alive across its rungs; a
-// faulted climb must drop both. Arm the fault at increasing hit indices
-// so it fires at different depths of the incremental state build-up
-// (rung 0 cold, rung 1 with a warm cycle cache, a later level's fresh
-// climb) on a congested fabric that actually exercises the ladder, and
-// prove the recovery never ships stale cached trees: the final routing
-// replays byte-identically on the verbatim seed router from the winning
-// rung's fabric + budgets, and results are threads-1-vs-4 byte-identical.
+// route.converge faults × the recovery ladder (DESIGN.md §5e). The ladder
+// keeps an RR graph alive across its budget rungs; a faulted climb must
+// drop it. Arm the fault at increasing hit indices so it fires at
+// different depths of the ladder (rung 0, rung 1 on the shared graph, a
+// later level's fresh climb) on a congested fabric that actually
+// exercises the ladder, and prove the recovery never ships stale state:
+// the final routing replays byte-identically on the verbatim seed router
+// from the winning rung's fabric + budgets, and results are
+// threads-1-vs-4 byte-identical.
 TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
   RandomDagSpec spec;
   spec.luts_per_plane = 80;
@@ -275,7 +275,7 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
   // Probe how many route_design calls the clean flow makes (an armed
   // plan counts hits even when its hit index is never reached), and make
   // sure the ladder genuinely climbs — otherwise the sweep below would
-  // only ever fault cold router state.
+  // only ever fault rung 0.
   int clean_hits = 0;
   {
     FaultScope faults("route.converge:1000:check");
@@ -327,7 +327,7 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
     ASSERT_TRUE(serial.feasible) << "hit " << nth << ": " << serial.message;
     EXPECT_TRUE(serial.routing.success) << "hit " << nth;
 
-    // No stale caches: a cold reference re-route of the shipped
+    // No stale state: a cold reference re-route of the shipped
     // placement on the winning fabric reproduces the shipped routing
     // exactly.
     RrGraph rr(serial.placement.placement.grid, serial.routed_arch);

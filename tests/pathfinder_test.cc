@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <random>
 
@@ -258,10 +259,19 @@ TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
   });
 }
 
+// Pools of width 1, 2, 4 and 0 (hardware concurrency).
+std::vector<std::unique_ptr<ThreadPool>> test_pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int width : {1, 2, 4, 0})
+    pools.push_back(std::make_unique<ThreadPool>(width));
+  return pools;
+}
+
 TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
-  // Cycle 0 is trivially routable, cycle 1 is congested: climbing a
-  // budget rung and then a channel rung must replay cycle 0 from the
-  // cache while staying byte-identical to a cold reference route.
+  // Cycle 0 is trivially routable, cycle 1 is congested. The flow's
+  // ladder walk (starved budgets, raised budgets, widened channels) on a
+  // freshly built graph per rung must stay byte-identical to a cold
+  // reference route at every pool width.
   ArchParams arch = ArchParams::paper_instance();
   arch.direct_links_per_side = 2;
   arch.len1_tracks = 4;
@@ -272,56 +282,47 @@ TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
   for (int i = 0; i < 9; ++i) nets.push_back(net(i, 1, 0, {1}));
   ClusteredDesign cd = synthetic(4, 2, std::move(nets));
   Placement p = row_placement(4, 4);
-  RrGraph rr(p.grid, arch);
-  RouteState state;
 
   RouterOptions starved;
   starved.max_iterations = 2;
-  RoutingResult r0 = route_design(cd, p, rr, starved, &state);
-  expect_identical(r0, route_nets_reference(cd, p, rr, starved), "rung 0");
-
-  // Budget rung: same graph, raised iteration budget. The easy cycle
-  // converged in one clean iteration, so it replays from the cache.
   RouterOptions raised = starved;
   raised.max_iterations = 60;
   raised.pres_fac_mult = 1.0 + (raised.pres_fac_mult - 1.0) * 1.5;
   raised.hist_fac *= 1.5;
-  RoutingResult r1 = route_design(cd, p, rr, raised, &state);
-  expect_identical(r1, route_nets_reference(cd, p, rr, raised), "rung 1");
-  EXPECT_GE(r1.reuse.cycles_reused, 1);
-
-  // Channel rung: widen in place; the easy cycle (which never read a
-  // congested cost) must survive the capacity epoch bump.
   ArchParams wide = arch;
   wide.len1_tracks += 2;
   wide.len4_tracks += 1;
   wide.global_tracks += 1;
-  rr.widen_channels(wide);
-  RoutingResult r2 = route_design(cd, p, rr, raised, &state);
-  expect_identical(r2, route_nets_reference(cd, p, rr, raised), "rung 2");
-  EXPECT_GE(r2.reuse.cycles_reused, 1);
-  EXPECT_TRUE(r2.success);
+  const struct {
+    const ArchParams* arch;
+    const RouterOptions* router;
+  } rungs[] = {{&arch, &starved}, {&arch, &raised}, {&wide, &raised}};
+
+  const auto pools = test_pools();
+  for (std::size_t r = 0; r < std::size(rungs); ++r) {
+    RrGraph rr(p.grid, *rungs[r].arch);
+    const RoutingResult want =
+        route_nets_reference(cd, p, rr, *rungs[r].router);
+    const std::string ctx = "rung " + std::to_string(r);
+    expect_identical(route_design(cd, p, rr, *rungs[r].router), want, ctx);
+    for (const auto& pool : pools)
+      expect_identical(
+          route_design(cd, p, rr, *rungs[r].router, pool.get()), want,
+          ctx + " width " + std::to_string(pool->num_threads()));
+    if (r == 2) {
+      EXPECT_TRUE(want.success);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Concurrent cycle negotiation: route_design on a pool of any width must
-// reproduce the inline result, reuse stats and RouteState byte for byte.
+// reproduce the inline result and skip stats byte for byte.
 
 void expect_same_reuse(const RouteReuseStats& got,
                        const RouteReuseStats& want, const std::string& ctx) {
-  EXPECT_EQ(got.cycles_total, want.cycles_total) << ctx;
-  EXPECT_EQ(got.cycles_reused, want.cycles_reused) << ctx;
-  EXPECT_EQ(got.nets_reused, want.nets_reused) << ctx;
   EXPECT_EQ(got.nets_skipped, want.nets_skipped) << ctx;
   EXPECT_EQ(got.nets_rerouted, want.nets_rerouted) << ctx;
-}
-
-// Pools of width 1, 2, 4 and 0 (hardware concurrency).
-std::vector<std::unique_ptr<ThreadPool>> test_pools() {
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (int width : {1, 2, 4, 0})
-    pools.push_back(std::make_unique<ThreadPool>(width));
-  return pools;
 }
 
 TEST(PathFinderConcurrent, PoolWidthsMatchInlineAndReference) {
@@ -334,7 +335,7 @@ TEST(PathFinderConcurrent, PoolWidthsMatchInlineAndReference) {
       const std::string wctx =
           ctx + " width " + std::to_string(pool->num_threads());
       const RoutingResult got =
-          route_design(ph.cd, ph.p, rr, opts, nullptr, pool.get());
+          route_design(ph.cd, ph.p, rr, opts, pool.get());
       expect_identical(got, want, wctx);
       expect_same_reuse(got.reuse, want.reuse, wctx);
     }
@@ -342,10 +343,11 @@ TEST(PathFinderConcurrent, PoolWidthsMatchInlineAndReference) {
 }
 
 TEST(PathFinderConcurrent, RepeatedSignaturesAcrossLadderRungs) {
-  // Six cycles, two signatures repeated: cycles 0/2/4 are an easy net,
-  // cycles 1/3 the same congested corner, cycle 5 a heavier corner. One
-  // RouteState rides along a starved -> raised -> widened ladder; every
-  // pool width must emit the same results, reuse stats and cache size.
+  // Six cycles, two geometries repeated: cycles 0/2/4 are an easy net,
+  // cycles 1/3 the same congested corner, cycle 5 a heavier corner. A
+  // starved -> raised -> widened ladder, each rung on a freshly built
+  // graph, must emit the same results and skip stats at every pool width
+  // and match the reference at every rung.
   ArchParams arch = ArchParams::paper_instance();
   arch.direct_links_per_side = 2;
   arch.len1_tracks = 4;
@@ -375,41 +377,29 @@ TEST(PathFinderConcurrent, RepeatedSignaturesAcrossLadderRungs) {
   wide.len4_tracks += 1;
   wide.global_tracks += 1;
 
-  struct Rung {
-    RoutingResult result;
-    std::size_t cache_size = 0;
-  };
-  // Climbs the ladder on a fresh graph and cache through `pool`.
+  // Climbs the ladder through `pool`, building a fresh graph per rung.
   auto climb = [&](ThreadPool* pool) {
-    RrGraph rr(p.grid, arch);
-    RouteState state;
-    std::vector<Rung> rungs;
+    std::vector<RoutingResult> results;
     for (int r = 0; r < 3; ++r) {
-      if (r == 2) rr.widen_channels(wide);
+      RrGraph rr(p.grid, r == 2 ? wide : arch);
       const RouterOptions& opts = r == 0 ? starved : raised;
-      Rung rung;
-      rung.result = route_design(cd, p, rr, opts, &state, pool);
-      rung.cache_size = state.size();
-      expect_identical(rung.result, route_nets_reference(cd, p, rr, opts),
+      results.push_back(route_design(cd, p, rr, opts, pool));
+      expect_identical(results.back(), route_nets_reference(cd, p, rr, opts),
                        "rung " + std::to_string(r));
-      rungs.push_back(std::move(rung));
     }
-    return rungs;
+    return results;
   };
 
-  const std::vector<Rung> want = climb(nullptr);
-  EXPECT_FALSE(want[0].result.success);  // the starved rung really fails
-  EXPECT_GE(want[0].result.reuse.cycles_reused, 2);  // in-call duplicates
-  EXPECT_GE(want[1].result.reuse.cycles_reused, 3);  // easy cycles replay
-  EXPECT_TRUE(want[2].result.success);
+  const std::vector<RoutingResult> want = climb(nullptr);
+  EXPECT_FALSE(want[0].success);  // the starved rung really fails
+  EXPECT_TRUE(want[2].success);
   for (const auto& pool : test_pools()) {
-    const std::vector<Rung> got = climb(pool.get());
+    const std::vector<RoutingResult> got = climb(pool.get());
     for (std::size_t r = 0; r < got.size(); ++r) {
       const std::string ctx = "width " + std::to_string(pool->num_threads()) +
                               " rung " + std::to_string(r);
-      expect_identical(got[r].result, want[r].result, ctx);
-      expect_same_reuse(got[r].result.reuse, want[r].result.reuse, ctx);
-      EXPECT_EQ(got[r].cache_size, want[r].cache_size) << ctx;
+      expect_identical(got[r], want[r], ctx);
+      expect_same_reuse(got[r].reuse, want[r].reuse, ctx);
     }
   }
 }
@@ -435,7 +425,7 @@ TEST(PathFinderConcurrent, LowestFailingCycleRethrowsAtEveryWidth) {
 
   auto message = [&](ThreadPool* pool) {
     try {
-      route_design(cd, p, rr, {}, nullptr, pool);
+      route_design(cd, p, rr, {}, pool);
     } catch (const std::exception& e) {
       return std::string(e.what());
     }
@@ -449,23 +439,31 @@ TEST(PathFinderConcurrent, LowestFailingCycleRethrowsAtEveryWidth) {
         << "width " << pool->num_threads();
 }
 
-TEST(PathFinderIncremental, CrossCycleReuseWithinOneCall) {
-  // Three folding cycles with the same geometry: cycles 1 and 2 replay
-  // cycle 0's negotiation instead of re-running it.
+TEST(PathFinder, IdenticalCyclesRouteIdentically) {
+  // Two folding cycles with the same geometry are routed independently
+  // in one call, and get the same trees and delays.
   std::vector<PlacedNet> nets;
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < 2; ++c) {
     nets.push_back(net(c * 2, c, 0, {1, 2}));
     nets.push_back(net(c * 2 + 1, c, 3, {0}));
   }
-  ClusteredDesign cd = synthetic(4, 3, std::move(nets));
+  ClusteredDesign cd = synthetic(4, 2, std::move(nets));
   Placement p = row_placement(4, 3);
   ArchParams arch = ArchParams::paper_instance();
   RrGraph rr(p.grid, arch);
   RoutingResult r = route_design(cd, p, rr);
-  expect_identical(r, route_nets_reference(cd, p, rr), "cross-cycle");
-  EXPECT_EQ(r.reuse.cycles_total, 3);
-  EXPECT_EQ(r.reuse.cycles_reused, 2);
-  EXPECT_EQ(r.reuse.nets_reused, 4);
+  expect_identical(r, route_nets_reference(cd, p, rr), "identical cycles");
+  ASSERT_EQ(r.nets.size(), 4u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    const NetRoute& first = r.nets[j];
+    const NetRoute& second = r.nets[j + 2];
+    EXPECT_EQ(cd.nets[static_cast<std::size_t>(first.net_index)].cycle, 0);
+    EXPECT_EQ(cd.nets[static_cast<std::size_t>(second.net_index)].cycle, 1);
+    EXPECT_FALSE(first.wire_nodes.empty());
+    EXPECT_EQ(first.wire_nodes, second.wire_nodes) << "net " << j;
+    EXPECT_EQ(first.sink_smbs, second.sink_smbs) << "net " << j;
+    EXPECT_EQ(first.sink_delay_ps, second.sink_delay_ps) << "net " << j;
+  }
 }
 
 TEST(PathFinderIncremental, CleanNetsSkipRepeatSearches) {
@@ -552,10 +550,10 @@ TEST(ValidateRouting, AcceptsRealResultsRejectsCorruptions) {
 }
 
 TEST(PathFinderIncremental, FuzzedEditSequencesStayIdentical) {
-  // Random ladder walks: widen channels in place, jiggle router budgets or
-  // leave everything as is, re-route with a persistent RouteState — after
-  // every step the incremental result must equal a cold reference route on
-  // the same graph and pass the structural invariants.
+  // Random ladder walks: widen channels (a fresh graph), jiggle router
+  // budgets or leave everything as is, and re-route — after every step
+  // the kernel's result must equal a cold reference route on the same
+  // graph and pass the structural invariants.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     ArchParams arch = ArchParams::paper_instance_unbounded_k();
     arch.direct_links_per_side = 2;
@@ -568,19 +566,18 @@ TEST(PathFinderIncremental, FuzzedEditSequencesStayIdentical) {
     spec.num_inputs = 8;
     spec.seed = 40 + seed;
     Physical ph = build_physical(spec, 1, arch);
-    RrGraph rr(ph.p.grid, arch);
-    RouteState state;
+    auto rr = std::make_unique<RrGraph>(ph.p.grid, arch);
     RouterOptions opts;
     opts.max_iterations = 12;
     std::mt19937 rng(static_cast<unsigned>(1000 + seed));
     for (int step = 0; step < 6; ++step) {
       switch (rng() % 3) {
-        case 0: {  // in-place channel widening
-          ArchParams wide = rr.arch();
+        case 0: {  // channel widening
+          ArchParams wide = rr->arch();
           wide.len1_tracks += 1 + static_cast<int>(rng() % 2);
           wide.len4_tracks += static_cast<int>(rng() % 2);
           wide.global_tracks += static_cast<int>(rng() % 2);
-          rr.widen_channels(wide);
+          rr = std::make_unique<RrGraph>(ph.p.grid, wide);
           break;
         }
         case 1: {  // budget escalation
@@ -589,16 +586,16 @@ TEST(PathFinderIncremental, FuzzedEditSequencesStayIdentical) {
           opts.hist_fac *= 1.2;
           break;
         }
-        default:  // no edit: a plain re-route against the cached state
+        default:  // no edit: a plain re-route
           break;
       }
-      RoutingResult inc = route_design(ph.cd, ph.p, rr, opts, &state);
-      RoutingResult ref = route_nets_reference(ph.cd, ph.p, rr, opts);
+      RoutingResult inc = route_design(ph.cd, ph.p, *rr, opts);
+      RoutingResult ref = route_nets_reference(ph.cd, ph.p, *rr, opts);
       expect_identical(inc, ref,
                        "fuzz seed " + std::to_string(seed) + " step " +
                            std::to_string(step));
       std::string why;
-      EXPECT_TRUE(validate_routing(ph.cd, ph.p, rr, inc, &why)) << why;
+      EXPECT_TRUE(validate_routing(ph.cd, ph.p, *rr, inc, &why)) << why;
     }
   }
 }

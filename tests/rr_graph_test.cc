@@ -113,98 +113,6 @@ TEST(RrGraph, DescribeNames) {
   EXPECT_EQ(rr.describe(rr.ipin(0, 1)), "IPIN(0,1)");
 }
 
-TEST(RrGraph, UidsAreUniquePerInstance) {
-  ArchParams arch = ArchParams::paper_instance();
-  RrGraph a({2, 2}, arch);
-  RrGraph b({2, 2}, arch);
-  EXPECT_NE(a.uid(), b.uid());
-  EXPECT_EQ(a.capacity_epoch(), 0);
-}
-
-TEST(RrGraph, CanWidenInPlaceRules) {
-  ArchParams from = ArchParams::paper_instance();
-  ArchParams to = from;
-  EXPECT_TRUE(can_widen_in_place(from, to));  // no-op widening is fine
-  to.len1_tracks += 4;
-  to.global_tracks += 1;
-  EXPECT_TRUE(can_widen_in_place(from, to));
-  to.len4_tracks = from.len4_tracks - 1;  // narrowing
-  EXPECT_FALSE(can_widen_in_place(from, to));
-  to = from;
-  to.len1_wire_delay_ps += 1.0;  // delay change is a rebuild, not a widen
-  EXPECT_FALSE(can_widen_in_place(from, to));
-  ArchParams no_len4 = from;
-  no_len4.len4_tracks = 0;
-  to = no_len4;
-  to.len4_tracks = 2;  // nodes that were never built cannot appear
-  EXPECT_FALSE(can_widen_in_place(no_len4, to));
-}
-
-TEST(RrGraph, WidenChannelsRaisesOnlyCapacities) {
-  ArchParams arch = ArchParams::paper_instance();
-  RrGraph rr({4, 4}, arch);
-  const std::uint64_t uid = rr.uid();
-  struct Snap {
-    RrType type;
-    int x, y;
-    double delay, base;
-    std::vector<int> edges;
-  };
-  std::vector<Snap> before;
-  for (int i = 0; i < rr.size(); ++i) {
-    const RrNode& n = rr.node(i);
-    before.push_back({n.type, n.x, n.y, n.delay_ps, n.base_cost, n.edges});
-  }
-
-  ArchParams wide = arch;
-  wide.direct_links_per_side += 3;
-  wide.len1_tracks += 5;
-  wide.len4_tracks += 2;
-  wide.global_tracks += 1;
-  rr.widen_channels(wide);
-
-  EXPECT_EQ(rr.uid(), uid);
-  EXPECT_EQ(rr.capacity_epoch(), 1);
-  EXPECT_EQ(rr.arch().len1_tracks, wide.len1_tracks);
-  ASSERT_EQ(static_cast<int>(before.size()), rr.size());
-  for (int i = 0; i < rr.size(); ++i) {
-    const RrNode& n = rr.node(i);
-    EXPECT_EQ(n.type, before[static_cast<std::size_t>(i)].type);
-    EXPECT_EQ(n.x, before[static_cast<std::size_t>(i)].x);
-    EXPECT_EQ(n.y, before[static_cast<std::size_t>(i)].y);
-    EXPECT_DOUBLE_EQ(n.delay_ps, before[static_cast<std::size_t>(i)].delay);
-    EXPECT_DOUBLE_EQ(n.base_cost, before[static_cast<std::size_t>(i)].base);
-    EXPECT_EQ(n.edges, before[static_cast<std::size_t>(i)].edges);
-    switch (n.type) {
-      case RrType::kDirect:
-        EXPECT_EQ(n.capacity, wide.direct_links_per_side);
-        break;
-      case RrType::kLen1: EXPECT_EQ(n.capacity, wide.len1_tracks); break;
-      case RrType::kLen4: EXPECT_EQ(n.capacity, wide.len4_tracks); break;
-      case RrType::kGlobal: EXPECT_EQ(n.capacity, wide.global_tracks); break;
-      default: break;  // pins untouched
-    }
-  }
-
-  // A second widen stacks: the epoch keeps counting.
-  ArchParams wider = wide;
-  wider.len1_tracks += 1;
-  rr.widen_channels(wider);
-  EXPECT_EQ(rr.capacity_epoch(), 2);
-}
-
-TEST(RrGraph, WidenChannelsRejectsNonWidening) {
-  ArchParams arch = ArchParams::paper_instance();
-  RrGraph rr({2, 2}, arch);
-  ArchParams narrower = arch;
-  narrower.len1_tracks -= 1;
-  EXPECT_THROW(rr.widen_channels(narrower), CheckError);
-  ArchParams retimed = arch;
-  retimed.global_wire_delay_ps *= 2.0;
-  EXPECT_THROW(rr.widen_channels(retimed), CheckError);
-  EXPECT_EQ(rr.capacity_epoch(), 0);  // failed widens leave no trace
-}
-
 TEST(ArchParams, ValidationCatchesBadConfigs) {
   ArchParams arch = ArchParams::paper_instance();
   EXPECT_NO_THROW(arch.validate());
