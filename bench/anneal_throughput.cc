@@ -1,6 +1,7 @@
 // Annealer move-throughput tracker: runs the set-keyed incremental-bbox
-// annealer and the from-scratch seed reference on the standard circuits
-// (plus synthetic high-fanout designs) and writes moves/sec for both to
+// annealer and the from-scratch seed reference on the standard circuits,
+// each clustered at the folding level the default flow picks (plus
+// synthetic high-fanout designs), and writes moves/sec for both to
 // BENCH_anneal.json (schema in docs/FORMATS.md), under a host header:
 // hardware threads, build type and the `git describe` passed in.
 //
@@ -9,13 +10,15 @@
 // --smoke runs three rows (ex1, Paulin, synthetic-fanout8) with a short
 // timing window: enough for CI to exercise the identity check.
 //
-// The reference below is a faithful copy of the seed Annealer: full
-// O(fanout) bounding-box recompute per incident net per move, plus a
-// heap-allocated sort+unique net list on every swap. It makes the exact
-// same RNG draws and accept/reject decisions as the incremental kernel,
-// so both engines must land on byte-identical placements — checked per
-// circuit and reported in the JSON ("identical") — and the ratio of their
-// throughputs is a pure like-for-like kernel speedup.
+// The reference below is the seed Annealer on the same fixed-point
+// objective (placement.h): full O(fanout) bounding-box recompute per
+// incident net per move, each net's quantized weight times its hpwl
+// summed as int64, plus a heap-allocated sort+unique net list on every
+// swap. It makes the exact same RNG draws and accept/reject decisions as
+// the incremental kernel, so both engines must land on byte-identical
+// placements — checked per circuit and reported in the JSON
+// ("identical") — and the ratio of their throughputs is a pure
+// like-for-like kernel speedup.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -27,7 +30,7 @@
 
 #include "circuits/benchmarks.h"
 #include "core/temporal_cluster.h"
-#include "netlist/plane.h"
+#include "flow/nanomap_flow.h"
 #include "place/annealer.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -36,7 +39,7 @@ using namespace nanomap;
 
 namespace {
 
-// ---- Reference engine: the seed-repo annealer, kept verbatim. ----------
+// ---- Reference engine: the seed-repo annealer, integer objective. -------
 class LegacyAnnealer {
  public:
   LegacyAnnealer(const ClusteredDesign& cd, const Placement& initial,
@@ -49,16 +52,15 @@ class LegacyAnnealer {
       smb_at_site_[static_cast<std::size_t>(site)] = m;
     }
     nets_of_.assign(static_cast<std::size_t>(cd.num_smbs), {});
-    net_weight_.reserve(cd.nets.size());
+    net_weight_ = quantized_net_weights(cd, timing_weight, placement_.grid);
     for (std::size_t i = 0; i < cd.nets.size(); ++i) {
       const PlacedNet& pn = cd.nets[i];
-      net_weight_.push_back(1.0 + timing_weight * pn.criticality);
       nets_of_[static_cast<std::size_t>(pn.driver_smb)].push_back(
           static_cast<int>(i));
       for (int s : pn.sink_smbs)
         nets_of_[static_cast<std::size_t>(s)].push_back(static_cast<int>(i));
     }
-    cost_ = 0.0;
+    cost_ = 0;
     for (std::size_t i = 0; i < cd_.nets.size(); ++i)
       cost_ += net_cost(static_cast<int>(i));
   }
@@ -72,9 +74,9 @@ class LegacyAnnealer {
     double sum = 0.0, sum2 = 0.0;
     const int samples = std::min(128, 8 * n);
     for (int i = 0; i < samples; ++i) {
-      double c0 = cost_;
+      std::int64_t c0 = cost_;
       try_move(1e18, placement_.grid.width);
-      double d = cost_ - c0;
+      double d = cost_to_double(cost_ - c0);
       sum += d;
       sum2 += d * d;
     }
@@ -83,7 +85,8 @@ class LegacyAnnealer {
     double t = 20.0 * std::sqrt(var) + 1e-6;
     int rlim = std::max(1, placement_.grid.width);
     const double exit_t =
-        0.005 * std::max(1.0, cost_) / static_cast<double>(cd_.nets.size());
+        0.005 * std::max(1.0, cost_to_double(cost_)) /
+        static_cast<double>(cd_.nets.size());
     while (t > exit_t) {
       long accepted = 0;
       for (long i = 0; i < moves_per_t; ++i) {
@@ -111,7 +114,7 @@ class LegacyAnnealer {
   long moves_attempted() const { return moves_attempted_; }
 
  private:
-  double net_cost(int net) const {
+  std::int64_t net_cost(int net) const {
     const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net)];
     int xmin = placement_.x_of(pn.driver_smb);
     int xmax = xmin;
@@ -124,13 +127,18 @@ class LegacyAnnealer {
       ymax = std::max(ymax, placement_.y_of(s));
     }
     return net_weight_[static_cast<std::size_t>(net)] *
-           static_cast<double>((xmax - xmin) + (ymax - ymin));
+           ((xmax - xmin) + (ymax - ymin));
   }
 
-  double incident_cost(int smb) const {
-    double c = 0.0;
+  std::int64_t incident_cost(int smb) const {
+    std::int64_t c = 0;
     for (int n : nets_of_[static_cast<std::size_t>(smb)]) c += net_cost(n);
     return c;
+  }
+
+  bool accept(std::int64_t delta, double t) {
+    return delta <= 0 || (t > 0.0 && rng_->next_double() <
+                                         std::exp(-cost_to_double(delta) / t));
   }
 
   bool try_move(double t, int rlim) {
@@ -149,9 +157,9 @@ class LegacyAnnealer {
     if (to == from) return false;
     int other = smb_at_site_[static_cast<std::size_t>(to)];
 
-    double before = incident_cost(smb);
+    std::int64_t before = incident_cost(smb);
     if (other >= 0) {
-      before = 0.0;
+      before = 0;
       std::vector<int> nets = nets_of_[static_cast<std::size_t>(smb)];
       nets.insert(nets.end(),
                   nets_of_[static_cast<std::size_t>(other)].begin(),
@@ -164,12 +172,10 @@ class LegacyAnnealer {
       placement_.site_of_smb[static_cast<std::size_t>(other)] = from;
       smb_at_site_[static_cast<std::size_t>(to)] = smb;
       smb_at_site_[static_cast<std::size_t>(from)] = other;
-      double after = 0.0;
+      std::int64_t after = 0;
       for (int n : nets) after += net_cost(n);
-      double delta = after - before;
-      if (delta <= 0.0 ||
-          (t > 0.0 && rng_->next_double() < std::exp(-delta / t))) {
-        cost_ += delta;
+      if (accept(after - before, t)) {
+        cost_ += after - before;
         return true;
       }
       placement_.site_of_smb[static_cast<std::size_t>(smb)] = from;
@@ -182,11 +188,9 @@ class LegacyAnnealer {
     placement_.site_of_smb[static_cast<std::size_t>(smb)] = to;
     smb_at_site_[static_cast<std::size_t>(to)] = smb;
     smb_at_site_[static_cast<std::size_t>(from)] = -1;
-    double after = incident_cost(smb);
-    double delta = after - before;
-    if (delta <= 0.0 ||
-        (t > 0.0 && rng_->next_double() < std::exp(-delta / t))) {
-      cost_ += delta;
+    std::int64_t after = incident_cost(smb);
+    if (accept(after - before, t)) {
+      cost_ += after - before;
       return true;
     }
     placement_.site_of_smb[static_cast<std::size_t>(smb)] = from;
@@ -199,8 +203,8 @@ class LegacyAnnealer {
   Placement placement_;
   std::vector<int> smb_at_site_;
   std::vector<std::vector<int>> nets_of_;
-  std::vector<double> net_weight_;
-  double cost_ = 0.0;
+  std::vector<std::int64_t> net_weight_;
+  std::int64_t cost_ = 0;
   Rng* rng_;
   long moves_attempted_ = 0;
 };
@@ -277,19 +281,11 @@ Row measure(const std::string& name, const ClusteredDesign& cd,
   return row;
 }
 
-ClusteredDesign cluster_circuit(const std::string& name, int level) {
-  Design d = make_benchmark(name);
-  CircuitParams p = extract_circuit_params(d.net);
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  DesignSchedule sched;
-  sched.folding = make_folding_config(p, level);
-  sched.planes_share = !sched.folding.no_folding();
-  for (int plane = 0; plane < p.num_plane; ++plane) {
-    PlaneScheduleGraph g = build_schedule_graph(d, plane, sched.folding);
-    sched.plane_results.push_back(schedule_plane(g, arch));
-    sched.graphs.push_back(std::move(g));
-  }
-  return temporal_cluster(d, sched, arch);
+// The clustered design the default flow places: the folding level the
+// level search picks, on the paper fabric.
+ClusteredDesign cluster_circuit(const std::string& name) {
+  FlowResult r = run_nanomap(make_benchmark(name), FlowOptions{});
+  return std::move(r.clustered);
 }
 
 ClusteredDesign synthetic_fanout(int smbs, int nets, int fanout,
@@ -333,15 +329,14 @@ int main(int argc, char** argv) {
   const double min_seconds = smoke ? 0.02 : 0.2;
   std::vector<Row> rows;
 
-  // The paper's standard circuits, clustered at folding level 1.
+  // The paper's standard circuits, clustered as the flow clusters them.
   for (const std::string& name : benchmark_names()) {
     if (smoke && name != "ex1" && name != "Paulin") continue;
-    rows.push_back(measure(name, cluster_circuit(name, 1), 1.0,
-                           min_seconds));
+    rows.push_back(measure(name, cluster_circuit(name), 1.0, min_seconds));
   }
 
   // Synthetic fanout sweep: every net has its own SMB set, so the set
-  // boxes save nothing here and the second (net) pass is pure overhead.
+  // boxes save nothing here over one box per net.
   for (int fanout : {8, 16, 32}) {
     if (smoke && fanout != 8) continue;
     rows.push_back(measure("synthetic-fanout" + std::to_string(fanout),
@@ -357,11 +352,11 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.field("unit", "moves/sec");
   w.field("legacy",
-          "seed annealer, O(fanout) bbox recompute per incident net per "
-          "move");
+          "seed annealer on the fixed-point objective, O(fanout) bbox "
+          "recompute per incident net per move");
   w.field("incremental",
-          "one cached bbox per distinct SMB set, exact per-net cost sums "
-          "(net_bbox.h)");
+          "one cached bbox and one int64 weight per distinct SMB set "
+          "(net_bbox.h, annealer.h)");
   w.field("smoke", smoke);
   w.field("hardware_threads",
           static_cast<long>(ThreadPool::hardware_threads()));

@@ -153,7 +153,7 @@ void BM_AnnealMoves(benchmark::State& state) {
     Annealer a(cd, init, 0.8, &rng);
     a.run(1.0);
     moves += a.moves_attempted();
-    benchmark::DoNotOptimize(a.running_cost());
+    benchmark::DoNotOptimize(a.cost());
   }
   state.SetItemsProcessed(moves);
 }

@@ -14,7 +14,11 @@
 // single-core container every worker count lands at ~parity. The numbers
 // emitted are honest measurements of this machine.
 //
-//   ./bench/serve_throughput [--smoke] [out.json]  (default BENCH_serve.json)
+// The report carries a host header: hardware threads, build type and the
+// `git describe` passed in.
+//
+//   ./bench/serve_throughput [--smoke] [--git-describe D] [out.json]
+//                            (default BENCH_serve.json)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -92,11 +96,14 @@ double hit_rate(long hits, long misses) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  std::string git_describe = "unknown";
   std::string out_path = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke")
       smoke = true;
+    else if (arg == "--git-describe" && i + 1 < argc)
+      git_describe = argv[++i];
     else
       out_path = arg;
   }
@@ -121,6 +128,8 @@ int main(int argc, char** argv) {
                     "one traced job, one malformed line");
   w.field("threads", kThreads);
   w.field("hardware_threads", ThreadPool::hardware_threads());
+  w.field("build_type", NANOMAP_BUILD_TYPE);
+  w.field("git_describe", git_describe);
   w.field("smoke", smoke);
   w.key("rows");
   w.begin_array();

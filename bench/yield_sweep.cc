@@ -12,7 +12,11 @@
 // r/4 (a dead SMB kills all its LEs at once, so whole-site defects are
 // kept rarer than element defects, mirroring area-proportional yield).
 //
-//   ./bench/yield_sweep [--smoke] [out.json]   (default BENCH_yield.json)
+// The report opens with a host header: hardware threads, build type and
+// the `git describe` passed in.
+//
+//   ./bench/yield_sweep [--smoke] [--git-describe D] [out.json]
+//                       (default BENCH_yield.json)
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -26,6 +30,7 @@
 #include "flow/nanomap_flow.h"
 #include "route/rr_graph.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 using namespace nanomap;
 
@@ -117,11 +122,14 @@ Row run_one(const std::string& circuit, const Design& design, double rate,
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  std::string git_describe = "unknown";
   std::string out_path = "BENCH_yield.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke")
       smoke = true;
+    else if (arg == "--git-describe" && i + 1 < argc)
+      git_describe = argv[++i];
     else
       out_path = arg;
   }
@@ -174,6 +182,10 @@ int main(int argc, char** argv) {
           "seeded Bernoulli per resource: le_rate = wire_rate = rate, "
           "smb_rate = rate / 4 (arch/defect.h)");
   w.field("smoke", smoke);
+  w.field("hardware_threads",
+          static_cast<long>(ThreadPool::hardware_threads()));
+  w.field("build_type", NANOMAP_BUILD_TYPE);
+  w.field("git_describe", git_describe);
   w.key("rows");
   w.begin_array();
   for (const Row& r : rows) {

@@ -23,34 +23,27 @@ Annealer::Annealer(const ClusteredDesign& cd, const Placement& initial,
   }
   boxes_.init(cd_, placement_);
 
-  // Incident lists, both ascending because sets and nets are visited in
-  // id order, and duplicate-free because a set lists each SMB once — so
-  // a self-feeding net or a repeated sink pin enters an SMB's lists once
-  // and is never double-counted in the move-cost sums.
+  // Per-SMB set lists, ascending because sets are visited in id order.
+  // Each ends in an INT_MAX sentinel so the swap-move merge in try_move
+  // runs branch-light (no per-step bounds checks).
   sets_of_.assign(static_cast<std::size_t>(cd.num_smbs), {});
-  nets_of_.assign(static_cast<std::size_t>(cd.num_smbs), {});
   for (int s = 0; s < boxes_.num_sets(); ++s)
     for (const int* m = boxes_.members_begin(s); m != boxes_.members_end(s);
          ++m)
       sets_of_[static_cast<std::size_t>(*m)].push_back(s);
-  terms_.reserve(cd.nets.size());
-  for (std::size_t i = 0; i < cd.nets.size(); ++i) {
-    const int s = boxes_.set_of(static_cast<int>(i));
-    terms_.push_back({1.0 + timing_weight * cd.nets[i].criticality, s});
-    for (const int* m = boxes_.members_begin(s); m != boxes_.members_end(s);
-         ++m)
-      nets_of_[static_cast<std::size_t>(*m)].push_back(static_cast<int>(i));
-  }
-  // Sentinel entry terminating every list: the swap-move merges in
-  // try_move run branch-light off it (no per-step bounds checks).
   for (std::vector<int>& list : sets_of_)
     list.push_back(std::numeric_limits<int>::max());
-  for (std::vector<int>& list : nets_of_)
-    list.push_back(std::numeric_limits<int>::max());
 
-  // Summed in net order: bit-identical to the historical serial per-net
-  // recompute loop.
-  cost_ = cost();
+  // Fold the quantized net weights into one weight per set (the range
+  // check inside bounds every sum below).
+  const std::vector<std::int64_t> net_weights =
+      quantized_net_weights(cd, timing_weight, placement_.grid);
+  set_weight_.assign(static_cast<std::size_t>(boxes_.num_sets()), 0);
+  for (std::size_t i = 0; i < cd.nets.size(); ++i)
+    set_weight_[static_cast<std::size_t>(
+        boxes_.set_of(static_cast<int>(i)))] += net_weights[i];
+  for (int s = 0; s < boxes_.num_sets(); ++s)
+    cost_ += set_weight_[static_cast<std::size_t>(s)] * boxes_.hpwl(s);
 
   // Move-loop scratch: a move touches at most the union of two set
   // lists, so this sizing makes try_move allocation-free.
@@ -59,17 +52,9 @@ Annealer::Annealer(const ClusteredDesign& cd, const Placement& initial,
     max_sets = std::max(max_sets, list.size());
   touched_sets_.resize(2 * max_sets);
   touched_boxes_.resize(2 * max_sets);
-  new_hpwl_.assign(static_cast<std::size_t>(boxes_.num_sets()), 0);
 #ifdef NANOMAP_AUDIT_COST
   set_stamp_.assign(static_cast<std::size_t>(boxes_.num_sets()), 0);
 #endif
-}
-
-double Annealer::cost() const {
-  double c = 0.0;
-  for (const NetTerm& t : terms_)
-    c += t.weight * static_cast<double>(boxes_.hpwl(t.set));
-  return c;
 }
 
 bool Annealer::try_move(double t, int rlim) {
@@ -114,12 +99,12 @@ bool Annealer::try_move(double t, int rlim) {
     boxes_.set_smb_xy(other, fx, fy);
   }
 
-  // Pass 1, over the touched sets: dry-run each box update on a scratch
-  // copy and record the set's post-move hpwl. The cached boxes are
-  // untouched until the move is accepted, so rejection needs no box
-  // rollback at all. A set holding both swapped SMBs keeps its
+  // One pass over the touched sets: dry-run each box update on a scratch
+  // copy and add the set's weighted hpwl change to the delta. The cached
+  // boxes are untouched until the move is accepted, so rejection needs no
+  // box rollback at all. A set holding both swapped SMBs keeps its
   // coordinate multiset, so its box and hpwl stay as they are.
-  bool hpwl_changed = false;
+  std::int64_t delta = 0;
   auto visit_set = [&](int s, bool moved_mine, bool moved_theirs) {
     std::size_t ss = static_cast<std::size_t>(s);
 #ifdef NANOMAP_AUDIT_COST
@@ -127,23 +112,19 @@ bool Annealer::try_move(double t, int rlim) {
                  "set " << s << " visited twice in one move");
     set_stamp_[ss] = move_gen_;
 #endif
-    if (moved_mine && moved_theirs) {
-      new_hpwl_[ss] = boxes_.hpwl(s);
-      return;
-    }
+    if (moved_mine && moved_theirs) return;
     std::size_t k = static_cast<std::size_t>(n_touched_++);
     touched_sets_[k] = s;
     NetBox& nb = touched_boxes_[k];
     nb = boxes_.box(s);
+    const int hpwl = nb.hpwl();
     if (moved_mine)
       boxes_.move_member(&nb, s, fx, fy, tx, ty);
     else
       boxes_.move_member(&nb, s, tx, ty, fx, fy);
-    new_hpwl_[ss] = nb.hpwl();
-    hpwl_changed |= new_hpwl_[ss] != boxes_.hpwl(s);
+    delta += set_weight_[ss] * (nb.hpwl() - hpwl);
   };
   const std::vector<int>& my_sets = sets_of_[static_cast<std::size_t>(smb)];
-  const std::vector<int>& my_nets = nets_of_[static_cast<std::size_t>(smb)];
   if (other >= 0) {
     const std::vector<int>& their_sets =
         sets_of_[static_cast<std::size_t>(other)];
@@ -163,47 +144,9 @@ bool Annealer::try_move(double t, int rlim) {
       visit_set(my_sets[k], true, false);
   }
 
-  // Pass 2, over the affected nets in ascending net order — for a swap,
-  // a two-way merge of the two sorted net lists whose take-left /
-  // take-right selection compiles to conditional moves. Each net folds
-  // its pre-move and post-move cost products into `before` and `after`
-  // in the exact floating-point order of the historical per-net
-  // evaluation, so delta — and every accept/reject decision — is
-  // bit-identical to the seed annealer. With no hpwl changed both sums
-  // would be the same sequence, so delta is exactly 0.0 without them.
-  double delta = 0.0;
-  if (hpwl_changed) {
-    double before = 0.0;
-    double after = 0.0;
-    auto add_net = [&](int net) {
-      const NetTerm& term = terms_[static_cast<std::size_t>(net)];
-      before += term.weight * static_cast<double>(boxes_.hpwl(term.set));
-      after += term.weight * static_cast<double>(
-                                 new_hpwl_[static_cast<std::size_t>(
-                                     term.set)]);
-    };
-    if (other >= 0) {
-      const std::vector<int>& their_nets =
-          nets_of_[static_cast<std::size_t>(other)];
-      std::size_t i = 0, j = 0;
-      const std::size_t last = my_nets.size() + their_nets.size() - 2;
-      while (i + j < last) {
-        int a = my_nets[i];
-        int b = their_nets[j];
-        add_net(a < b ? a : b);
-        i += static_cast<std::size_t>(a <= b);
-        j += static_cast<std::size_t>(b <= a);
-      }
-    } else {
-      for (std::size_t k = 0; k + 1 < my_nets.size(); ++k)
-        add_net(my_nets[k]);
-    }
-    delta = after - before;
-  }
-
-  if (delta <= 0.0 ||
-      (t > 0.0 && rng_->next_double() < std::exp(-delta / t))) {
-    // Commit the dry-run boxes (store() keeps their hpwl in lockstep).
+  if (delta <= 0 || (t > 0.0 && rng_->next_double() <
+                                    std::exp(-cost_to_double(delta) / t))) {
+    // Commit the dry-run boxes.
     for (int k = 0; k < n_touched_; ++k) {
       std::size_t kk = static_cast<std::size_t>(k);
       boxes_.store(touched_sets_[kk], touched_boxes_[kk]);
@@ -229,30 +172,22 @@ bool Annealer::try_move(double t, int rlim) {
 }
 
 #ifdef NANOMAP_AUDIT_COST
-// Full-recompute cross-check of the incremental state. Box equality and
-// the cost()-vs-placement_cost comparison are bit-exact by construction;
-// only the *running* accumulated cost is allowed rounding drift.
+// Full-recompute cross-check of the incremental state; every comparison
+// is exact.
 void Annealer::audit_cost() const {
   for (int m = 0; m < cd_.num_smbs; ++m) {
     NM_CHECK_MSG(boxes_.x_of(m) == placement_.x_of(m) &&
                      boxes_.y_of(m) == placement_.y_of(m),
                  "audit: stale coordinate mirror for smb " << m);
   }
-  for (int s = 0; s < boxes_.num_sets(); ++s) {
+  for (int s = 0; s < boxes_.num_sets(); ++s)
     NM_CHECK_MSG(boxes_.box(s) == boxes_.compute_box(s),
                  "audit: stale incremental bbox for smb set " << s);
-    NM_CHECK_MSG(boxes_.hpwl(s) == boxes_.box(s).hpwl(),
-                 "audit: stale cached hpwl for smb set " << s);
-  }
-  double scratch = placement_cost(cd_, placement_, timing_weight_);
-  double exact = cost();
-  NM_CHECK_MSG(exact == scratch, "audit: incremental cost "
-                                     << exact << " != recomputed cost "
+  const std::int64_t scratch =
+      placement_cost(cd_, placement_, timing_weight_);
+  NM_CHECK_MSG(cost_ == scratch, "audit: running cost "
+                                     << cost_ << " != recomputed cost "
                                      << scratch);
-  NM_CHECK_MSG(std::abs(cost_ - scratch) <=
-                   1e-6 * std::max(1.0, std::abs(scratch)),
-               "audit: running cost " << cost_ << " drifted from "
-                                      << scratch);
 }
 #endif
 
@@ -268,9 +203,9 @@ void Annealer::run(double effort) {
   double sum = 0.0, sum2 = 0.0;
   const int samples = std::min(128, 8 * n);
   for (int i = 0; i < samples; ++i) {
-    double c0 = cost_;
+    std::int64_t c0 = cost_;
     try_move(1e18, placement_.grid.width);  // accept everything
-    double d = cost_ - c0;
+    double d = cost_to_double(cost_ - c0);
     sum += d;
     sum2 += d * d;
   }
@@ -283,7 +218,8 @@ void Annealer::run(double effort) {
 
   int rlim = std::max(1, placement_.grid.width);
   const double exit_t =
-      0.005 * std::max(1.0, cost_) / static_cast<double>(cd_.nets.size());
+      0.005 * std::max(1.0, cost_to_double(cost_)) /
+      static_cast<double>(cd_.nets.size());
 
   while (t > exit_t) {
     long accepted = 0;

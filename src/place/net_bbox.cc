@@ -111,7 +111,6 @@ void NetBoxCache::init(const ClusteredDesign& cd,
   });
   const int sets = static_cast<int>(set_begin_.size()) - 1;
   boxes_.resize(static_cast<std::size_t>(sets));
-  hpwl_.resize(static_cast<std::size_t>(sets));
   for (int s = 0; s < sets; ++s) store(s, compute_box(s));
 }
 

@@ -1,15 +1,16 @@
 // Incremental per-SMB-set bounding boxes for the temporal-placement
 // annealer.
 //
-// The SA objective sums, per net, its weight times the half-perimeter of
-// the bounding box of its pins (driver SMB + sink SMBs). That box depends
-// only on the net's *SMB set* — the sorted, deduplicated
+// The SA objective sums, per net, its quantized weight times the
+// half-perimeter of the bounding box of its pins (driver SMB + sink SMBs).
+// That box depends only on the net's *SMB set* — the sorted, deduplicated
 // {driver_smb} ∪ sink_smbs — never on how many pins share an SMB. Every
 // SMB hosts LEs from every folding cycle, so the per-cycle nets repeat the
 // same few sets (ex1: 512 nets, 20 sets; ASPP4: 1,664 nets, 212 sets).
 // This cache therefore keeps one box per distinct set, each set member
-// counted as one pin, plus the box's integer half-perimeter; every net
-// reads its hpwl through set_of(net).
+// counted as one pin, whose half-perimeter is the set's hpwl; set_of(net)
+// maps each net to its set, which the annealer uses to fold the nets'
+// weights into one weight per set.
 //
 // Each box is augmented with VPR-style boundary occupancy counts — how
 // many set members sit exactly on each of the four box edges — so moving
@@ -21,9 +22,8 @@
 //
 // The boxes are pure integer state (min/max coordinates + counts), so the
 // incrementally maintained box is exactly — not approximately — the box a
-// from-scratch scan would produce, and any cost derived from it is
-// bit-identical to a recompute. That is what lets the annealer adopt this
-// kernel without changing a single accept/reject decision.
+// from-scratch scan would produce, and the integer cost derived from it
+// equals a recompute.
 //
 // Rollback protocol: the cache never snapshots anything itself. A caller
 // evaluating a speculative move copies the NetBox of every affected set,
@@ -100,8 +100,7 @@ class NetBoxCache {
   const NetBox& box(int s) const {
     return boxes_[static_cast<std::size_t>(s)];
   }
-  // box(s).hpwl(), kept in lockstep with the boxes by store().
-  int hpwl(int s) const { return hpwl_[static_cast<std::size_t>(s)]; }
+  int hpwl(int s) const { return box(s).hpwl(); }
 
   int x_of(int smb) const { return xs_[static_cast<std::size_t>(smb)]; }
   int y_of(int smb) const { return ys_[static_cast<std::size_t>(smb)]; }
@@ -163,17 +162,16 @@ class NetBoxCache {
   // update on move acceptance.
   void store(int s, const NetBox& b) {
     boxes_[static_cast<std::size_t>(s)] = b;
-    hpwl_[static_cast<std::size_t>(s)] = b.hpwl();
   }
 
- private:
   // One-axis update for a member moving from `old_c` to `new_c` within
   // the edge pair [*lo, *hi] and its counts. Returns false when the
   // member was the sole occupant of a shrinking edge (new edge unknown →
   // rescan). Written so that everything except the rarely-taken rescan
   // bail compiles to conditional moves: the edge-coincidence comparisons
   // are data-dependent and would otherwise mispredict constantly. The
-  // portable path of move_member; SSE2 hosts take move_pin_sse2.
+  // portable path of move_member; SSE2 hosts take move_pin_sse2. Public
+  // so tests can drive it on hosts where move_member never calls it.
   static bool move_axis(int old_c, int new_c, std::int32_t* lo,
                         std::int32_t* n_lo, std::int32_t* hi,
                         std::int32_t* n_hi) {
@@ -197,6 +195,7 @@ class NetBoxCache {
     return true;
   }
 
+ private:
 #ifdef NANOMAP_BBOX_SSE2
   // One member of `b` moved (fx,fy)->(tx,ty), both axes at once. NetBox
   // is laid out as four edges then four counts, so the two 128-bit
@@ -257,7 +256,6 @@ class NetBoxCache {
   std::vector<int> set_begin_;    // set -> offset into set_smbs_ (+ end)
   std::vector<int> set_smbs_;     // concatenated ascending member lists
   std::vector<NetBox> boxes_;     // set -> box
-  std::vector<int> hpwl_;         // set -> boxes_[set].hpwl()
   std::vector<std::int32_t> xs_;  // smb -> x (mirror of the placement)
   std::vector<std::int32_t> ys_;  // smb -> y
 };

@@ -76,9 +76,9 @@ Placement initial_placement(const ClusteredDesign& cd, Rng* rng,
   return p;
 }
 
-// Net bounding-box half-perimeter times the net's timing weight.
-double net_bbox_cost(const ClusteredDesign& cd, const Placement& placement,
-                     double timing_weight, std::size_t net) {
+// Half-perimeter of a net's bounding box, from its pins.
+std::int64_t net_hpwl(const ClusteredDesign& cd, const Placement& placement,
+                      std::size_t net) {
   const PlacedNet& pn = cd.nets[net];
   int xmin = placement.x_of(pn.driver_smb);
   int xmax = xmin;
@@ -90,12 +90,12 @@ double net_bbox_cost(const ClusteredDesign& cd, const Placement& placement,
     ymin = std::min(ymin, placement.y_of(s));
     ymax = std::max(ymax, placement.y_of(s));
   }
-  return (1.0 + timing_weight * pn.criticality) *
-         static_cast<double>((xmax - xmin) + (ymax - ymin));
+  return (xmax - xmin) + (ymax - ymin);
 }
 
 // One full two-step placement with a single RNG stream (the historical
-// place_design body).
+// place_design body). Leaves cost and wirelength to place_design, which
+// scores the restarts in fixed point.
 PlacementResult place_single(const ClusteredDesign& cd,
                              const ArchParams& arch,
                              const PlacementOptions& options,
@@ -144,9 +144,6 @@ PlacementResult place_single(const ClusteredDesign& cd,
     result.screen_passed =
         result.routability.peak_utilization <= options.routable_threshold;
   }
-
-  result.cost = placement_cost(cd, result.placement, options.timing_weight);
-  result.wirelength = placement_cost(cd, result.placement, 0.0);
   return result;
 }
 
@@ -220,11 +217,37 @@ bool PlaceLegality::feasible() const {
   return true;
 }
 
-double placement_cost(const ClusteredDesign& cd, const Placement& placement,
-                      double timing_weight) {
-  double cost = 0.0;
+std::vector<std::int64_t> quantized_net_weights(const ClusteredDesign& cd,
+                                                double timing_weight,
+                                                const GridSize& grid) {
+  std::vector<std::int64_t> weights;
+  weights.reserve(cd.nets.size());
+  double total = 0.0;
+  for (const PlacedNet& pn : cd.nets) {
+    const double w = (1.0 + timing_weight * pn.criticality) * kCostScale;
+    NM_CHECK_MSG(w >= 0.0 && w < 0x1p32,
+                 "net weight " << w / kCostScale << " outside fixed point");
+    weights.push_back(std::llround(w));
+    total += static_cast<double>(weights.back());
+  }
+  // Every cost, running sum and move delta is bounded by the weights' sum
+  // times the largest hpwl; 2^62 leaves the double estimate its slack.
+  const double max_hpwl = (grid.width - 1) + (grid.height - 1);
+  NM_CHECK_MSG(total * max_hpwl < 0x1p62,
+               "placement cost can overflow int64: total weight "
+                   << total / kCostScale << " on a " << grid.width << "x"
+                   << grid.height << " grid");
+  return weights;
+}
+
+std::int64_t placement_cost(const ClusteredDesign& cd,
+                            const Placement& placement,
+                            double timing_weight) {
+  const std::vector<std::int64_t> weights =
+      quantized_net_weights(cd, timing_weight, placement.grid);
+  std::int64_t cost = 0;
   for (std::size_t i = 0; i < cd.nets.size(); ++i)
-    cost += net_bbox_cost(cd, placement, timing_weight, i);
+    cost += weights[i] * net_hpwl(cd, placement, i);
   return cost;
 }
 
@@ -329,26 +352,33 @@ PlacementResult place_design(const ClusteredDesign& cd,
   }
   std::vector<PlacementResult> candidates(
       static_cast<std::size_t>(restarts));
+  std::vector<std::int64_t> costs(static_cast<std::size_t>(restarts));
   // Each restart is one pool task with its own RNG stream; restart r's
   // stream depends only on (options.seed, r), so the candidate set — and
   // therefore the winner — is the same at any thread count.
   pool_for_each(pool, restarts, [&](int r) {
+    const std::size_t rr = static_cast<std::size_t>(r);
     PlacementOptions per = options;
     per.seed = derive_seed(options.seed, static_cast<std::uint64_t>(r));
-    candidates[static_cast<std::size_t>(r)] =
-        place_single(cd, arch, per, legal);
+    candidates[rr] = place_single(cd, arch, per, legal);
+    costs[rr] = placement_cost(cd, candidates[rr].placement,
+                               options.timing_weight);
   });
 
-  // Best cost wins; exact-tie goes to the lowest restart index so the
-  // pick order is deterministic.
+  // Lowest fixed-point cost wins; an exact tie goes to the lowest restart
+  // index so the pick order is deterministic.
   int best = 0;
   for (int r = 1; r < restarts; ++r) {
-    if (candidates[static_cast<std::size_t>(r)].cost <
-        candidates[static_cast<std::size_t>(best)].cost)
+    if (costs[static_cast<std::size_t>(r)] <
+        costs[static_cast<std::size_t>(best)])
       best = r;
   }
-  PlacementResult result = std::move(candidates[static_cast<std::size_t>(best)]);
+  const std::size_t b = static_cast<std::size_t>(best);
+  PlacementResult result = std::move(candidates[b]);
   result.winning_restart = best;
+  result.cost = cost_to_double(costs[b]);
+  result.wirelength =
+      cost_to_double(placement_cost(cd, result.placement, 0.0));
   for (int r = 0; r < restarts; ++r) {
     if (r == best) continue;
     result.moves_attempted +=

@@ -14,6 +14,7 @@
 // flow can fall back to another folding level (paper step 13).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/nature.h"
@@ -93,9 +94,29 @@ struct RoutabilityEstimate {
   bool routable = true;
 };
 
+// The SA objective is fixed point: each net's weight
+// 1 + timing_weight * criticality is quantized to a multiple of
+// 2^-kCostFracBits, so a cost is an exact int64 that sums to the same
+// value in any order. It becomes a double (cost_to_double) only where it
+// is reported.
+inline constexpr int kCostFracBits = 20;
+inline constexpr double kCostScale =
+    static_cast<double>(std::int64_t{1} << kCostFracBits);
+inline double cost_to_double(std::int64_t cost) {
+  return static_cast<double>(cost) / kCostScale;
+}
+
+// Each net's quantized weight llround((1 + timing_weight * criticality) *
+// kCostScale), in net order. NM_CHECKs that each weight lies in
+// [0, 2^32) and that no cost on `grid` can leave the int64 range: the
+// weights' sum times the grid's largest hpwl.
+std::vector<std::int64_t> quantized_net_weights(const ClusteredDesign& cd,
+                                                double timing_weight,
+                                                const GridSize& grid);
+
 struct PlacementResult {
   Placement placement;
-  double cost = 0.0;        // weighted multi-cycle HPWL
+  double cost = 0.0;        // cost_to_double(placement_cost(...))
   double wirelength = 0.0;  // unweighted HPWL sum
   RoutabilityEstimate routability;
   bool screen_passed = true;  // fast-placement screen verdict
@@ -104,10 +125,12 @@ struct PlacementResult {
   int winning_restart = 0;  // which seed stream produced this placement
 };
 
-// Weighted multi-cycle HPWL of a full placement (the SA objective),
-// summed per net in net order.
-double placement_cost(const ClusteredDesign& cd, const Placement& placement,
-                      double timing_weight);
+// Weighted multi-cycle HPWL of a full placement (the SA objective) in
+// fixed point: each net's quantized weight times its hpwl, recomputed from
+// the pins.
+std::int64_t placement_cost(const ClusteredDesign& cd,
+                            const Placement& placement,
+                            double timing_weight);
 
 // RISA-style channel-demand estimate for a placement. Folding cycles are
 // independent congestion domains: one demand map per cycle, with

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -58,7 +60,7 @@ TEST(Placement, AnnealingImprovesOverRandomInitial) {
   for (int m = 0; m < cd.num_smbs; ++m)
     random.site_of_smb[static_cast<std::size_t>(m)] =
         sites[static_cast<std::size_t>(m)];
-  double random_cost = placement_cost(cd, random, 0.0);
+  double random_cost = cost_to_double(placement_cost(cd, random, 0.0));
 
   PlacementResult placed = place_design(cd, arch);
   EXPECT_LT(placed.wirelength, random_cost * 0.8);
@@ -91,8 +93,11 @@ TEST(Placement, CostFunctionHandChecked) {
   p.grid = {4, 4};
   // smb0 at (0,0), smb1 at (3,0), smb2 at (0,2): bbox = 3 + 2 = 5.
   p.site_of_smb = {0, 3, 8};
-  EXPECT_DOUBLE_EQ(placement_cost(cd, p, 0.0), 5.0);
-  EXPECT_DOUBLE_EQ(placement_cost(cd, p, 0.5), 7.5);
+  // Both weights (1 and 1.5) are exact in fixed point.
+  EXPECT_EQ(placement_cost(cd, p, 0.0), std::int64_t{5} << kCostFracBits);
+  EXPECT_EQ(placement_cost(cd, p, 0.5),
+            std::int64_t{15} << (kCostFracBits - 1));
+  EXPECT_EQ(cost_to_double(placement_cost(cd, p, 0.5)), 7.5);
 }
 
 TEST(Placement, SingleSmbDesignTrivial) {
@@ -145,10 +150,10 @@ TEST(Grid, SizingHasSlackAndFits) {
 // FIR and ex2 into 5-7 SMBs on a 3x3 grid: at most 9!/2! = 181,440
 // assignments, few enough to enumerate. The search scores each on the
 // set-collapsed objective — one term per distinct SMB set, weighted by
-// the summed weights of its nets — which equals the per-net objective up
-// to summation rounding, then re-scores the near-optimal assignments with
-// placement_cost. The annealer can never beat the optimum; the printed
-// gap is how far short of it the default anneal effort lands.
+// the summed quantized weights of its nets — which equals placement_cost
+// exactly (checked at the optimum). The annealer can never beat the
+// optimum; the printed gap is how far short of it the default anneal
+// effort lands.
 TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
   const FlowOptions fo;
   for (const char* name : {"ex1", "FIR", "ex2"}) {
@@ -158,22 +163,24 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
     const GridSize grid = size_grid_for(cd.num_smbs);
     ASSERT_LE(grid.sites(), 9) << name;
 
-    std::map<std::vector<int>, double> weight_of_set;
-    for (const PlacedNet& pn : cd.nets) {
+    const std::vector<std::int64_t> weights =
+        quantized_net_weights(cd, fo.placement.timing_weight, grid);
+    std::map<std::vector<int>, std::int64_t> weight_of_set;
+    for (std::size_t i = 0; i < cd.nets.size(); ++i) {
+      const PlacedNet& pn = cd.nets[i];
       std::vector<int> members = pn.sink_smbs;
       members.push_back(pn.driver_smb);
       std::sort(members.begin(), members.end());
       members.erase(std::unique(members.begin(), members.end()),
                     members.end());
-      weight_of_set[members] +=
-          1.0 + fo.placement.timing_weight * pn.criticality;
+      weight_of_set[members] += weights[i];
     }
 
     Placement p;
     p.grid = grid;
     p.site_of_smb.assign(static_cast<std::size_t>(cd.num_smbs), -1);
     auto collapsed_cost = [&]() {
-      double c = 0.0;
+      std::int64_t c = 0;
       for (const auto& [members, w] : weight_of_set) {
         int xmin = grid.width, xmax = -1, ymin = grid.height, ymax = -1;
         for (int m : members) {
@@ -182,25 +189,22 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
           ymin = std::min(ymin, p.y_of(m));
           ymax = std::max(ymax, p.y_of(m));
         }
-        c += w * static_cast<double>((xmax - xmin) + (ymax - ymin));
+        c += w * ((xmax - xmin) + (ymax - ymin));
       }
       return c;
     };
 
-    double best_collapsed = 1e300;
-    double optimum = 1e300;
+    std::int64_t optimum = std::numeric_limits<std::int64_t>::max();
+    Placement best;
     long assignments = 0;
     std::vector<char> used(static_cast<std::size_t>(grid.sites()), 0);
     auto assign = [&](auto&& self, int smb) -> void {
       if (smb == cd.num_smbs) {
         ++assignments;
-        double c = collapsed_cost();
-        // Any assignment within rounding of the running best may be the
-        // per-net optimum, so each is re-scored exactly.
-        if (c <= best_collapsed * (1.0 + 1e-9)) {
-          best_collapsed = std::min(best_collapsed, c);
-          optimum = std::min(optimum,
-                             placement_cost(cd, p, fo.placement.timing_weight));
+        const std::int64_t c = collapsed_cost();
+        if (c < optimum) {
+          optimum = c;
+          best = p;
         }
         return;
       }
@@ -213,14 +217,21 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
       }
     };
     assign(assign, 0);
+    EXPECT_EQ(placement_cost(cd, best, fo.placement.timing_weight), optimum)
+        << name;
 
     PlacementResult annealed = place_design(cd, fo.arch, fo.placement);
+    const std::int64_t got =
+        placement_cost(cd, annealed.placement, fo.placement.timing_weight);
+    EXPECT_EQ(cost_to_double(got), annealed.cost) << name;
     std::printf("%-4s smbs %d sets %zu assignments %ld optimum %.4f "
                 "annealed %.4f gap %.4f (%.2f%%)\n",
                 name, cd.num_smbs, weight_of_set.size(), assignments,
-                optimum, annealed.cost, annealed.cost - optimum,
-                100.0 * (annealed.cost - optimum) / optimum);
-    EXPECT_LE(optimum, annealed.cost) << name;
+                cost_to_double(optimum), annealed.cost,
+                cost_to_double(got - optimum),
+                100.0 * static_cast<double>(got - optimum) /
+                    static_cast<double>(optimum));
+    EXPECT_LE(optimum, got) << name;
   }
 }
 
