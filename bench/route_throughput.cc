@@ -1,14 +1,13 @@
-// PathFinder routing throughput: the incremental kernel
-// (route/pathfinder.cc) vs. the retained verbatim seed router
-// (route_nets_reference), on congested narrowed-channel random DAGs.
-// Besides the wall-clock comparison, every run *asserts* byte-identity —
-// trees, delays, iteration counts — between the reference and the
-// incremental router, so the benchmark doubles as an end-to-end identity
-// check and exits nonzero on any divergence.
+// PathFinder routing throughput: the kernel (route/pathfinder.cc) vs. the
+// retained verbatim seed router (route_nets_reference), on congested
+// narrowed-channel random DAGs. Besides the wall-clock comparison, every
+// run *asserts* byte-identity — trees, delays, iteration counts — between
+// the reference and the kernel, so the benchmark doubles as an end-to-end
+// identity check and exits nonzero on any divergence.
 //
 // Two scenarios per circuit (schema in docs/FORMATS.md):
-//   converge  one route_design call with full budgets — measures the
-//             clean-net skip's bookkeeping against the seed router;
+//   converge  one route_design call with full budgets (both routers
+//             search every net in every iteration);
 //   ladder    the flow's recovery-ladder walk (starved budgets, raised
 //             budgets, widened channels), stopping at the first rung that
 //             converges — the reference rebuilds the RR graph at every
@@ -159,7 +158,6 @@ std::vector<Rung> ladder_rungs(const ArchParams& base,
 struct LadderWalk {
   RoutingResult result;  // the last rung routed
   int rung = 0;          // its index
-  long skipped = 0;      // net searches skipped over the walk
 };
 
 // The kernel's ladder walk, routing on `pool` (null = inline): the budget
@@ -173,7 +171,6 @@ LadderWalk walk_ladder(const Physical& ph, const std::vector<Rung>& rungs,
     if (!rr || rung.new_graph) rr.emplace(ph.p.grid, rung.arch);
     walk.result = route_design(ph.cd, ph.p, *rr, rung.router, pool);
     walk.rung = static_cast<int>(i);
-    walk.skipped += walk.result.reuse.nets_skipped;
     if (walk.result.success) break;
   }
   return walk;
@@ -216,12 +213,10 @@ struct Row {
   int worst_iterations = 0;     // full-budget negotiation depth
   bool converged = false;       // full-budget routing is overuse-free
   double ref_ms = 0.0;          // converge scenario, reference router
-  double kernel_ms = 0.0;       // converge scenario, incremental kernel
+  double kernel_ms = 0.0;       // converge scenario, kernel
   double ladder_ref_ms = 0.0;   // ladder walk, reference, graph per rung
   double ladder_kernel_ms = 0.0;  // ladder walk, kernel, graph per arch
   int ladder_rung = 0;          // winning rung index
-  long ladder_skipped = 0;      // ladder walk, net searches skipped
-  long skipped_nets = 0;        // converge scenario, clean-net skips
   double pool_ms = 0.0;         // converge scenario, kernel on the pool
   double ladder_pool_ms = 0.0;  // ladder walk, kernel on the pool
   bool identical = false;
@@ -251,7 +246,6 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   row.kernel_ms = measure_ms(reps, [&] {
     last = route_design(ph.cd, ph.p, rr, full);
   });
-  row.skipped_nets = last.reuse.nets_skipped;
   row.pool_ms = measure_ms(reps, [&] {
     last = route_design(ph.cd, ph.p, rr, full, pool);
   });
@@ -266,7 +260,6 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   LadderWalk inline_walk;
   row.ladder_kernel_ms =
       measure_ms(reps, [&] { inline_walk = walk_ladder(ph, rungs, nullptr); });
-  row.ladder_skipped = inline_walk.skipped;
   LadderWalk pooled_walk;
   row.ladder_pool_ms =
       measure_ms(reps, [&] { pooled_walk = walk_ladder(ph, rungs, pool); });
@@ -274,8 +267,7 @@ Row measure(const std::string& name, int planes, int luts, int depth,
                   identical(ref_walk.result, inline_walk.result) &&
                   ref_walk.rung == inline_walk.rung &&
                   identical(inline_walk.result, pooled_walk.result) &&
-                  inline_walk.rung == pooled_walk.rung &&
-                  inline_walk.skipped == pooled_walk.skipped;
+                  inline_walk.rung == pooled_walk.rung;
 
   return row;
 }
@@ -317,7 +309,7 @@ int main(int argc, char** argv) {
   w.field("unit", "milliseconds per routing scenario (lower is better)");
   w.field("reference",
           "verbatim seed router (route/pathfinder_reference.cc)");
-  w.field("kernel", "incremental PathFinder kernel (route/pathfinder.cc)");
+  w.field("kernel", "PathFinder kernel (route/pathfinder.cc)");
   w.field("fabric",
           "narrowed channels: 2x2-LE SMBs, direct 2, len1 4, len4 2, "
           "global 2 (paper_instance_unbounded_k otherwise)");
@@ -350,8 +342,6 @@ int main(int argc, char** argv) {
                        ? r.ladder_ref_ms / r.ladder_kernel_ms
                        : 0.0));
     w.field("ladder_winning_rung", r.ladder_rung);
-    w.field("ladder_skipped_net_searches", r.ladder_skipped);
-    w.field("cold_skipped_net_searches", r.skipped_nets);
     w.field("kernel_pool_ms", round2(r.pool_ms));
     w.field("pool_speedup",
             round2(r.pool_ms > 0 ? r.kernel_ms / r.pool_ms : 0.0));

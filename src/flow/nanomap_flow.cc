@@ -430,9 +430,7 @@ class FlowEngine {
                       (attempt > 0
                            ? ", reseeded placement " + std::to_string(attempt)
                            : "") +
-                      ", skipped " +
-                      std::to_string(routed->reuse.nets_skipped) +
-                      " repeat searches)"});
+                      ")"});
         *arch_used = rung.arch;
         *router_used = rung.router;
         return true;
@@ -797,10 +795,6 @@ void validate_flow_options(const FlowOptions& o) {
   if (!(o.router.pres_fac_mult > 0.0))
     reject("router.pres_fac_mult", "must be > 0");
   if (!(o.router.hist_fac >= 0.0)) reject("router.hist_fac", "must be >= 0");
-  if (!(o.router.astar_weight >= 0.0))
-    reject("router.astar_weight", "must be >= 0");
-  if (!(o.router.delay_norm_ps > 0.0))
-    reject("router.delay_norm_ps", "must be > 0");
   if (o.recovery.router_budget_rungs < 0)
     reject("recovery.router_budget_rungs", "must be >= 0");
   if (o.recovery.channel_bump_rungs < 0)

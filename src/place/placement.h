@@ -7,11 +7,12 @@
 // that communicate in *any* cycle are pulled together — the generalization
 // of the paper's inter-folding-stage Manhattan-distance term.
 //
-// Placement runs in two steps: a fast low-precision anneal, screened by a
-// RISA-style routability estimate and a placement-based delay estimate;
-// only if the screen passes (possibly after refinement attempts) does the
-// high-precision anneal run. The screen verdict is reported upward so the
-// flow can fall back to another folding level (paper step 13).
+// Placement runs a fast low-precision anneal, screened by a RISA-style
+// routability estimate; while the screen fails, up to max_refine_attempts
+// refinement anneals follow. The high-precision anneal then always runs,
+// and the screen is recomputed on its result. The verdict is advisory:
+// the flow records a `placement-screen` warning and routes anyway, since
+// the router is the authoritative congestion check (paper step 13).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,7 @@ struct PlacementOptions {
   // Moves per block per temperature step = effort * N^(4/3).
   double fast_effort = 1.0;
   double detailed_effort = 10.0;
-  int max_refine_attempts = 2;   // fast-pass refinements before giving up
+  int max_refine_attempts = 2;   // refine anneals while the screen fails
   double routable_threshold = 1.0;  // peak channel utilization allowed
   // Independent annealing restarts. Restart r anneals with RNG stream
   // derive_seed(seed, r); the lowest-cost result wins, ties broken by the
@@ -119,7 +120,7 @@ struct PlacementResult {
   double cost = 0.0;        // cost_to_double(placement_cost(...))
   double wirelength = 0.0;  // unweighted HPWL sum
   RoutabilityEstimate routability;
-  bool screen_passed = true;  // fast-placement screen verdict
+  bool screen_passed = true;  // screen verdict on the final placement
   long moves_attempted = 0;
   long moves_accepted = 0;
   int winning_restart = 0;  // which seed stream produced this placement

@@ -1,21 +1,15 @@
-// Incremental PathFinder kernel. Byte-identical to the seed router (kept
-// verbatim in pathfinder_reference.cc); see DESIGN.md §5g for the replay
-// argument that justifies every skip:
-//   * An A* search's outcome is a deterministic function of the static
-//     graph, the sink sequence, and the costs of exactly the nodes it
-//     relaxed ("touched"). A net is re-searched only when one of those
-//     inputs can have changed: a touched node's occupancy-in-snapshot or
-//     history cost moved (tracked with monotone stamps), or the search
-//     read a present-congestion term and pres_fac has since grown.
+// PathFinder kernel. Byte-identical to the seed router (kept verbatim in
+// pathfinder_reference.cc); it differs only in where the work runs: sink
+// orders are sorted in a serial pre-pass, folding cycles negotiate
+// concurrently on a pool, and the fault and trace hooks run on the
+// calling thread in cycle order (DESIGN.md §5g).
 #include "route/pathfinder.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <exception>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <sstream>
 
@@ -30,6 +24,10 @@
 
 namespace nanomap {
 namespace {
+
+// Timing-driven cost blend (VPR-style): a net of criticality c pays
+// (1-c)*base_cost + c*delay/kDelayNormPs per node.
+constexpr double kDelayNormPs = 300.0;
 
 struct QueueEntry {
   double cost;  // g + est: the A* priority
@@ -47,6 +45,7 @@ struct SearchState {
   std::vector<double> best_cost;
   std::vector<double> delay_at;
   std::vector<char> in_tree;
+  std::vector<int> touched;  // nodes the current sink search relaxed
 
   explicit SearchState(int nodes)
       : parent(static_cast<std::size_t>(nodes), -1),
@@ -78,15 +77,15 @@ std::vector<int> sinks_farthest_first(const ClusteredDesign& cd,
 }
 
 // One negotiated folding cycle's outputs: the slot its pool task writes
-// and nothing else reads until the fold. Trace observations are buffered
-// here (route.reroutes is stats.nets_rerouted) so every NM_TRACE_* site
-// runs on the calling thread, in cycle order. On an exception the slot
-// keeps the partial stats the fold emits before rethrowing.
+// and nothing else reads until the fold. Trace observations are derived
+// from it (every started iteration searches every net) so every
+// NM_TRACE_* site runs on the calling thread, in cycle order. On an
+// exception the slot keeps the iterations started, which the fold emits
+// before rethrowing.
 struct CycleOutcome {
   std::vector<NetRoute> routes;  // cycle-net order
   int iterations = 0;
   long overused = 0;
-  RouteReuseStats stats;  // nets_skipped / nets_rerouted
   int iterations_started = 0;  // route.rip_ups_per_iter observations owed
   std::exception_ptr error;
 };
@@ -98,7 +97,6 @@ class CycleRouter {
       : cd_(cd), placement_(placement), rr_(rr), options_(options) {
     occ_.assign(static_cast<std::size_t>(rr.size()), 0);
     hist_.assign(static_cast<std::size_t>(rr.size()), 0.0);
-    node_stamp_.assign(static_cast<std::size_t>(rr.size()), 0);
   }
 
   // Routes all nets of one folding cycle into `out` (everything but
@@ -107,60 +105,31 @@ class CycleRouter {
   // Classical sequential PathFinder negotiation: each iteration rips up
   // and reroutes every net in net order against the occupancy the nets
   // before it just committed, then bumps history on overused nodes.
-  //
-  // Incremental skip: a net whose last search provably reads the same
-  // costs again (no touched node re-stamped, no pres_fac sensitivity)
-  // keeps its previous tree and NetRoute instead of re-running A* — the
-  // rip-up/commit of its unchanged occupancy still happens, so every other
-  // net sees exactly the snapshot the seed router would produce.
   void route_cycle(const std::vector<int>& net_indices,
                    const std::vector<std::vector<int>>& sorted_sinks,
                    CycleOutcome* out) {
-    RouteReuseStats* stats = &out->stats;
     std::vector<std::vector<int>> trees(net_indices.size());
     std::vector<NetRoute> routes(net_indices.size());
-    std::unique_ptr<SearchState> ss;  // allocated at the first search
-
-    touched_.assign(net_indices.size(), {});
-    routed_stamp_.assign(net_indices.size(), -1);
-    searched_pres_fac_.assign(net_indices.size(), 0.0);
-    net_saw_pres_.assign(net_indices.size(), 0);
+    SearchState ss(rr_.size());
 
     double pres_fac = options_.initial_pres_fac;
     long overused = 0;
     int iter = 0;
     for (iter = 1; iter <= options_.max_iterations; ++iter) {
-      // Occupancy-wise every net is still ripped up and recommitted each
-      // iteration (that is what keeps the snapshots seed-identical); only
-      // the A* searches are skipped.
       ++out->iterations_started;
       for (std::size_t ni = 0; ni < net_indices.size(); ++ni) {
-        const bool dirty = is_dirty(ni, pres_fac);
-        stats->nets_rerouted += dirty ? 1 : 0;
-        stats->nets_skipped += dirty ? 0 : 1;
         for (int n : trees[ni]) --occ_[static_cast<std::size_t>(n)];
-        if (dirty) {
-          const std::vector<int> old_tree = std::move(trees[ni]);
-          if (!ss) ss = std::make_unique<SearchState>(rr_.size());
-          routes[ni] = route_net(net_indices[ni], sorted_sinks[ni], pres_fac,
-                                 &trees[ni], ss.get(), &touched_[ni],
-                                 &net_saw_pres_[ni]);
-          searched_pres_fac_[ni] = pres_fac;
-          // The net's own occupancy delta is stamped after its snapshot.
-          routed_stamp_[ni] = stamp_++;
-          mark_diff(old_tree, trees[ni]);
-        }
+        routes[ni] = route_net(net_indices[ni], sorted_sinks[ni], pres_fac,
+                               &trees[ni], &ss);
         for (int n : trees[ni]) ++occ_[static_cast<std::size_t>(n)];
       }
       overused = 0;
-      ++stamp_;
       for (int n = 0; n < rr_.size(); ++n) {
         int over = occ_[static_cast<std::size_t>(n)] -
                    rr_.node(n).capacity;
         if (over > 0) {
           ++overused;
           hist_[static_cast<std::size_t>(n)] += options_.hist_fac * over;
-          node_stamp_[static_cast<std::size_t>(n)] = stamp_;
         }
       }
       if (overused == 0) break;
@@ -172,56 +141,15 @@ class CycleRouter {
   }
 
  private:
-  // True when net slot `ni` must actually re-run A*: never searched, or
-  // its last search read a present-congestion term and pres_fac has moved
-  // since, or any node it touched was re-stamped (occupancy delta at some
-  // net commit, or a history bump at some iteration end) after the
-  // stamp its snapshot was taken at. Marks from nets committed before
-  // the search carry stamps <= routed_stamp, so they never falsely dirty
-  // a net whose snapshot already included them.
-  bool is_dirty(std::size_t ni, double pres_fac) const {
-    if (routed_stamp_[ni] < 0) return true;
-    if (net_saw_pres_[ni] && pres_fac != searched_pres_fac_[ni]) return true;
-    const std::int64_t since = routed_stamp_[ni];
-    for (int n : touched_[ni])
-      if (node_stamp_[static_cast<std::size_t>(n)] > since) return true;
-    return false;
-  }
-
-  // Stamps every node whose occupancy contribution changed between two
-  // sorted, deduplicated trees (symmetric difference).
-  void mark_diff(const std::vector<int>& a, const std::vector<int>& b) {
-    std::size_t i = 0, j = 0;
-    while (i < a.size() || j < b.size()) {
-      if (j == b.size() || (i < a.size() && a[i] < b[j]))
-        node_stamp_[static_cast<std::size_t>(a[i++])] = stamp_;
-      else if (i == a.size() || b[j] < a[i])
-        node_stamp_[static_cast<std::size_t>(b[j++])] = stamp_;
-      else {
-        ++i;
-        ++j;
-      }
-    }
-  }
-
   // Congestion cost blended with the node's delay for critical nets
   // (timing-driven routing). The present/history congestion terms always
-  // apply so legality is never traded away. `saw_pres` records that the
-  // returned value depends on pres_fac.
-  double node_cost(int n, double pres_fac, double crit,
-                   bool* saw_pres) const {
+  // apply so legality is never traded away.
+  double node_cost(int n, double pres_fac, double crit) const {
     const RrNode& node = rr_.node(n);
     int over = occ_[static_cast<std::size_t>(n)] + 1 - node.capacity;
-    double pres = 1.0;
-    if (over > 0) {
-      pres = 1.0 + pres_fac * over;
-      *saw_pres = true;
-    }
-    double base = node.base_cost;
-    if (options_.timing_driven) {
-      base = (1.0 - crit) * node.base_cost +
-             crit * (node.delay_ps / options_.delay_norm_ps);
-    }
+    double pres = over > 0 ? 1.0 + pres_fac * over : 1.0;
+    double base = (1.0 - crit) * node.base_cost +
+                  crit * (node.delay_ps / kDelayNormPs);
     return (base + hist_[static_cast<std::size_t>(n)]) * pres;
   }
 
@@ -229,22 +157,13 @@ class CycleRouter {
   // occ_/hist_ only; all mutable search state lives in `ss`, which is
   // left fully reset on return. The caller commits the returned tree's
   // occupancy.
-  // `net_touched` receives every node any of the net's sink searches
-  // relaxed (a superset of every node whose cost was read). It is left
-  // unsorted and may hold a node once per sink search — is_dirty's linear
-  // scan tolerates duplicates, and skipping the per-net sort keeps the
-  // cold (no-reuse) path close to the seed router's cost. `saw_pres_out`
-  // records whether any read cost carried the present-congestion factor.
   NetRoute route_net(int net_index, const std::vector<int>& sinks,
                      double pres_fac, std::vector<int>* tree,
-                     SearchState* ss, std::vector<int>* net_touched,
-                     char* saw_pres_out) const {
+                     SearchState* ss) const {
     const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
     const double crit = pn.criticality;
     NetRoute route;
     route.net_index = net_index;
-    net_touched->clear();
-    bool saw_pres = false;
 
     const int sx = placement_.x_of(pn.driver_smb);
     const int sy = placement_.y_of(pn.driver_smb);
@@ -262,19 +181,15 @@ class CycleRouter {
       std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                           std::greater<QueueEntry>>
           pq;
-      // This sink's first-touches live in net_touched[sink_begin..): the
-      // suffix doubles as the reset list, so no per-sink scratch vector.
-      const std::size_t sink_begin = net_touched->size();
       auto relax = [&](int n, double cost, int par) {
         if (cost >= ss->best_cost[static_cast<std::size_t>(n)]) return;
         if (ss->best_cost[static_cast<std::size_t>(n)] ==
             std::numeric_limits<double>::infinity())
-          net_touched->push_back(n);
+          ss->touched.push_back(n);
         ss->best_cost[static_cast<std::size_t>(n)] = cost;
         ss->parent[static_cast<std::size_t>(n)] = par;
         const RrNode& node = rr_.node(n);
-        double est = options_.astar_weight *
-                     (std::abs(node.x - tx) + std::abs(node.y - ty));
+        double est = std::abs(node.x - tx) + std::abs(node.y - ty);
         pq.push({cost + est, est, n});
       };
       for (int n : tree_nodes) relax(n, 0.0, -1);
@@ -302,7 +217,7 @@ class CycleRouter {
         for (int next : node.edges) {
           relax(next,
                 ss->best_cost[static_cast<std::size_t>(n)] +
-                    node_cost(next, pres_fac, crit, &saw_pres),
+                    node_cost(next, pres_fac, crit),
                 n);
         }
       }
@@ -337,12 +252,13 @@ class CycleRouter {
       route.sink_delay_ps.push_back(
           ss->delay_at[static_cast<std::size_t>(target)]);
 
-      // Reset search state; the touched suffix feeds the skip logic.
-      for (std::size_t i = sink_begin; i < net_touched->size(); ++i) {
-        const std::size_t n = static_cast<std::size_t>((*net_touched)[i]);
-        ss->best_cost[n] = std::numeric_limits<double>::infinity();
-        ss->parent[n] = -1;
+      // Reset search state.
+      for (int n : ss->touched) {
+        ss->best_cost[static_cast<std::size_t>(n)] =
+            std::numeric_limits<double>::infinity();
+        ss->parent[static_cast<std::size_t>(n)] = -1;
       }
+      ss->touched.clear();
       // Seeds were marked in_tree only after path walk; mark all.
       for (int n : tree_nodes) ss->in_tree[static_cast<std::size_t>(n)] = 1;
     }
@@ -358,7 +274,6 @@ class CycleRouter {
       if (t != RrType::kOpin && t != RrType::kIpin)
         route.wire_nodes.push_back(n);
     }
-    *saw_pres_out = saw_pres ? 1 : 0;
     *tree = tree_nodes;
     return route;
   }
@@ -370,16 +285,6 @@ class CycleRouter {
 
   std::vector<int> occ_;
   std::vector<double> hist_;
-
-  // Incremental skip state (per cycle). node_stamp_[n] is the last stamp
-  // at which node n's cost inputs possibly changed; routed_stamp_[ni] the
-  // stamp net slot ni's snapshot was taken at.
-  std::int64_t stamp_ = 0;
-  std::vector<std::int64_t> node_stamp_;
-  std::vector<std::vector<int>> touched_;
-  std::vector<std::int64_t> routed_stamp_;
-  std::vector<double> searched_pres_fac_;
-  std::vector<char> net_saw_pres_;
 };
 
 // One folding cycle as the pre-pass sees it.
@@ -476,10 +381,10 @@ RoutingResult route_design(const ClusteredDesign& cd,
       for (int i = 0; i < out.iterations_started; ++i)
         NM_TRACE_VALUE("route.rip_ups_per_iter", plan.nets.size());
       if (out.iterations_started > 0)
-        NM_TRACE_COUNT("route.reroutes", out.stats.nets_rerouted);
+        NM_TRACE_COUNT("route.reroutes",
+                       static_cast<long>(plan.nets.size()) *
+                           out.iterations_started);
       if (out.error) std::rethrow_exception(out.error);
-      result.reuse.nets_skipped += out.stats.nets_skipped;
-      result.reuse.nets_rerouted += out.stats.nets_rerouted;
       iters = out.iterations;
       overused = out.overused;
       std::move(out.routes.begin(), out.routes.end(),
@@ -525,11 +430,10 @@ RoutingResult route_design(const ClusteredDesign& cd,
   NM_LOG(kDebug) << "routing: " << result.nets.size() << " nets, usage d/1/4/g "
                  << result.usage.direct << "/" << result.usage.len1 << "/"
                  << result.usage.len4 << "/" << result.usage.global
-                 << (result.success ? "" : " [OVERUSED]") << ", skipped "
-                 << result.reuse.nets_skipped << " repeat searches";
+                 << (result.success ? "" : " [OVERUSED]");
 #ifdef NANOMAP_AUDIT_ROUTE
-  // Bit-exact cross-check against the seed router — auditing the clean-net
-  // skip on every call — plus a structural replay through
+  // Bit-exact cross-check against the seed router on every call, plus a
+  // structural replay through
   // validate_routing, which re-walks every emitted tree from the driver
   // and re-checks per-cycle occupancy.
   audit_against_reference(result,

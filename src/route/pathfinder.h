@@ -12,13 +12,11 @@
 // The hierarchical preference (direct links, then length-1, length-4,
 // global) emerges from the nodes' base costs and delays.
 //
-// Incremental kernel (DESIGN.md §5g). The router is byte-identical to the
-// seed algorithm (kept alive as route_nets_reference) but avoids repeating
-// work it can prove redundant: within a cycle, a net is re-searched only
-// when some RR node its last A* read has changed cost inputs since
-// (occupancy, history, or the present-congestion factor), tracked with
-// monotone stamps. Every route_design call routes every folding cycle
-// from scratch; nothing is cached across cycles or calls.
+// Kernel (DESIGN.md §5g). The router is byte-identical to the seed
+// algorithm (kept alive as route_nets_reference): every iteration
+// re-searches every net of the cycle, and every route_design call routes
+// every folding cycle from scratch; nothing is cached across iterations,
+// cycles or calls.
 // Cycles being independent, route_design negotiates them concurrently
 // when handed a pool: a serial pre-pass in cycle order sorts each cycle's
 // sinks, the non-empty cycles run one task each, and a serial fold in
@@ -45,11 +43,6 @@ struct RouterOptions {
   double initial_pres_fac = 0.6;
   double pres_fac_mult = 1.8;
   double hist_fac = 0.8;
-  double astar_weight = 1.0;     // distance-based lookahead scale
-  // Timing-driven cost blend (VPR-style): a net of criticality c pays
-  // (1-c)*congestion + c*delay/delay_norm_ps per node.
-  bool timing_driven = true;
-  double delay_norm_ps = 300.0;
 };
 
 // Routed path delays for one net (one entry per sink SMB).
@@ -68,20 +61,12 @@ struct WireUsage {
   long total() const { return direct + len1 + len4 + global; }
 };
 
-// Work the incremental kernel proved redundant and skipped. Purely
-// informational: the routed trees never depend on what was skipped.
-struct RouteReuseStats {
-  long nets_skipped = 0;    // clean-net skips inside live PathFinder loops
-  long nets_rerouted = 0;   // A* net searches executed
-};
-
 struct RoutingResult {
   bool success = true;     // all cycles legal (no overuse)
   int worst_iterations = 0;
   long overused_nodes = 0; // residual overuse across cycles (0 on success)
   std::vector<NetRoute> nets;
   WireUsage usage;         // wire-node occupancy summed over all cycles
-  RouteReuseStats reuse;
 };
 
 // Routes every folding cycle. The routed trees are a pure function of

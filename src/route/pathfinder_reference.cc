@@ -2,9 +2,11 @@
 // differences from the seed file: the entry point is named
 // route_nets_reference; the NM_FAULT_POINT / NM_TRACE_* hooks were
 // dropped so differential harnesses can call the reference next to the
-// live router without double-counting fault hits or trace counters; and
-// the rip-up batch loop, which served a since-removed batch-size option,
-// collapsed to its batch-size-1 form, the sequential loop.
+// live router without double-counting fault hits or trace counters; the
+// rip-up batch loop, which served a since-removed batch-size option,
+// collapsed to its batch-size-1 form, the sequential loop; and the
+// removed timing_driven / astar_weight / delay_norm_ps options became
+// constants at the values every caller used (on, 1, 300 ps).
 #include "route/pathfinder_reference.h"
 
 #include <algorithm>
@@ -18,6 +20,10 @@
 
 namespace nanomap {
 namespace {
+
+// Timing-driven cost blend (VPR-style): a net of criticality c pays
+// (1-c)*base_cost + c*delay/kDelayNormPs per node.
+constexpr double kDelayNormPs = 300.0;
 
 struct QueueEntry {
   double cost;  // g + est: the A* priority
@@ -106,11 +112,8 @@ class ReferenceCycleRouter {
     const RrNode& node = rr_.node(n);
     int over = occ_[static_cast<std::size_t>(n)] + 1 - node.capacity;
     double pres = over > 0 ? 1.0 + pres_fac * over : 1.0;
-    double base = node.base_cost;
-    if (options_.timing_driven) {
-      base = (1.0 - crit) * node.base_cost +
-             crit * (node.delay_ps / options_.delay_norm_ps);
-    }
+    double base = (1.0 - crit) * node.base_cost +
+                  crit * (node.delay_ps / kDelayNormPs);
     return (base + hist_[static_cast<std::size_t>(n)]) * pres;
   }
 
@@ -175,8 +178,7 @@ class ReferenceCycleRouter {
         ss->best_cost[static_cast<std::size_t>(n)] = cost;
         ss->parent[static_cast<std::size_t>(n)] = par;
         const RrNode& node = rr_.node(n);
-        double est = options_.astar_weight *
-                     (std::abs(node.x - tx) + std::abs(node.y - ty));
+        double est = std::abs(node.x - tx) + std::abs(node.y - ty);
         pq.push({cost + est, est, n});
       };
       for (int n : tree_nodes) relax(n, 0.0, -1);

@@ -1,8 +1,8 @@
 // Reference PathFinder router: a verbatim copy of the seed-repo
-// `route_design` (pre-incremental-kernel), kept as the executable
-// specification of the routing semantics.
+// `route_design`, kept as the executable specification of the routing
+// semantics.
 //
-// The incremental kernel (route/pathfinder.cc) must produce *identical*
+// The kernel (route/pathfinder.cc) must produce *identical*
 // route trees — same A* expansions, same negotiation schedule, same
 // per-sink delays — for any (design, placement, RR graph, options). That
 // contract is enforced three ways:
@@ -25,8 +25,7 @@
 namespace nanomap {
 
 // Routes every folding cycle with the seed algorithm. Semantically
-// identical to route_design (any divergence is a bug in the incremental
-// kernel).
+// identical to route_design (any divergence is a bug in the kernel).
 RoutingResult route_nets_reference(const ClusteredDesign& cd,
                                    const Placement& placement,
                                    const RrGraph& rr,

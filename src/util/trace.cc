@@ -237,7 +237,7 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "place.temperatures",    // place/annealer: temperature steps annealed
       "route.calls",           // route: route_design invocations
       "route.defect_avoided",  // route/pathfinder: capacity-0 channels kept clean
-      "route.reroutes",        // route/pathfinder: net searches executed
+      "route.reroutes",        // route/pathfinder: net searches (nets x iterations)
   };
   return sites;
 }

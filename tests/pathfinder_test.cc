@@ -166,7 +166,7 @@ TEST(PathFinder, DeterministicResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential route-equivalence harness: the incremental kernel must be
+// Differential route-equivalence harness: the kernel must be
 // byte-identical to the verbatim seed router for any input (DESIGN.md §5g).
 
 void expect_identical(const RoutingResult& got, const RoutingResult& want,
@@ -317,13 +317,7 @@ TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
 
 // ---------------------------------------------------------------------------
 // Concurrent cycle negotiation: route_design on a pool of any width must
-// reproduce the inline result and skip stats byte for byte.
-
-void expect_same_reuse(const RouteReuseStats& got,
-                       const RouteReuseStats& want, const std::string& ctx) {
-  EXPECT_EQ(got.nets_skipped, want.nets_skipped) << ctx;
-  EXPECT_EQ(got.nets_rerouted, want.nets_rerouted) << ctx;
-}
+// reproduce the inline result byte for byte.
 
 TEST(PathFinderConcurrent, PoolWidthsMatchInlineAndReference) {
   const auto pools = test_pools();
@@ -337,7 +331,6 @@ TEST(PathFinderConcurrent, PoolWidthsMatchInlineAndReference) {
       const RoutingResult got =
           route_design(ph.cd, ph.p, rr, opts, pool.get());
       expect_identical(got, want, wctx);
-      expect_same_reuse(got.reuse, want.reuse, wctx);
     }
   });
 }
@@ -346,8 +339,8 @@ TEST(PathFinderConcurrent, RepeatedSignaturesAcrossLadderRungs) {
   // Six cycles, two geometries repeated: cycles 0/2/4 are an easy net,
   // cycles 1/3 the same congested corner, cycle 5 a heavier corner. A
   // starved -> raised -> widened ladder, each rung on a freshly built
-  // graph, must emit the same results and skip stats at every pool width
-  // and match the reference at every rung.
+  // graph, must emit the same results at every pool width and match the
+  // reference at every rung.
   ArchParams arch = ArchParams::paper_instance();
   arch.direct_links_per_side = 2;
   arch.len1_tracks = 4;
@@ -399,7 +392,6 @@ TEST(PathFinderConcurrent, RepeatedSignaturesAcrossLadderRungs) {
       const std::string ctx = "width " + std::to_string(pool->num_threads()) +
                               " rung " + std::to_string(r);
       expect_identical(got[r], want[r], ctx);
-      expect_same_reuse(got[r].reuse, want[r].reuse, ctx);
     }
   }
 }
@@ -464,29 +456,6 @@ TEST(PathFinder, IdenticalCyclesRouteIdentically) {
     EXPECT_EQ(first.sink_smbs, second.sink_smbs) << "net " << j;
     EXPECT_EQ(first.sink_delay_ps, second.sink_delay_ps) << "net " << j;
   }
-}
-
-TEST(PathFinderIncremental, CleanNetsSkipRepeatSearches) {
-  // Nine nets fight over one corner while two far-away nets route
-  // congestion-free: once searched, the far nets skip every subsequent
-  // PathFinder iteration (their touched nodes never get re-stamped).
-  ArchParams arch = ArchParams::paper_instance();
-  arch.direct_links_per_side = 2;
-  arch.len1_tracks = 4;
-  arch.len4_tracks = 2;
-  arch.global_tracks = 2;
-  std::vector<PlacedNet> nets;
-  for (int i = 0; i < 9; ++i) nets.push_back(net(i, 0, 0, {1}));
-  nets.push_back(net(9, 0, 6, {7}));
-  nets.push_back(net(10, 0, 7, {6}));
-  ClusteredDesign cd = synthetic(8, 1, std::move(nets));
-  Placement p = row_placement(8, 4);
-  RrGraph rr(p.grid, arch);
-  RoutingResult r = route_design(cd, p, rr);
-  expect_identical(r, route_nets_reference(cd, p, rr), "skip");
-  ASSERT_GT(r.worst_iterations, 1);  // the corner actually negotiated
-  EXPECT_GT(r.reuse.nets_skipped, 0);
-  EXPECT_TRUE(r.success);
 }
 
 // ---------------------------------------------------------------------------
