@@ -74,24 +74,31 @@ class LegacyAnnealer {
     double sum = 0.0, sum2 = 0.0;
     const int samples = std::min(128, 8 * n);
     for (int i = 0; i < samples; ++i) {
-      std::int64_t c0 = cost_;
-      try_move(1e18, placement_.grid.width);
-      double d = cost_to_double(cost_ - c0);
+      std::int64_t delta = 0;
+      try_move(0.0, placement_.grid.width, &delta);
+      double d = cost_to_double(delta);
       sum += d;
       sum2 += d * d;
     }
     double mean = sum / samples;
     double var = std::max(0.0, sum2 / samples - mean * mean);
-    double t = 20.0 * std::sqrt(var) + 1e-6;
+    double t = 20.0 * std::sqrt(var) + 1e-6;  // hot start
     int rlim = std::max(1, placement_.grid.width);
     const double exit_t =
         0.005 * std::max(1.0, cost_to_double(cost_)) /
         static_cast<double>(cd_.nets.size());
-    while (t > exit_t) {
+    int frozen = 0;
+    while (t > exit_t && frozen < 3) {
       long accepted = 0;
+      bool changed = false;
       for (long i = 0; i < moves_per_t; ++i) {
-        if (try_move(t, rlim)) ++accepted;
+        const std::int64_t c0 = cost_;
+        if (try_move(t, rlim)) {
+          ++accepted;
+          changed |= cost_ != c0;
+        }
       }
+      frozen = changed ? 0 : frozen + 1;
       double rate = static_cast<double>(accepted) /
                     static_cast<double>(moves_per_t);
       if (rate > 0.96) {
@@ -136,12 +143,17 @@ class LegacyAnnealer {
     return c;
   }
 
-  bool accept(std::int64_t delta, double t) {
+  // A dry run stores the delta and rejects without an acceptance draw.
+  bool accept(std::int64_t delta, double t, std::int64_t* dry_delta) {
+    if (dry_delta != nullptr) {
+      *dry_delta = delta;
+      return false;
+    }
     return delta <= 0 || (t > 0.0 && rng_->next_double() <
                                          std::exp(-cost_to_double(delta) / t));
   }
 
-  bool try_move(double t, int rlim) {
+  bool try_move(double t, int rlim, std::int64_t* dry_delta = nullptr) {
     ++moves_attempted_;
     if (cd_.num_smbs == 0) return false;
     int smb = static_cast<int>(rng_->next_below(
@@ -174,7 +186,7 @@ class LegacyAnnealer {
       smb_at_site_[static_cast<std::size_t>(from)] = other;
       std::int64_t after = 0;
       for (int n : nets) after += net_cost(n);
-      if (accept(after - before, t)) {
+      if (accept(after - before, t, dry_delta)) {
         cost_ += after - before;
         return true;
       }
@@ -189,7 +201,7 @@ class LegacyAnnealer {
     smb_at_site_[static_cast<std::size_t>(to)] = smb;
     smb_at_site_[static_cast<std::size_t>(from)] = -1;
     std::int64_t after = incident_cost(smb);
-    if (accept(after - before, t)) {
+    if (accept(after - before, t, dry_delta)) {
       cost_ += after - before;
       return true;
     }

@@ -778,8 +778,6 @@ void validate_flow_options(const FlowOptions& o) {
   if (o.forced_folding_level < -1)
     reject("forced_folding_level", "must be >= -1 (-1 = search)");
   if (o.placement.restarts < 1) reject("placement.restarts", "must be >= 1");
-  if (o.placement.max_refine_attempts < 0)
-    reject("placement.max_refine_attempts", "must be >= 0");
   if (!(o.placement.fast_effort > 0.0))
     reject("placement.fast_effort", "must be > 0");
   if (!(o.placement.detailed_effort > 0.0))

@@ -57,7 +57,7 @@ Annealer::Annealer(const ClusteredDesign& cd, const Placement& initial,
 #endif
 }
 
-bool Annealer::try_move(double t, int rlim) {
+bool Annealer::try_move(double t, int rlim, std::int64_t* dry_delta) {
   ++moves_attempted_;
   if (cd_.num_smbs == 0) return false;
   int smb = static_cast<int>(rng_->next_below(
@@ -144,8 +144,11 @@ bool Annealer::try_move(double t, int rlim) {
       visit_set(my_sets[k], true, false);
   }
 
-  if (delta <= 0 || (t > 0.0 && rng_->next_double() <
-                                    std::exp(-cost_to_double(delta) / t))) {
+  if (dry_delta != nullptr) {
+    *dry_delta = delta;
+  } else if (delta <= 0 ||
+             (t > 0.0 && rng_->next_double() <
+                             std::exp(-cost_to_double(delta) / t))) {
     // Commit the dry-run boxes.
     for (int k = 0; k < n_touched_; ++k) {
       std::size_t kk = static_cast<std::size_t>(k);
@@ -156,8 +159,8 @@ bool Annealer::try_move(double t, int rlim) {
     return true;
   }
 
-  // Reject: roll back placement, site map and coordinate mirror; the
-  // cached boxes were never written.
+  // Reject (and every dry run): roll back placement, site map and
+  // coordinate mirror; the cached boxes were never written.
   placement_.site_of_smb[static_cast<std::size_t>(smb)] = from;
   smb_at_site_[static_cast<std::size_t>(from)] = smb;
   boxes_.set_smb_xy(smb, fx, fy);
@@ -191,7 +194,17 @@ void Annealer::audit_cost() const {
 }
 #endif
 
-void Annealer::run(double effort) {
+// Schedule constants, calibrated on bench/place_quality and the
+// exhaustive oracle (DESIGN.md §5c). A hot start sets T0 to 20 standard
+// deviations of the sampled move deltas (VPR); a cool start to 0.5 of
+// them, so the anneal refines the placement it is given instead of
+// melting it. An anneal is frozen, and stops, after kFrozenTemperatures
+// consecutive temperatures in which no accepted move changed the cost.
+constexpr double kHotStartSigmas = 20.0;
+constexpr double kCoolStartSigmas = 0.5;
+constexpr int kFrozenTemperatures = 3;
+
+void Annealer::run(double effort, AnnealStart start) {
   if (cd_.num_smbs <= 1 || cd_.nets.empty()) return;
 
   const int n = cd_.num_smbs;
@@ -199,19 +212,22 @@ void Annealer::run(double effort) {
       16, static_cast<long>(effort * std::pow(static_cast<double>(n),
                                               4.0 / 3.0)));
 
-  // Initial temperature: 20 x std-dev of random move deltas (VPR).
+  // Initial temperature from the spread of up to 128 random move deltas,
+  // each a dry run that leaves the placement as it is.
   double sum = 0.0, sum2 = 0.0;
   const int samples = std::min(128, 8 * n);
   for (int i = 0; i < samples; ++i) {
-    std::int64_t c0 = cost_;
-    try_move(1e18, placement_.grid.width);  // accept everything
-    double d = cost_to_double(cost_ - c0);
+    std::int64_t delta = 0;
+    try_move(0.0, placement_.grid.width, &delta);
+    double d = cost_to_double(delta);
     sum += d;
     sum2 += d * d;
   }
   double mean = sum / samples;
   double var = std::max(0.0, sum2 / samples - mean * mean);
-  double t = 20.0 * std::sqrt(var) + 1e-6;
+  const double sigmas =
+      start == AnnealStart::kHot ? kHotStartSigmas : kCoolStartSigmas;
+  double t = sigmas * std::sqrt(var) + 1e-6;
 #ifdef NANOMAP_AUDIT_COST
   audit_cost();
 #endif
@@ -221,13 +237,20 @@ void Annealer::run(double effort) {
       0.005 * std::max(1.0, cost_to_double(cost_)) /
       static_cast<double>(cd_.nets.size());
 
-  while (t > exit_t) {
+  int frozen = 0;  // consecutive temperatures with no cost change
+  while (t > exit_t && frozen < kFrozenTemperatures) {
     long accepted = 0;
+    bool changed = false;
     for (long i = 0; i < moves_per_t; ++i) {
-      if (try_move(t, rlim)) ++accepted;
+      const std::int64_t c0 = cost_;
+      if (try_move(t, rlim)) {
+        ++accepted;
+        changed |= cost_ != c0;
+      }
     }
-    // Runs on pool workers during placement restarts, so both sites
-    // record only integral values (exact, order-independent totals).
+    frozen = changed ? 0 : frozen + 1;
+    // Runs on pool workers during placement restarts, so every site
+    // records only integral values (exact, order-independent totals).
     NM_TRACE_COUNT("place.temperatures", 1);
     NM_TRACE_VALUE("place.accepted_per_temp", accepted);
     double rate = static_cast<double>(accepted) /
@@ -250,6 +273,7 @@ void Annealer::run(double effort) {
     audit_cost();
 #endif
   }
+  if (frozen >= kFrozenTemperatures) NM_TRACE_COUNT("place.frozen_exits", 1);
   // Greedy cleanup at T = 0.
   for (long i = 0; i < moves_per_t; ++i) try_move(0.0, 1);
 #ifdef NANOMAP_AUDIT_COST

@@ -1,7 +1,14 @@
 // Simulated-annealing engine for SMB placement (VPR-like schedule).
 //
-// Internal to nm_place; place/placement.cc drives it for the fast and
-// detailed passes. The objective is the fixed-point cost of placement.h:
+// Internal to nm_place; place/placement.cc runs one annealer twice: the
+// fast pass with a hot start, then the detailed pass with a cool start
+// from the fast result. Each run sizes T0 from dry-run move deltas taken
+// at the placement it starts from (no move is applied), cools on the VPR
+// acceptance-rate rule and stops at the exit temperature or once frozen:
+// 3 consecutive temperatures in which no accepted move changed the cost.
+// A greedy pass at T = 0 ends every run.
+//
+// The objective is the fixed-point cost of placement.h:
 // NetBoxCache keeps one box per distinct SMB set (nets with the same
 // {driver_smb} ∪ sink_smbs share it), each set carries W_set, the sum of
 // its nets' quantized weights, and the cost is the int64
@@ -29,6 +36,11 @@
 
 namespace nanomap {
 
+// Where Annealer::run sets its initial temperature: hot melts the
+// placement (20 sigma of the sampled move deltas), cool keeps its
+// structure (0.5 sigma).
+enum class AnnealStart { kHot, kCool };
+
 class Annealer {
  public:
   // The annealing walk is inherently sequential (each move's acceptance
@@ -41,9 +53,11 @@ class Annealer {
            double timing_weight, Rng* rng,
            const PlaceLegality* legal = nullptr);
 
-  // Runs one full annealing schedule; `effort` scales moves per
-  // temperature. Returns the best placement found.
-  void run(double effort);
+  // Runs one annealing schedule (file comment) from the current
+  // placement; `effort` scales moves per temperature, `start` sets T0.
+  // Calls may follow one another on the same annealer; the counters
+  // accumulate.
+  void run(double effort, AnnealStart start = AnnealStart::kHot);
 
   const Placement& placement() const { return placement_; }
   // Fixed-point objective of the current placement: the initial
@@ -54,8 +68,10 @@ class Annealer {
 
  private:
   // Attempts one swap/move at temperature t with displacement limit rlim;
-  // returns true if accepted.
-  bool try_move(double t, int rlim);
+  // returns true if accepted. With `dry_delta` set, the move's cost delta
+  // is stored there (left as is for a void move: same site or an illegal
+  // one) and the move is always rejected, without an acceptance draw.
+  bool try_move(double t, int rlim, std::int64_t* dry_delta = nullptr);
 #ifdef NANOMAP_AUDIT_COST
   void audit_cost() const;
 #endif

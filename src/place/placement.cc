@@ -105,45 +105,22 @@ PlacementResult place_single(const ClusteredDesign& cd,
   result.placement = initial_placement(cd, &rng, legal);
   if (cd.num_smbs == 0) return result;
 
-  // Step 1: fast low-precision placement.
-  Annealer fast(cd, result.placement, options.timing_weight, &rng, legal);
-  fast.run(options.fast_effort);
-  result.placement = fast.placement();
-  result.moves_attempted = fast.moves_attempted();
-  result.moves_accepted = fast.moves_accepted();
-
-  // Step 2: routability + delay screen, with refinement attempts.
-  result.routability = estimate_routability(cd, result.placement, arch);
-  int attempts = 0;
-  while (result.routability.peak_utilization >
-             options.routable_threshold &&
-         attempts < options.max_refine_attempts) {
-    ++attempts;
-    Annealer refine(cd, result.placement, options.timing_weight, &rng,
+  // The paper's two-step temporal placement (PAPER.md §1, step 3).
+  // Step 1: fast low-precision anneal, hot-started from the random
+  // placement. Step 2: high-precision anneal, cool-started from the fast
+  // result so it refines it. Step 3: the RISA screen on the final
+  // placement; the flow only warns on it, since the router is the
+  // authoritative congestion check.
+  Annealer annealer(cd, result.placement, options.timing_weight, &rng,
                     legal);
-    refine.run(options.fast_effort * 2.0);
-    result.placement = refine.placement();
-    result.moves_attempted += refine.moves_attempted();
-    result.moves_accepted += refine.moves_accepted();
-    result.routability = estimate_routability(cd, result.placement, arch);
-  }
+  annealer.run(options.fast_effort, AnnealStart::kHot);
+  annealer.run(options.detailed_effort, AnnealStart::kCool);
+  result.placement = annealer.placement();
+  result.moves_attempted = annealer.moves_attempted();
+  result.moves_accepted = annealer.moves_accepted();
+  result.routability = estimate_routability(cd, result.placement, arch);
   result.screen_passed =
       result.routability.peak_utilization <= options.routable_threshold;
-
-  // Step 3: high-precision placement. The screen verdict is advisory for
-  // the flow (the router is the authoritative congestion check), so the
-  // detailed anneal runs either way — it usually improves routability too.
-  {
-    Annealer detailed(cd, result.placement, options.timing_weight, &rng,
-                      legal);
-    detailed.run(options.detailed_effort);
-    result.placement = detailed.placement();
-    result.moves_attempted += detailed.moves_attempted();
-    result.moves_accepted += detailed.moves_accepted();
-    result.routability = estimate_routability(cd, result.placement, arch);
-    result.screen_passed =
-        result.routability.peak_utilization <= options.routable_threshold;
-  }
   return result;
 }
 

@@ -7,10 +7,12 @@
 // that communicate in *any* cycle are pulled together — the generalization
 // of the paper's inter-folding-stage Manhattan-distance term.
 //
-// Placement runs a fast low-precision anneal, screened by a RISA-style
-// routability estimate; while the screen fails, up to max_refine_attempts
-// refinement anneals follow. The high-precision anneal then always runs,
-// and the screen is recomputed on its result. The verdict is advisory:
+// Placement is the paper's two-step anneal on one annealer: a fast
+// low-precision pass hot-started from a random placement, then a
+// high-precision pass cool-started from the fast result, so it refines
+// that result rather than melting it. Each pass stops at its exit
+// temperature or once frozen (annealer.h). A RISA-style routability
+// screen then runs once, on the final placement. Its verdict is advisory:
 // the flow records a `placement-screen` warning and routes anyway, since
 // the router is the authoritative congestion check (paper step 13).
 #pragma once
@@ -43,7 +45,6 @@ struct PlacementOptions {
   // Moves per block per temperature step = effort * N^(4/3).
   double fast_effort = 1.0;
   double detailed_effort = 10.0;
-  int max_refine_attempts = 2;   // refine anneals while the screen fails
   double routable_threshold = 1.0;  // peak channel utilization allowed
   // Independent annealing restarts. Restart r anneals with RNG stream
   // derive_seed(seed, r); the lowest-cost result wins, ties broken by the

@@ -230,6 +230,7 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "place.accepted",        // place: SA moves accepted (all restarts)
       "place.calls",           // place: place_design invocations
       "place.defect_rejects",  // place/annealer: moves refused by dead sites
+      "place.frozen_exits",    // place/annealer: anneals stopped once frozen
       "place.moves",           // place: SA moves attempted (all restarts)
       "place.nets",            // place: nets of each placed design
       "place.restarts",        // place: independent annealing chains run

@@ -114,9 +114,11 @@ TEST(Determinism, S27AcrossRunsAndThreadCounts) {
 // FNV-1a hashes of the full fingerprint were captured from the pre-kernel
 // binary (threads and restarts must not matter either — every cell of
 // the matrix pins the same value), re-captured at default router options
-// when the rip-up batch option was removed, and re-captured once more
-// when the placement objective became fixed point (net weights quantized
-// to multiples of 2^-20; s27 kept its hash).
+// when the rip-up batch option was removed, re-captured when the
+// placement objective became fixed point (net weights quantized to
+// multiples of 2^-20; s27 kept its hash), and re-captured when the
+// detailed anneal became a cool start from the fast result that stops
+// once frozen (s27 kept its hash).
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -134,7 +136,7 @@ TEST(Determinism, GoldenFingerprintAcrossThreadsAndRestarts) {
   };
   Case cases[] = {
       {"s27", s27_design(), 0x1ecc1e36737c91f0ull},
-      {"random-dag", random_design(), 0x7ab206ec7fe5d996ull},
+      {"random-dag", random_design(), 0x79640160ab9b4a9aull},
   };
   for (const Case& c : cases) {
     for (int threads : {1, 4}) {
@@ -207,10 +209,11 @@ TEST(Determinism, GoldenScheduleFingerprints) {
 // Golden pin of the default-options flow on the seven paper circuits. The
 // hashes were captured from the binary that scheduled and clustered every
 // candidate folding level before ranking them by AT product (the lazy
-// level search emitted the same bytes), and re-captured when the
-// placement objective became fixed point. The flow/schedule call counts pin
-// the laziness itself: a return to eager ranking schedules 15-23 levels
-// per circuit.
+// level search emitted the same bytes), re-captured when the placement
+// objective became fixed point, and re-captured when the detailed anneal
+// became a cool start that stops once frozen. The flow/schedule call
+// counts pin the laziness itself: a return to eager ranking schedules
+// 15-23 levels per circuit.
 TEST(Determinism, PaperCircuitGoldensWithLazyLevelSearch) {
   struct Case {
     const char* name;
@@ -218,13 +221,13 @@ TEST(Determinism, PaperCircuitGoldensWithLazyLevelSearch) {
     long schedule_calls;
   };
   const Case cases[] = {
-      {"ex1", 0x21ae68e8cf7e70ccull, 1},
-      {"FIR", 0x78a16ea3487f8f53ull, 2},
-      {"ex2", 0x4b6afdd47bfa9fb6ull, 4},
-      {"c5315", 0xe20db2d17b3cdabfull, 5},
-      {"Biquad", 0xddab0f6af84a78b0ull, 3},
-      {"Paulin", 0x365fdae17f0c258aull, 2},
-      {"ASPP4", 0xe15f576c5029ffcbull, 2},
+      {"ex1", 0xa918de298413ec48ull, 1},
+      {"FIR", 0xfa7df475738ccbebull, 2},
+      {"ex2", 0xc40123dd671ddc22ull, 4},
+      {"c5315", 0x258b1d1361f3ba58ull, 5},
+      {"Biquad", 0x7c08fe8044bdfabbull, 3},
+      {"Paulin", 0xc50391f2c0239207ull, 2},
+      {"ASPP4", 0xed9bb6a9421230b0ull, 2},
   };
   for (const Case& c : cases) {
     FlowOptions opts;
@@ -285,7 +288,10 @@ TEST(Determinism, MoreRestartsNeverWorsenPlacementCost) {
 TEST(Determinism, SeedChangesTheResult) {
   // Sanity check that the fingerprint is sensitive at all: different
   // seeds should give different placements on a non-trivial design.
-  Design d = random_design();
+  // Paulin clusters into 12 SMBs with 229 distinct SMB sets, so two seeds
+  // are far less likely to settle on the same optimum than on a small
+  // random DAG.
+  Design d = make_benchmark("Paulin");
   FlowOptions opts;
   opts.arch = ArchParams::paper_instance();
   opts.threads = 2;

@@ -176,7 +176,7 @@ std::string recovered_route_detail(const FlowResult& r) {
 
 TEST(RecoveryLadderReuse, BudgetRungPinnedCaseReplaysAndRecordsReuse) {
   Design d = pinned_congestion_design();
-  FlowOptions opts = pinned_congestion_options(/*len1_tracks=*/6);
+  FlowOptions opts = pinned_congestion_options(/*len1_tracks=*/7);
 
   opts.threads = 1;
   FlowResult r = run_nanomap(d, opts);

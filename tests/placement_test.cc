@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "circuits/benchmarks.h"
@@ -152,8 +153,10 @@ TEST(Grid, SizingHasSlackAndFits) {
 // set-collapsed objective — one term per distinct SMB set, weighted by
 // the summed quantized weights of its nets — which equals placement_cost
 // exactly (checked at the optimum). The annealer can never beat the
-// optimum; the printed gap is how far short of it the default anneal
-// effort lands.
+// optimum; over placement seeds 1-10 its mean gap to it must stay within
+// kMaxMeanGap. Measured mean (max) gaps: ex1 0% (0%), FIR 1.14% (2.62%),
+// ex2 0.59% (2.12%); the schedule before the cool-started detailed pass
+// had 0% (0%), 0.94% (7.93%) and 1.81% (5.83%), inside the bound too.
 TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
   const FlowOptions fo;
   for (const char* name : {"ex1", "FIR", "ex2"}) {
@@ -220,18 +223,54 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
     EXPECT_EQ(placement_cost(cd, best, fo.placement.timing_weight), optimum)
         << name;
 
-    PlacementResult annealed = place_design(cd, fo.arch, fo.placement);
-    const std::int64_t got =
-        placement_cost(cd, annealed.placement, fo.placement.timing_weight);
-    EXPECT_EQ(cost_to_double(got), annealed.cost) << name;
+    constexpr double kMaxMeanGap = 0.025;
+    double gap_sum = 0.0, gap_max = 0.0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      PlacementOptions po = fo.placement;
+      po.seed = seed;
+      PlacementResult annealed = place_design(cd, fo.arch, po);
+      const std::int64_t got =
+          placement_cost(cd, annealed.placement, po.timing_weight);
+      EXPECT_EQ(cost_to_double(got), annealed.cost) << name;
+      EXPECT_LE(optimum, got) << name << " seed " << seed;
+      const double gap = static_cast<double>(got - optimum) /
+                         static_cast<double>(optimum);
+      gap_sum += gap;
+      gap_max = std::max(gap_max, gap);
+    }
+    const double mean_gap = gap_sum / 10.0;
     std::printf("%-4s smbs %d sets %zu assignments %ld optimum %.4f "
-                "annealed %.4f gap %.4f (%.2f%%)\n",
+                "gap over seeds 1-10: mean %.2f%% max %.2f%%\n",
                 name, cd.num_smbs, weight_of_set.size(), assignments,
-                cost_to_double(optimum), annealed.cost,
-                cost_to_double(got - optimum),
-                100.0 * static_cast<double>(got - optimum) /
-                    static_cast<double>(optimum));
-    EXPECT_LE(optimum, got) << name;
+                cost_to_double(optimum), 100.0 * mean_gap, 100.0 * gap_max);
+    EXPECT_LE(mean_gap, kMaxMeanGap) << name;
+  }
+}
+
+// Every anneal ends at its exit temperature or on the frozen rule; on the
+// paper circuits the frozen rule ends most of them. place.frozen_exits
+// counts those, at most two per restart (fast and detailed pass) per
+// place_design call, and like every counter it is thread-invariant.
+TEST(Placement, FrozenExitsAreCountedAndThreadInvariant) {
+  auto counter = [](const FlowResult& r, const std::string& site) {
+    for (const TraceCounterRow& c : r.report.counters)
+      if (c.site == site) return c.value;
+    return 0L;
+  };
+  FlowOptions fo;
+  fo.collect_trace = true;
+  fo.placement.restarts = 3;
+  long frozen_at_1 = -1;
+  for (int threads : {1, 4}) {
+    fo.threads = threads;
+    FlowResult r = run_nanomap(make_benchmark("Paulin"), fo);
+    ASSERT_TRUE(r.feasible) << r.message;
+    const long frozen = counter(r, "place.frozen_exits");
+    EXPECT_GT(frozen, 0) << "threads " << threads;
+    EXPECT_LE(frozen, 2 * 3 * counter(r, "place.calls"))
+        << "threads " << threads;
+    if (frozen_at_1 < 0) frozen_at_1 = frozen;
+    EXPECT_EQ(frozen, frozen_at_1) << "threads " << threads;
   }
 }
 
