@@ -255,7 +255,7 @@ double measure_mps(const ClusteredDesign& cd, const Placement& init,
   int reps = 0;
   while (seconds < min_seconds || reps < 2) {
     Rng rng(7);
-    Engine engine(cd, init, 0.8, &rng);
+    Engine engine(cd, init, kTimingWeight, &rng);
     auto t0 = std::chrono::steady_clock::now();
     engine.run(effort);
     auto t1 = std::chrono::steady_clock::now();

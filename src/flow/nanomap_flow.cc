@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -17,8 +16,18 @@
 namespace nanomap {
 namespace {
 
-// Seed-stream base for the re-seeded placement rung of the recovery
-// ladder, far away from the restart streams place_design derives itself.
+// Bounds of the recovery ladder (DESIGN.md §5e): raised router budgets,
+// then widened routing channels on the same placement, then re-seeded
+// placements that climb the same ladder; after every level fails, a final
+// no-folding attempt.
+constexpr int kRouterBudgetRungs = 1;
+constexpr int kChannelBumpRungs = 2;
+constexpr double kChannelBumpFactor = 1.25;  // per channel rung
+constexpr std::size_t kFirstChannelRung = 1 + kRouterBudgetRungs;
+constexpr int kPlacementReseeds = 1;
+
+// Seed-stream base for the re-seeded placements of the recovery ladder,
+// far away from the restart streams place_design derives itself.
 constexpr std::uint64_t kReseedStreamBase = 0x5eedu;
 
 // A scheduled + clustered candidate at one folding level — the unit the
@@ -58,6 +67,7 @@ class FlowEngine {
                                   : ThreadPool::hardware_threads()) {
     options_.arch.validate();
     params_ = extract_circuit_params(design.net);
+    ladder_ = build_route_ladder();
   }
 
   FlowResult run() {
@@ -318,80 +328,65 @@ class FlowEngine {
   // identical to the historical single attempt), then raised
   // max_iterations / present-congestion schedules, then bounded channel-
   // width bumps on a widened copy of the architecture (VPR-style
-  // "increase W before declaring unroutable"). The builder splits the
-  // ladder into its budget prefix and channel suffix so the defect-aware
-  // finish() can interleave them with placement reseeds (§5j); the
-  // defect-free path always climbs the concatenation.
-  void build_route_ladder(std::vector<RouteRung>* budgets,
-                          std::vector<RouteRung>* channels) const {
-    budgets->push_back({"default budgets", options_.router, options_.arch});
+  // "increase W before declaring unroutable"). Every placement attempt
+  // climbs this one ladder, on any fabric.
+  std::vector<RouteRung> build_route_ladder() const {
+    std::vector<RouteRung> rungs;
+    rungs.push_back({"default budgets", options_.router, options_.arch});
 
     RouterOptions esc = options_.router;
-    for (int b = 1; b <= options_.recovery.router_budget_rungs; ++b) {
+    for (int b = 1; b <= kRouterBudgetRungs; ++b) {
       esc.max_iterations =
           std::max(esc.max_iterations * 3, esc.max_iterations + 40);
       esc.pres_fac_mult = 1.0 + (esc.pres_fac_mult - 1.0) * 1.5;
       esc.hist_fac *= 1.5;
-      budgets->push_back({"raised router budgets (max_iterations " +
-                              std::to_string(esc.max_iterations) +
-                              ", pres_fac_mult " + fmt(esc.pres_fac_mult) +
-                              ")",
-                          esc, options_.arch});
+      rungs.push_back({"raised router budgets (max_iterations " +
+                           std::to_string(esc.max_iterations) +
+                           ", pres_fac_mult " + fmt(esc.pres_fac_mult) + ")",
+                       esc, options_.arch});
     }
 
     ArchParams widened = options_.arch;
     double factor = 1.0;
-    for (int c = 1; c <= options_.recovery.channel_bump_rungs; ++c) {
-      factor *= options_.recovery.channel_bump_factor;
+    for (int c = 1; c <= kChannelBumpRungs; ++c) {
+      factor *= kChannelBumpFactor;
       auto bump = [factor](int base) {
         return std::max(base + 1, static_cast<int>(std::ceil(base * factor)));
       };
       widened.len1_tracks = bump(options_.arch.len1_tracks);
       widened.len4_tracks = bump(options_.arch.len4_tracks);
       widened.global_tracks = bump(options_.arch.global_tracks);
-      channels->push_back({"widened channels x" + fmt(factor) + " (len1 " +
-                               std::to_string(widened.len1_tracks) +
-                               ", len4 " +
-                               std::to_string(widened.len4_tracks) +
-                               ", global " +
-                               std::to_string(widened.global_tracks) + ")",
-                           esc, widened, /*new_graph=*/true});
+      rungs.push_back({"widened channels x" + fmt(factor) + " (len1 " +
+                           std::to_string(widened.len1_tracks) + ", len4 " +
+                           std::to_string(widened.len4_tracks) +
+                           ", global " +
+                           std::to_string(widened.global_tracks) + ")",
+                       esc, widened, /*new_graph=*/true});
     }
-  }
-
-  std::vector<RouteRung> route_ladder() const {
-    std::vector<RouteRung> rungs, channels;
-    build_route_ladder(&rungs, &channels);
-    rungs.insert(rungs.end(), std::make_move_iterator(channels.begin()),
-                 std::make_move_iterator(channels.end()));
     return rungs;
   }
 
   // Climbs the routing ladder for one placement. On success *arch_used /
   // *router_used are the arch and router budgets of the winning rung
   // (widened rungs route — and are then timed / emitted — against their
-  // own interconnect). Returns false when every rung failed; *fatal is
-  // set when a rung died on an exception (already recorded), which aborts
-  // the level instead of climbing further.
+  // own interconnect). Returns false when the climb ended without a
+  // route; *fatal is set when a rung died on an exception (already
+  // recorded), which aborts the level instead of climbing further.
   //
   // Every rung routes every folding cycle from scratch. Budget rungs share
-  // the graph of the first rung they climb; each channel rung builds a
-  // fresh graph at its own widths. `rungs` is the slice of the ladder this
-  // climb covers and `rung_offset` its index into the full ladder (0 for
-  // the classic whole-ladder climb; the budget count when the defect-aware
-  // finish() climbs the channel suffix separately) — only rung numbering
-  // in the trail depends on it.
+  // the graph of rung 0; each channel rung builds a fresh graph at its own
+  // widths. A failed rung is an "escalate" event while a later rung of
+  // this climb will still run, and a "fallback" once the climb is spent.
   bool climb_route_ladder(const Candidate& cand,
                           const PlacementResult& placed, int attempt,
-                          const std::vector<RouteRung>& rungs,
-                          std::size_t rung_offset, RoutingResult* routed,
-                          ArchParams* arch_used, RouterOptions* router_used,
-                          bool* fatal) {
+                          RoutingResult* routed, ArchParams* arch_used,
+                          RouterOptions* router_used, bool* fatal) {
     *fatal = false;
     NM_TRACE_SPAN("route");
     std::optional<RrGraph> rr;
-    for (std::size_t r = 0; r < rungs.size(); ++r) {
-      const RouteRung& rung = rungs[r];
+    std::size_t r = 0;
+    while (r < ladder_.size()) {
+      const RouteRung& rung = ladder_[r];
       int rr_nodes = 0;
       bool ok = guard("route", cand.level, attempt, [&] {
         if (!rr || rung.new_graph) {
@@ -422,11 +417,10 @@ class FlowEngine {
                              (static_cast<double>(rr_nodes) *
                               cand.clustered.num_cycles));
         }
-        if (rung_offset + r > 0 || attempt > 0)
+        if (r > 0 || attempt > 0)
           record({"route", cand.level, attempt, FlowErrorKind::kNone,
                   "recovered",
-                  "routed at rung " + std::to_string(rung_offset + r) +
-                      " (" + rung.name +
+                  "routed at rung " + std::to_string(r) + " (" + rung.name +
                       (attempt > 0
                            ? ", reseeded placement " + std::to_string(attempt)
                            : "") +
@@ -435,32 +429,37 @@ class FlowEngine {
         *router_used = rung.router;
         return true;
       }
+      // Raised budgets negotiate away moderate congestion, but not a
+      // placement with >5% of the RR graph overused: that skips straight
+      // to the first channel rung, and on a channel rung ends the climb.
+      const bool hopeless =
+          routed->overused_nodes >
+          std::max<long>(50, static_cast<long>(rr_nodes) / 20);
+      std::size_t next = r + 1;
+      if (hopeless) next = rung.new_graph ? ladder_.size() : kFirstChannelRung;
+      const char* action = next < ladder_.size() ? "escalate" : "fallback";
       record({"route", cand.level, attempt,
-              FlowErrorKind::kRoutingCongestion,
-              r + 1 < rungs.size() ? "escalate" : "fallback",
+              FlowErrorKind::kRoutingCongestion, action,
               "routing failed (" + std::to_string(routed->overused_nodes) +
-                  " overused, rung " + std::to_string(rung_offset + r) +
-                  ": " + rung.name + ")"});
-      // Escalation can negotiate away moderate congestion, but a placement
-      // with >5% of the RR graph overused is hopeless — don't burn the
-      // whole ladder on it.
-      if (routed->overused_nodes >
-          std::max<long>(50, static_cast<long>(rr_nodes) / 20)) {
+                  " overused, rung " + std::to_string(r) + ": " + rung.name +
+                  ")"});
+      if (hopeless)
         record({"route", cand.level, attempt,
-                FlowErrorKind::kRoutingCongestion, "fallback",
-                "congestion too heavy to escalate (" +
-                    std::to_string(routed->overused_nodes) + " of " +
+                FlowErrorKind::kRoutingCongestion, action,
+                "congestion too heavy " +
+                    std::string(rung.new_graph ? "to escalate"
+                                               : "for router budgets") +
+                    " (" + std::to_string(routed->overused_nodes) + " of " +
                     std::to_string(rr_nodes) + " RR nodes overused)"});
-        return false;
-      }
+      r = next;
     }
     return false;
   }
 
   // Physical flow; returns false to make the search fall back to the next
-  // folding level (paper steps 13/14) — but only after the bounded
-  // recovery ladder (router budgets -> channel bumps -> placement
-  // reseeds) is exhausted.
+  // folding level (paper steps 13/14) — but only after every placement
+  // attempt (the caller's seed, then kPlacementReseeds reseeds) has
+  // climbed the routing ladder.
   bool finish(Candidate& cand, FlowResult* result) {
     result->folding = cand.cfg;
     result->num_les = cand.les;
@@ -510,15 +509,15 @@ class FlowEngine {
 
     // Placement attempt 0 runs with the caller's seed and options — the
     // historical behavior, byte-identical when it succeeds. Attempts
-    // 1..placement_reseeds re-place with derive_seed streams (thread-count
-    // independent) only after every routing rung failed.
+    // 1..kPlacementReseeds re-place with derive_seed streams (thread-count
+    // independent) only after the previous placement's ladder was spent.
     PlacementResult placed;
     RoutingResult routed;
     ArchParams arch_used = options_.arch;
     RouterOptions router_used = options_.router;
     bool route_ok = false;
-    const int reseeds = options_.recovery.placement_reseeds;
-    auto place_attempt = [&](int attempt, PlacementResult* out) {
+    for (int attempt = 0; attempt <= kPlacementReseeds && !route_ok;
+         ++attempt) {
       PlacementOptions popts = options_.placement;
       if (attempt == 0) {
         popts.seed = options_.seed;
@@ -528,68 +527,29 @@ class FlowEngine {
                                      static_cast<std::uint64_t>(attempt));
         record({"place", cand.level, attempt, FlowErrorKind::kNone, "retry",
                 "re-seeded placement restart " + std::to_string(attempt) +
-                    " of " + std::to_string(reseeds)});
+                    " of " + std::to_string(kPlacementReseeds)});
       }
       bool place_ok;
       {
         NM_TRACE_SPAN("place");
         place_ok = guard("place", cand.level, attempt, [&] {
-          *out = place_design(cand.clustered, options_.arch, popts,
-                              &pool_);
+          placed = place_design(cand.clustered, options_.arch, popts,
+                                &pool_);
         });
       }
       if (!place_ok) return false;
-      if (!out->screen_passed) {
+      if (!placed.screen_passed) {
         // Advisory only — the router below is the authoritative check.
         record({"place", cand.level, attempt,
                 FlowErrorKind::kPlacementScreen, "warn",
                 "routability screen high (util " +
-                    fmt(out->routability.peak_utilization) +
+                    fmt(placed.routability.peak_utilization) +
                     "), routing anyway"});
       }
-      return true;
-    };
-    if (!defect_aware) {
-      const std::vector<RouteRung> rungs = route_ladder();
-      for (int attempt = 0; attempt <= reseeds && !route_ok; ++attempt) {
-        if (!place_attempt(attempt, &placed)) return false;
-        bool fatal = false;
-        route_ok = climb_route_ladder(cand, placed, attempt, rungs,
-                                      /*rung_offset=*/0, &routed,
-                                      &arch_used, &router_used, &fatal);
-        if (fatal) return false;
-      }
-    } else {
-      // Defect-aware ladder order (DESIGN.md §5j): widening channels can
-      // never revive a broken track, but a different placement can route
-      // around it — so every placement reseed retries the budget rungs
-      // before the first channel bump is spent. Placements are computed
-      // once and cached across the two phases.
-      std::vector<RouteRung> budgets, channels;
-      build_route_ladder(&budgets, &channels);
-      std::vector<PlacementResult> attempts;
-      for (int attempt = 0; attempt <= reseeds && !route_ok; ++attempt) {
-        attempts.emplace_back();
-        if (!place_attempt(attempt, &attempts.back())) return false;
-        bool fatal = false;
-        route_ok = climb_route_ladder(cand, attempts.back(), attempt,
-                                      budgets, /*rung_offset=*/0, &routed,
-                                      &arch_used, &router_used, &fatal);
-        if (fatal) return false;
-        if (route_ok) placed = std::move(attempts.back());
-      }
-      if (!route_ok && !channels.empty()) {
-        for (std::size_t a = 0; a < attempts.size() && !route_ok; ++a) {
-          bool fatal = false;
-          route_ok = climb_route_ladder(cand, attempts[a],
-                                        static_cast<int>(a), channels,
-                                        /*rung_offset=*/budgets.size(),
-                                        &routed, &arch_used, &router_used,
-                                        &fatal);
-          if (fatal) return false;
-          if (route_ok) placed = std::move(attempts[a]);
-        }
-      }
+      bool fatal = false;
+      route_ok = climb_route_ladder(cand, placed, attempt, &routed,
+                                    &arch_used, &router_used, &fatal);
+      if (fatal) return false;
     }
     if (!route_ok) {
       record({"flow", cand.level, 0, FlowErrorKind::kRoutingCongestion,
@@ -658,7 +618,7 @@ class FlowEngine {
   // pre-screen but still honoring hard constraints) before returning
   // infeasible-with-trail.
   void try_no_folding_degradation(FlowResult* result) {
-    if (!options_.recovery.try_no_folding || !options_.run_physical ||
+    if (!options_.run_physical ||
         options_.forced_folding_level >= 0 ||
         attempted_physical_.count(0) > 0)
       return;
@@ -699,6 +659,7 @@ class FlowEngine {
   FlowOptions options_;
   ThreadPool pool_;  // placement restarts and concurrent routing cycles
   CircuitParams params_;
+  std::vector<RouteRung> ladder_;  // every placement attempt climbs it
   std::map<int, Candidate> cache_;
   // Level order (start_level_search / next_level).
   std::vector<int> candidates_;
@@ -782,10 +743,6 @@ void validate_flow_options(const FlowOptions& o) {
     reject("placement.fast_effort", "must be > 0");
   if (!(o.placement.detailed_effort > 0.0))
     reject("placement.detailed_effort", "must be > 0");
-  if (!(o.placement.routable_threshold > 0.0))
-    reject("placement.routable_threshold", "must be > 0");
-  if (!(o.placement.timing_weight >= 0.0))
-    reject("placement.timing_weight", "must be >= 0");
   if (o.router.max_iterations < 1)
     reject("router.max_iterations", "must be >= 1");
   if (!(o.router.initial_pres_fac > 0.0))
@@ -793,14 +750,6 @@ void validate_flow_options(const FlowOptions& o) {
   if (!(o.router.pres_fac_mult > 0.0))
     reject("router.pres_fac_mult", "must be > 0");
   if (!(o.router.hist_fac >= 0.0)) reject("router.hist_fac", "must be >= 0");
-  if (o.recovery.router_budget_rungs < 0)
-    reject("recovery.router_budget_rungs", "must be >= 0");
-  if (o.recovery.channel_bump_rungs < 0)
-    reject("recovery.channel_bump_rungs", "must be >= 0");
-  if (!(o.recovery.channel_bump_factor > 1.0))
-    reject("recovery.channel_bump_factor", "must be > 1");
-  if (o.recovery.placement_reseeds < 0)
-    reject("recovery.placement_reseeds", "must be >= 0");
   try {
     o.arch.validate();
   } catch (const CheckError& e) {

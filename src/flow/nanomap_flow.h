@@ -72,7 +72,8 @@ FlowErrorKind dominant_error_kind(const std::vector<FlowErrorKind>& kinds);
 struct FlowEvent {
   std::string stage;   // "schedule", "cluster", "place", "route", ...
   int level = -1;      // folding level (-1: not level-specific)
-  int attempt = 0;     // attempt / ladder-rung number within the stage
+  int attempt = 0;     // placement attempt (0 = caller's seed, 1.. =
+                       // reseeds); a route event names its rung in detail
   FlowErrorKind kind = FlowErrorKind::kNone;
   std::string action;  // "error", "retry", "escalate", "recovered",
                        // "fallback", "degrade", "infeasible"
@@ -196,32 +197,6 @@ struct RunReport {
                       bool compact = false) const;
 };
 
-// Bounds for the recovery ladder run_nanomap climbs before abandoning a
-// folding level (DESIGN.md §5e): raised router budgets, then widened
-// routing channels, then re-seeded placements, then the level falls back;
-// after every level fails, a final no-folding attempt. On a defective
-// fabric (arch.defects.active()) the order is defect-aware: congestion
-// there is usually a placement squeezed against dead resources, so every
-// placement reseed retries the budget rungs *before* any channel bump —
-// widening channels cannot revive broken tracks (DESIGN.md §5j). Every
-// rung is deterministic — triggered by deterministic failures and
-// parameterized by seed streams, never by thread count or wall clock.
-struct RecoveryOptions {
-  // Rungs that rerun PathFinder with a raised max_iterations /
-  // present-congestion schedule on the same placement.
-  int router_budget_rungs = 1;
-  // Rungs that widen len1/len4/global channel capacities by
-  // channel_bump_factor per rung (on a copy of the arch) and reroute.
-  int channel_bump_rungs = 2;
-  double channel_bump_factor = 1.25;
-  // Re-seeded placement restarts (derive_seed streams off FlowOptions::
-  // seed) tried after the routing rungs are exhausted.
-  int placement_reseeds = 1;
-  // Final graceful-degradation step: when every candidate level failed,
-  // try mapping without folding before declaring the design infeasible.
-  bool try_no_folding = true;
-};
-
 // Factory hook for RR graphs, the flow-as-a-service shared-cache seam
 // (src/serve/cache.h implements it). make() must return a graph equal to
 // RrGraph(grid, arch) — same nodes, edges, delays, costs and capacities —
@@ -262,7 +237,6 @@ struct FlowOptions {
   int threads = 0;
   PlacementOptions placement;
   RouterOptions router;
-  RecoveryOptions recovery;
   // Deterministic fault injection: "site:N[:check|input|alloc]" arms a
   // util/fault.h FaultScope on the calling thread for the duration of
   // this run (empty = off). The CLI exposes it as --fault / the NM_FAULT

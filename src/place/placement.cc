@@ -13,6 +13,10 @@
 namespace nanomap {
 namespace {
 
+// The RISA screen passes a placement whose estimated peak channel
+// utilization is at most this.
+constexpr double kRoutableThreshold = 1.0;
+
 // Kuhn augmenting-path search: can `smb` claim a site (in `order`
 // preference) either directly or by displacing a current holder onto an
 // alternative site?
@@ -111,8 +115,7 @@ PlacementResult place_single(const ClusteredDesign& cd,
   // result so it refines it. Step 3: the RISA screen on the final
   // placement; the flow only warns on it, since the router is the
   // authoritative congestion check.
-  Annealer annealer(cd, result.placement, options.timing_weight, &rng,
-                    legal);
+  Annealer annealer(cd, result.placement, kTimingWeight, &rng, legal);
   annealer.run(options.fast_effort, AnnealStart::kHot);
   annealer.run(options.detailed_effort, AnnealStart::kCool);
   result.placement = annealer.placement();
@@ -120,7 +123,7 @@ PlacementResult place_single(const ClusteredDesign& cd,
   result.moves_accepted = annealer.moves_accepted();
   result.routability = estimate_routability(cd, result.placement, arch);
   result.screen_passed =
-      result.routability.peak_utilization <= options.routable_threshold;
+      result.routability.peak_utilization <= kRoutableThreshold;
   return result;
 }
 
@@ -338,8 +341,7 @@ PlacementResult place_design(const ClusteredDesign& cd,
     PlacementOptions per = options;
     per.seed = derive_seed(options.seed, static_cast<std::uint64_t>(r));
     candidates[rr] = place_single(cd, arch, per, legal);
-    costs[rr] = placement_cost(cd, candidates[rr].placement,
-                               options.timing_weight);
+    costs[rr] = placement_cost(cd, candidates[rr].placement, kTimingWeight);
   });
 
   // Lowest fixed-point cost wins; an exact tie goes to the lowest restart

@@ -39,13 +39,15 @@ struct Placement {
   }
 };
 
+// Weight of a net's timing criticality in its placement cost: the net
+// weighs 1 + kTimingWeight * criticality.
+inline constexpr double kTimingWeight = 0.8;
+
 struct PlacementOptions {
   std::uint64_t seed = 42;
-  double timing_weight = 0.8;  // weight of criticality in net cost
   // Moves per block per temperature step = effort * N^(4/3).
   double fast_effort = 1.0;
   double detailed_effort = 10.0;
-  double routable_threshold = 1.0;  // peak channel utilization allowed
   // Independent annealing restarts. Restart r anneals with RNG stream
   // derive_seed(seed, r); the lowest-cost result wins, ties broken by the
   // lowest restart index. The restart *count* — not the thread count —

@@ -127,10 +127,6 @@ TEST(FaultInjection, ForcedLevelDegradesCleanlyWithTypedKind) {
       FlowOptions opts = small_flow_options();
       opts.forced_folding_level = 2;
       opts.fault_plan = site + ":1:" + kind;
-      // Keep the ladder from retrying past the injected single failure
-      // where the retry would genuinely recover (that case is covered
-      // above); what matters here is that *exhaustion* is clean.
-      opts.recovery.placement_reseeds = 0;
       FlowResult r;
       ASSERT_NO_THROW(r = run_nanomap(d, opts))
           << "site " << site << " kind " << kind;
@@ -202,7 +198,6 @@ TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
   Design d = make_ex1(6);
   FlowOptions opts = small_flow_options();
   opts.forced_folding_level = 2;
-  opts.recovery.placement_reseeds = 0;
   opts.placement.restarts = 2;
   opts.collect_trace = true;
   std::map<std::string, long> hits;
@@ -517,10 +512,6 @@ TEST(OptionValidation, RejectsOutOfRangeFieldsNamingThem) {
                 "router.pres_fac_mult");
   expect_reject([](FlowOptions* o) { o->router.initial_pres_fac = 0.0; },
                 "router.initial_pres_fac");
-  expect_reject([](FlowOptions* o) { o->recovery.placement_reseeds = -1; },
-                "recovery.placement_reseeds");
-  expect_reject([](FlowOptions* o) { o->recovery.channel_bump_factor = 1.0; },
-                "recovery.channel_bump_factor");
   expect_reject([](FlowOptions* o) { o->fault_plan = "bogus plan::"; },
                 "fault plan");
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bitstream/bitmap.h"
+#include "circuits/benchmarks.h"
 #include "circuits/random_dag.h"
 #include "flow/nanomap_flow.h"
 #include "route/pathfinder_reference.h"
@@ -174,6 +175,14 @@ std::string recovered_route_detail(const FlowResult& r) {
   return detail;
 }
 
+// The actions of the trail's route events, in order.
+std::vector<std::string> route_actions(const FlowResult& r) {
+  std::vector<std::string> actions;
+  for (const FlowEvent& e : r.diagnostics.events)
+    if (e.stage == "route") actions.push_back(e.action);
+  return actions;
+}
+
 TEST(RecoveryLadderReuse, BudgetRungPinnedCaseReplaysAndRecordsReuse) {
   Design d = pinned_congestion_design();
   FlowOptions opts = pinned_congestion_options(/*len1_tracks=*/7);
@@ -209,8 +218,14 @@ TEST(RecoveryLadderReuse, ChannelBumpPinnedCaseReplaysOnWidenedFabric) {
   ASSERT_TRUE(r.feasible) << r.message << "\n" << r.diagnostics.to_string();
   EXPECT_TRUE(r.routing.success);
 
+  // Rungs 0 and 1 fail while later rungs of the ladder remain, so both
+  // escalate; the first channel rung routes.
+  EXPECT_EQ(route_actions(r),
+            (std::vector<std::string>{"escalate", "escalate", "recovered"}))
+      << r.diagnostics.to_string();
   const std::string detail = recovered_route_detail(r);
   ASSERT_FALSE(detail.empty()) << r.diagnostics.to_string();
+  EXPECT_NE(detail.find("rung 2"), std::string::npos) << detail;
   EXPECT_NE(detail.find("widened channels"), std::string::npos) << detail;
 
   // The winning fabric really is a widened copy — and the replay cross-
@@ -224,6 +239,82 @@ TEST(RecoveryLadderReuse, ChannelBumpPinnedCaseReplaysOnWidenedFabric) {
   FlowResult parallel = run_nanomap(d, opts);
   EXPECT_EQ(r.diagnostics.to_string(), parallel.diagnostics.to_string());
   EXPECT_EQ(serialize_bitmap(r.bitmap), serialize_bitmap(parallel.bitmap));
+}
+
+// The benchmark's defect fabric: the paper instance with every channel
+// halved and a seeded defect map (LE 1%, wire 1%, SMB 0.25%). It climbs
+// the same ladder as a defect-free fabric: the channel rungs run on the
+// first placement before any reseeded placement is tried.
+FlowOptions defect_fabric_options(std::uint64_t seed) {
+  FlowOptions opts;
+  opts.arch = ArchParams::paper_instance();
+  opts.arch.len1_tracks = 14;
+  opts.arch.len4_tracks = 7;
+  opts.arch.global_tracks = 4;
+  opts.arch.direct_links_per_side = 6;
+  opts.arch.defects.seed = 1;
+  opts.arch.defects.le_rate = 0.01;
+  opts.arch.defects.wire_rate = 0.01;
+  opts.arch.defects.smb_rate = 0.0025;
+  opts.seed = seed;
+  return opts;
+}
+
+// Maps `circuit` on the defect fabric and checks that placement attempt
+// 0 recovers at rung 2 (the first channel rung) without a reseeded
+// placement, that the routing replays on the reference router, and that
+// threads 1 and 4 give the same trail and bitmap.
+FlowResult expect_first_placement_recovers_at_channel_rung(
+    const std::string& circuit, std::uint64_t seed) {
+  const Design d = make_benchmark(circuit);
+  FlowOptions opts = defect_fabric_options(seed);
+  opts.threads = 1;
+  FlowResult r = run_nanomap(d, opts);
+  EXPECT_TRUE(r.feasible) << r.message << "\n" << r.diagnostics.to_string();
+  if (!r.feasible) return r;
+
+  for (const FlowEvent& e : r.diagnostics.events) {
+    EXPECT_FALSE(e.stage == "place" && e.action == "retry")
+        << r.diagnostics.to_string();
+    if (e.stage == "route") EXPECT_EQ(e.attempt, 0) << e.detail;
+  }
+  const std::string detail = recovered_route_detail(r);
+  EXPECT_NE(detail.find("routed at rung 2 (widened channels"),
+            std::string::npos)
+      << r.diagnostics.to_string();
+  EXPECT_EQ(detail.find("reseeded"), std::string::npos) << detail;
+  EXPECT_GT(r.routed_arch.len1_tracks, opts.arch.len1_tracks);
+  expect_matches_reference_replay(r);
+
+  opts.threads = 4;
+  const FlowResult parallel = run_nanomap(d, opts);
+  EXPECT_EQ(r.diagnostics.to_string(), parallel.diagnostics.to_string());
+  EXPECT_EQ(serialize_bitmap(r.bitmap), serialize_bitmap(parallel.bitmap));
+  return r;
+}
+
+TEST(RecoveryLadder, DefectFabricWidensChannelsBeforeReseeding) {
+  expect_first_placement_recovers_at_channel_rung("Paulin", 1);
+}
+
+// Rung 0 leaves more than max(50, 5%) of the RR nodes overused. That
+// skips the raised-budget rung and goes straight to the first channel
+// rung, which routes the same placement.
+TEST(RecoveryLadder, DefectFabricHopelessRungSkipsToChannelRung) {
+  const FlowResult r =
+      expect_first_placement_recovers_at_channel_rung("Biquad", 4);
+  bool hopeless = false;
+  for (const FlowEvent& e : r.diagnostics.events) {
+    if (e.stage != "route") continue;
+    EXPECT_EQ(e.detail.find("rung 1"), std::string::npos)
+        << "the raised-budget rung ran: " << e.detail;
+    if (e.detail.find("congestion too heavy for router budgets") !=
+        std::string::npos) {
+      hopeless = true;
+      EXPECT_EQ(e.action, "escalate") << e.detail;
+    }
+  }
+  EXPECT_TRUE(hopeless) << r.diagnostics.to_string();
 }
 
 }  // namespace

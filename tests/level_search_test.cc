@@ -141,46 +141,49 @@ TEST(LevelSearch, RandomDagsMatchEagerRanking) {
 
 // When the physical flow rejects a level the search resumes where it
 // left off: the levels tried, in order, are a prefix of the eager
-// ranking. A starved router with no recovery rungs fails every level, so
-// each one tried leaves exactly one "ladder exhausted" fallback event.
-// On this circuit the bound order differs from the AT order, so levels
-// are measured but not yet yielded when a rejection resumes the search.
+// ranking. On one-track channels with a one-iteration router the whole
+// recovery ladder fails a level, which leaves exactly one "ladder
+// exhausted" fallback event. With 80 LUTs per plane the first level
+// fails and a later one routes; with 160 every level fails, so the
+// levels tried are the whole ranking. On the 80-LUT circuit the bound
+// order differs from the AT order, so levels are measured but not yet
+// yielded when a rejection resumes the search.
 TEST(LevelSearch, PhysicalFallbackResumesInEagerOrder) {
-  RandomDagSpec spec;
-  spec.luts_per_plane = 80;
-  spec.depth = 8;
-  spec.num_inputs = 24;
-  spec.seed = 1;
-  const Design d = make_random_design(spec);
+  for (int luts : {80, 160}) {
+    RandomDagSpec spec;
+    spec.luts_per_plane = luts;
+    spec.depth = 8;
+    spec.num_inputs = 24;
+    spec.seed = 1;
+    const Design d = make_random_design(spec);
 
-  FlowOptions opts;
-  opts.arch = ArchParams::paper_instance_unbounded_k();
-  opts.arch.direct_links_per_side = 1;
-  opts.arch.len1_tracks = 1;
-  opts.arch.len4_tracks = 1;
-  opts.arch.global_tracks = 1;
-  opts.router.max_iterations = 1;
-  opts.recovery.router_budget_rungs = 0;
-  opts.recovery.channel_bump_rungs = 0;
-  opts.recovery.placement_reseeds = 0;
-  opts.recovery.try_no_folding = false;
-  opts.seed = 3;
-  const FlowResult r = run_nanomap(d, opts);
+    FlowOptions opts;
+    opts.arch = ArchParams::paper_instance_unbounded_k();
+    opts.arch.direct_links_per_side = 1;
+    opts.arch.len1_tracks = 1;
+    opts.arch.len4_tracks = 1;
+    opts.arch.global_tracks = 1;
+    opts.router.max_iterations = 1;
+    opts.seed = 3;
+    const FlowResult r = run_nanomap(d, opts);
 
-  std::vector<int> tried;
-  for (const FlowEvent& e : r.diagnostics.events)
-    if (e.stage == "flow" && e.action == "fallback") tried.push_back(e.level);
-  if (r.feasible) tried.push_back(r.folding.level);
-  ASSERT_GE(tried.size(), 2u) << r.message;
-  EXPECT_EQ(static_cast<int>(tried.size()), r.levels_tried);
+    std::vector<int> tried;
+    for (const FlowEvent& e : r.diagnostics.events)
+      if (e.stage == "flow" && e.action == "fallback")
+        tried.push_back(e.level);
+    if (r.feasible) tried.push_back(r.folding.level);
+    ASSERT_GE(tried.size(), 2u) << luts << " LUTs: " << r.message;
+    EXPECT_EQ(static_cast<int>(tried.size()), r.levels_tried) << luts;
+    EXPECT_EQ(r.feasible, luts == 80) << r.message;
 
-  const std::vector<RankedLevel> oracle = eager_at_ranking(d, opts);
-  ASSERT_LE(tried.size(), oracle.size());
-  if (!r.feasible) {
-    EXPECT_EQ(tried.size(), oracle.size());
+    const std::vector<RankedLevel> oracle = eager_at_ranking(d, opts);
+    ASSERT_LE(tried.size(), oracle.size()) << luts;
+    if (!r.feasible) {
+      EXPECT_EQ(tried.size(), oracle.size()) << luts;
+    }
+    for (std::size_t i = 0; i < tried.size(); ++i)
+      EXPECT_EQ(tried[i], oracle[i].level) << luts << " LUTs, attempt " << i;
   }
-  for (std::size_t i = 0; i < tried.size(); ++i)
-    EXPECT_EQ(tried[i], oracle[i].level) << "attempt " << i;
 }
 
 }  // namespace

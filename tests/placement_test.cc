@@ -167,7 +167,7 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
     ASSERT_LE(grid.sites(), 9) << name;
 
     const std::vector<std::int64_t> weights =
-        quantized_net_weights(cd, fo.placement.timing_weight, grid);
+        quantized_net_weights(cd, kTimingWeight, grid);
     std::map<std::vector<int>, std::int64_t> weight_of_set;
     for (std::size_t i = 0; i < cd.nets.size(); ++i) {
       const PlacedNet& pn = cd.nets[i];
@@ -220,7 +220,7 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
       }
     };
     assign(assign, 0);
-    EXPECT_EQ(placement_cost(cd, best, fo.placement.timing_weight), optimum)
+    EXPECT_EQ(placement_cost(cd, best, kTimingWeight), optimum)
         << name;
 
     constexpr double kMaxMeanGap = 0.025;
@@ -230,7 +230,7 @@ TEST(Placement, ExhaustiveOracleBoundsAnnealerOnSmallCircuits) {
       po.seed = seed;
       PlacementResult annealed = place_design(cd, fo.arch, po);
       const std::int64_t got =
-          placement_cost(cd, annealed.placement, po.timing_weight);
+          placement_cost(cd, annealed.placement, kTimingWeight);
       EXPECT_EQ(cost_to_double(got), annealed.cost) << name;
       EXPECT_LE(optimum, got) << name << " seed " << seed;
       const double gap = static_cast<double>(got - optimum) /
