@@ -8,12 +8,10 @@
 // Two scenarios per circuit (schema in docs/FORMATS.md):
 //   converge  one route_design call with full budgets (both routers
 //             search every net in every iteration);
-//   ladder    the flow's recovery-ladder walk (starved budgets, raised
-//             budgets, widened channels), stopping at the first rung that
-//             converges — the reference rebuilds the RR graph at every
-//             rung; the kernel, as the flow does, shares the rung-0 graph
-//             across the budget rungs and builds a fresh one for the
-//             channel rung.
+//   ladder    the flow's recovery-ladder walk (starved budgets, then
+//             widened channels with raised budgets), stopping at the
+//             first rung that converges; both routers build a fresh RR
+//             graph at every rung, as the flow does.
 //
 // Plus a threads scenario: converge and ladder timed again with a pool of
 // N = min(4, hardware threads) workers negotiating the folding cycles
@@ -31,7 +29,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,12 +123,12 @@ bool check_identity(const Physical& ph, const RrGraph& rr,
 }
 
 // The recovery-ladder walk the flow performs when budgets are starved:
-// starved budgets, raised budgets, then a channel bump (same formulas as
-// flow/nanomap_flow.cc). The walk stops at the first rung that converges.
+// starved budgets, then a channel bump routed with raised budgets (same
+// formulas as flow/nanomap_flow.cc). The walk stops at the first rung
+// that converges.
 struct Rung {
   ArchParams arch;
   RouterOptions router;
-  bool new_graph;  // the channel rung: routes on a graph of its own
 };
 
 std::vector<Rung> ladder_rungs(const ArchParams& base,
@@ -151,8 +148,7 @@ std::vector<Rung> ladder_rungs(const ArchParams& base,
   widened.global_tracks = std::max(base.global_tracks + 1,
                                    static_cast<int>(std::ceil(
                                        base.global_tracks * 1.25)));
-  return {{base, starved, false}, {base, raised, false},
-          {widened, raised, true}};
+  return {{base, starved}, {widened, raised}};
 }
 
 struct LadderWalk {
@@ -160,29 +156,15 @@ struct LadderWalk {
   int rung = 0;          // its index
 };
 
-// The kernel's ladder walk, routing on `pool` (null = inline): the budget
-// rungs share the rung-0 graph, the channel rung builds its own.
+// A ladder walk: a fresh graph per rung, routed by
+// `route(rr, router_options)`.
+template <typename RouteFn>
 LadderWalk walk_ladder(const Physical& ph, const std::vector<Rung>& rungs,
-                       ThreadPool* pool) {
-  std::optional<RrGraph> rr;
-  LadderWalk walk;
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const Rung& rung = rungs[i];
-    if (!rr || rung.new_graph) rr.emplace(ph.p.grid, rung.arch);
-    walk.result = route_design(ph.cd, ph.p, *rr, rung.router, pool);
-    walk.rung = static_cast<int>(i);
-    if (walk.result.success) break;
-  }
-  return walk;
-}
-
-// The reference's ladder walk: a fresh graph and a cold route per rung.
-LadderWalk walk_ladder_reference(const Physical& ph,
-                                 const std::vector<Rung>& rungs) {
+                       RouteFn route) {
   LadderWalk walk;
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     RrGraph rr(ph.p.grid, rungs[i].arch);
-    walk.result = route_nets_reference(ph.cd, ph.p, rr, rungs[i].router);
+    walk.result = route(rr, rungs[i].router);
     walk.rung = static_cast<int>(i);
     if (walk.result.success) break;
   }
@@ -215,7 +197,7 @@ struct Row {
   double ref_ms = 0.0;          // converge scenario, reference router
   double kernel_ms = 0.0;       // converge scenario, kernel
   double ladder_ref_ms = 0.0;   // ladder walk, reference, graph per rung
-  double ladder_kernel_ms = 0.0;  // ladder walk, kernel, graph per arch
+  double ladder_kernel_ms = 0.0;  // ladder walk, kernel, graph per rung
   int ladder_rung = 0;          // winning rung index
   double pool_ms = 0.0;         // converge scenario, kernel on the pool
   double ladder_pool_ms = 0.0;  // ladder walk, kernel on the pool
@@ -253,16 +235,25 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   RouterOptions starved = full;
   starved.max_iterations = 2;
   const std::vector<Rung> rungs = ladder_rungs(arch, starved);
+  auto kernel_on = [&](ThreadPool* on) {
+    return [&ph, on](const RrGraph& g, const RouterOptions& o) {
+      return route_design(ph.cd, ph.p, g, o, on);
+    };
+  };
   LadderWalk ref_walk;
-  row.ladder_ref_ms = measure_ms(
-      reps, [&] { ref_walk = walk_ladder_reference(ph, rungs); });
+  row.ladder_ref_ms = measure_ms(reps, [&] {
+    ref_walk = walk_ladder(ph, rungs,
+                           [&](const RrGraph& g, const RouterOptions& o) {
+                             return route_nets_reference(ph.cd, ph.p, g, o);
+                           });
+  });
   row.ladder_rung = ref_walk.rung;
   LadderWalk inline_walk;
-  row.ladder_kernel_ms =
-      measure_ms(reps, [&] { inline_walk = walk_ladder(ph, rungs, nullptr); });
+  row.ladder_kernel_ms = measure_ms(
+      reps, [&] { inline_walk = walk_ladder(ph, rungs, kernel_on(nullptr)); });
   LadderWalk pooled_walk;
-  row.ladder_pool_ms =
-      measure_ms(reps, [&] { pooled_walk = walk_ladder(ph, rungs, pool); });
+  row.ladder_pool_ms = measure_ms(
+      reps, [&] { pooled_walk = walk_ladder(ph, rungs, kernel_on(pool)); });
   row.identical = row.identical &&
                   identical(ref_walk.result, inline_walk.result) &&
                   ref_walk.rung == inline_walk.rung &&

@@ -16,14 +16,12 @@
 namespace nanomap {
 namespace {
 
-// Bounds of the recovery ladder (DESIGN.md §5e): raised router budgets,
-// then widened routing channels on the same placement, then re-seeded
+// Bounds of the recovery ladder (DESIGN.md §5e): widened routing channels
+// with raised router budgets on the same placement, then re-seeded
 // placements that climb the same ladder; after every level fails, a final
 // no-folding attempt.
-constexpr int kRouterBudgetRungs = 1;
 constexpr int kChannelBumpRungs = 2;
 constexpr double kChannelBumpFactor = 1.25;  // per channel rung
-constexpr std::size_t kFirstChannelRung = 1 + kRouterBudgetRungs;
 constexpr int kPlacementReseeds = 1;
 
 // Seed-stream base for the re-seeded placements of the recovery ladder,
@@ -55,8 +53,6 @@ struct RouteRung {
   std::string name;
   RouterOptions router;
   ArchParams arch;
-  bool new_graph = false;  // a channel rung: routes on a graph built at
-                           // its own widths
 };
 
 class FlowEngine {
@@ -324,27 +320,21 @@ class FlowEngine {
 
   // --- recovery ladder ------------------------------------------------------
 
-  // Routing rungs, cheapest first: the caller's budgets (rung 0, byte-
-  // identical to the historical single attempt), then raised
-  // max_iterations / present-congestion schedules, then bounded channel-
-  // width bumps on a widened copy of the architecture (VPR-style
-  // "increase W before declaring unroutable"). Every placement attempt
-  // climbs this one ladder, on any fabric.
+  // Routing rungs, cheapest first: the caller's budgets on the caller's
+  // fabric (rung 0, byte-identical to the historical single attempt), then
+  // bounded channel-width bumps on a widened copy of the architecture
+  // (VPR-style "increase W before declaring unroutable"), routed with
+  // raised max_iterations / present-congestion schedules. Every placement
+  // attempt climbs this one ladder, on any fabric.
   std::vector<RouteRung> build_route_ladder() const {
     std::vector<RouteRung> rungs;
     rungs.push_back({"default budgets", options_.router, options_.arch});
 
-    RouterOptions esc = options_.router;
-    for (int b = 1; b <= kRouterBudgetRungs; ++b) {
-      esc.max_iterations =
-          std::max(esc.max_iterations * 3, esc.max_iterations + 40);
-      esc.pres_fac_mult = 1.0 + (esc.pres_fac_mult - 1.0) * 1.5;
-      esc.hist_fac *= 1.5;
-      rungs.push_back({"raised router budgets (max_iterations " +
-                           std::to_string(esc.max_iterations) +
-                           ", pres_fac_mult " + fmt(esc.pres_fac_mult) + ")",
-                       esc, options_.arch});
-    }
+    RouterOptions raised = options_.router;
+    raised.max_iterations =
+        std::max(raised.max_iterations * 3, raised.max_iterations + 40);
+    raised.pres_fac_mult = 1.0 + (raised.pres_fac_mult - 1.0) * 1.5;
+    raised.hist_fac *= 1.5;
 
     ArchParams widened = options_.arch;
     double factor = 1.0;
@@ -361,7 +351,7 @@ class FlowEngine {
                            std::to_string(widened.len4_tracks) +
                            ", global " +
                            std::to_string(widened.global_tracks) + ")",
-                       esc, widened, /*new_graph=*/true});
+                       raised, widened});
     }
     return rungs;
   }
@@ -373,34 +363,32 @@ class FlowEngine {
   // route; *fatal is set when a rung died on an exception (already
   // recorded), which aborts the level instead of climbing further.
   //
-  // Every rung routes every folding cycle from scratch. Budget rungs share
-  // the graph of rung 0; each channel rung builds a fresh graph at its own
-  // widths. A failed rung is an "escalate" event while a later rung of
-  // this climb will still run, and a "fallback" once the climb is spent.
+  // Every rung builds the RR graph at its own widths and routes every
+  // folding cycle from scratch. A failed rung is an "escalate" event
+  // while a later rung of this climb will still run, and a "fallback"
+  // once the climb is spent.
   bool climb_route_ladder(const Candidate& cand,
                           const PlacementResult& placed, int attempt,
                           RoutingResult* routed, ArchParams* arch_used,
                           RouterOptions* router_used, bool* fatal) {
     *fatal = false;
     NM_TRACE_SPAN("route");
-    std::optional<RrGraph> rr;
-    std::size_t r = 0;
-    while (r < ladder_.size()) {
+    for (std::size_t r = 0; r < ladder_.size(); ++r) {
       const RouteRung& rung = ladder_[r];
       int rr_nodes = 0;
       bool ok = guard("route", cand.level, attempt, [&] {
-        if (!rr || rung.new_graph) {
-          // Graph builds go through the shared prototype cache when the
-          // caller installed one (flow-as-a-service); the copy handed out
-          // equals a fresh build.
+        // Graph builds go through the shared prototype cache when the
+        // caller installed one (flow-as-a-service); the copy handed out
+        // equals a fresh build.
+        const RrGraph rr = [&] {
           NM_TRACE_SPAN("rr_build");
-          rr = options_.rr_provider != nullptr
-                   ? options_.rr_provider->make(placed.placement.grid,
-                                                rung.arch)
-                   : RrGraph(placed.placement.grid, rung.arch);
-        }
-        rr_nodes = rr->size();
-        *routed = route_design(cand.clustered, placed.placement, *rr,
+          return options_.rr_provider != nullptr
+                     ? options_.rr_provider->make(placed.placement.grid,
+                                                  rung.arch)
+                     : RrGraph(placed.placement.grid, rung.arch);
+        }();
+        rr_nodes = rr.size();
+        *routed = route_design(cand.clustered, placed.placement, rr,
                                rung.router, &pool_);
       });
       if (!ok) {
@@ -429,29 +417,26 @@ class FlowEngine {
         *router_used = rung.router;
         return true;
       }
-      // Raised budgets negotiate away moderate congestion, but not a
-      // placement with >5% of the RR graph overused: that skips straight
-      // to the first channel rung, and on a channel rung ends the climb.
+      // A channel rung that leaves more than 5% of its RR graph overused
+      // will not be saved by the next, wider one: it ends the climb.
       const bool hopeless =
-          routed->overused_nodes >
-          std::max<long>(50, static_cast<long>(rr_nodes) / 20);
-      std::size_t next = r + 1;
-      if (hopeless) next = rung.new_graph ? ladder_.size() : kFirstChannelRung;
-      const char* action = next < ladder_.size() ? "escalate" : "fallback";
+          r > 0 && routed->overused_nodes >
+                       std::max<long>(50, static_cast<long>(rr_nodes) / 20);
+      const char* action =
+          hopeless || r + 1 == ladder_.size() ? "fallback" : "escalate";
       record({"route", cand.level, attempt,
               FlowErrorKind::kRoutingCongestion, action,
               "routing failed (" + std::to_string(routed->overused_nodes) +
                   " overused, rung " + std::to_string(r) + ": " + rung.name +
                   ")"});
-      if (hopeless)
+      if (hopeless) {
         record({"route", cand.level, attempt,
                 FlowErrorKind::kRoutingCongestion, action,
-                "congestion too heavy " +
-                    std::string(rung.new_graph ? "to escalate"
-                                               : "for router budgets") +
-                    " (" + std::to_string(routed->overused_nodes) + " of " +
+                "congestion too heavy to escalate (" +
+                    std::to_string(routed->overused_nodes) + " of " +
                     std::to_string(rr_nodes) + " RR nodes overused)"});
-      r = next;
+        break;
+      }
     }
     return false;
   }

@@ -6,9 +6,10 @@
 //    a populated typed diagnostics trail. Never a crash, never a thrown
 //    exception, never a thread-count-dependent byte.
 // 2. The recovery ladder: a pinned synthetic-congestion case that fails
-//    at the default router budgets must be recovered by the escalation
-//    ladder *without* a folding-level fallback, and the trail must record
-//    exactly which rung succeeded.
+//    at the default router budgets must be recovered on a widened-channel
+//    rung *without* a folding-level fallback, and the trail must record
+//    exactly which rung succeeded. Route faults at different rungs and
+//    levels of the ladder must leave no stale routing behind.
 // 3. Up-front FlowOptions/RouterOptions validation (InputError naming the
 //    offending field).
 #include <gtest/gtest.h>
@@ -237,29 +238,28 @@ TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
   }
 }
 
-// route.converge faults × the recovery ladder (DESIGN.md §5e). The ladder
-// keeps an RR graph alive across its budget rungs; a faulted climb must
-// drop it. Arm the fault at increasing hit indices so it fires at
-// different depths of the ladder (rung 0, rung 1 on the shared graph, a
-// later level's fresh climb) on a congested fabric that actually
-// exercises the ladder, and prove the recovery never ships stale state:
-// the final routing replays byte-identically on the verbatim seed router
-// from the winning rung's fabric + budgets, and results are
-// threads-1-vs-4 byte-identical.
+// route.converge faults × the recovery ladder (DESIGN.md §5e). Every
+// rung builds its own RR graph and routes from scratch, and a faulted
+// climb abandons its level. Arm the fault at hit indices that land at
+// different depths of the ladder (rung 0, a channel rung, a later level's
+// climb) on a congested fabric where the first level exhausts its ladder,
+// and prove the recovery never ships stale state: the final routing
+// replays byte-identically on the verbatim seed router from the winning
+// rung's fabric + budgets, and results are threads-1-vs-4 byte-identical.
 TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
   RandomDagSpec spec;
   spec.luts_per_plane = 80;
-  spec.depth = 5;
+  spec.depth = 4;
   spec.num_inputs = 24;
-  spec.seed = 9;
+  spec.seed = 11;
   Design d = make_random_design(spec);
 
   auto make_options = [] {
     FlowOptions opts;
     opts.arch = ArchParams::paper_instance_unbounded_k();
-    opts.arch.direct_links_per_side = 2;
+    opts.arch.direct_links_per_side = 1;
     opts.arch.len1_tracks = 3;
-    opts.arch.len4_tracks = 2;
+    opts.arch.len4_tracks = 1;
     opts.arch.global_tracks = 1;
     opts.router.max_iterations = 1;  // starved: the ladder must climb
     opts.placement.restarts = 2;     // give the pool real parallel work
@@ -267,24 +267,35 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
     return opts;
   };
 
-  // Probe how many route_design calls the clean flow makes (an armed
-  // plan counts hits even when its hit index is never reached), and make
-  // sure the ladder genuinely climbs — otherwise the sweep below would
-  // only ever fault rung 0.
-  int clean_hits = 0;
+  // Probe the clean flow (an armed plan counts hits even when its hit
+  // index is never reached) and make sure it still has the shape the
+  // sweep below aims at: the first level spends its whole ladder (two
+  // placements x three rungs = route calls 1-6), so hit 1 is its rung 0,
+  // hit 2 its first channel rung, and hit 7 rung 0 of a later level.
+  const std::vector<int> sweep = {1, 2, 7};
+  int first_level = -1;
   {
     FaultScope faults("route.converge:1000:check");
     FlowResult probe = run_nanomap(d, make_options());
     ASSERT_TRUE(probe.feasible) << probe.message;
     std::map<std::string, long> hits = faults.hit_counts();
-    clean_hits = static_cast<int>(hits["route.converge"]);
-    ASSERT_GE(clean_hits, 2)
-        << "fabric no longer starves rung 0; re-pin the congestion case";
+    ASSERT_GT(hits["route.converge"], sweep.back())
+        << "fabric no longer starves the first level; re-pin the case";
+    std::vector<std::string> first_level_actions;
+    for (const FlowEvent& e : probe.diagnostics.events) {
+      if (e.stage != "route") continue;
+      if (first_level < 0) first_level = e.level;
+      if (e.level == first_level) first_level_actions.push_back(e.action);
+    }
+    EXPECT_EQ(first_level_actions,
+              (std::vector<std::string>{"escalate", "escalate", "fallback",
+                                        "escalate", "escalate", "fallback"}))
+        << probe.diagnostics.to_string();
   }
 
   // The clean run's first nth-1 route calls are a deterministic prefix of
   // the faulted run, so every swept index is guaranteed to fire.
-  for (int nth = 1; nth <= std::min(clean_hits, 3); ++nth) {
+  for (int nth : sweep) {
     FlowOptions opts = make_options();
     opts.fault_plan = "route.converge:" + std::to_string(nth) + ":check";
 
@@ -313,10 +324,17 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
     EXPECT_EQ(serialize_bitmap(serial.bitmap), serialize_bitmap(parallel.bitmap))
         << "hit " << nth;
 
-    // The injected failure fired and is visible in the typed trail...
+    // The injected failure fired, at the intended level, and is visible
+    // in the typed trail...
     ASSERT_GE(hits["route.converge"], nth) << "hit " << nth;
     EXPECT_TRUE(trail_has_kind(serial.diagnostics, FlowErrorKind::kInternal))
         << "hit " << nth << "\n" << serial.diagnostics.to_string();
+    for (const FlowEvent& e : serial.diagnostics.events) {
+      if (e.kind == FlowErrorKind::kInternal) {
+        EXPECT_EQ(e.level == first_level, nth < sweep.back())
+            << "hit " << nth << ": " << e.detail;
+      }
+    }
 
     // ...and the free level search recovered around the poisoned climb.
     ASSERT_TRUE(serial.feasible) << "hit " << nth << ": " << serial.message;
@@ -349,11 +367,10 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
 
 // Synthetic congestion: a fabric with narrowed channels and a router
 // budget too small to negotiate it. Pinned behavior: rung 0 (default
-// budgets) fails, rung 1 (raised max_iterations/pres_fac schedule)
-// recovers — no folding-level fallback, no placement reseed. (7 length-1
-// tracks since the cool-started detailed anneal: at 6 the ladder now
-// needs a channel bump; flow seeds 1-3 also recover at rung 1 here.)
-TEST(RecoveryLadder, RouterBudgetRungRecoversPinnedCongestionCase) {
+// budgets) fails, rung 1 (channels x1.25 with raised max_iterations /
+// pres_fac schedule) recovers — no folding-level fallback, no placement
+// reseed.
+TEST(RecoveryLadder, FirstChannelRungRecoversPinnedCongestionCase) {
   RandomDagSpec spec;
   spec.luts_per_plane = 80;
   spec.depth = 5;
@@ -386,15 +403,12 @@ TEST(RecoveryLadder, RouterBudgetRungRecoversPinnedCongestionCase) {
   }
   EXPECT_EQ(congestion_failures, 1);  // exactly rung 0 failed
   ASSERT_FALSE(recovered_detail.empty()) << r.diagnostics.to_string();
-  EXPECT_NE(recovered_detail.find("rung 1"), std::string::npos)
-      << recovered_detail;
-  EXPECT_NE(recovered_detail.find("raised router budgets"),
+  EXPECT_NE(recovered_detail.find("rung 1 (widened channels x1.25"),
             std::string::npos)
       << recovered_detail;
 }
 
-// Same fabric, narrower still: the budget rung alone is not enough and a
-// channel-width bump rung recovers.
+// Same fabric, narrower still: a channel-width bump rung recovers.
 TEST(RecoveryLadder, ChannelBumpRungRecoversNarrowerFabric) {
   RandomDagSpec spec;
   spec.luts_per_plane = 80;

@@ -116,7 +116,7 @@ TEST(FlowRobustness, WideShallowAndNarrowDeepExtremes) {
 // winning rung's fabric + budgets, and the bitmap is thread-count
 // invariant.
 
-// Same spec/fabric as RecoveryLadder.RouterBudgetRungRecoversPinnedCongestionCase
+// Same spec/fabric as RecoveryLadder.FirstChannelRungRecoversPinnedCongestionCase
 // (tests/fault_injection_test.cc).
 FlowOptions pinned_congestion_options(int len1_tracks) {
   FlowOptions opts;
@@ -183,7 +183,7 @@ std::vector<std::string> route_actions(const FlowResult& r) {
   return actions;
 }
 
-TEST(RecoveryLadderReuse, BudgetRungPinnedCaseReplaysAndRecordsReuse) {
+TEST(RecoveryLadderReuse, FirstChannelRungPinnedCaseReplaysOnWidenedFabric) {
   Design d = pinned_congestion_design();
   FlowOptions opts = pinned_congestion_options(/*len1_tracks=*/7);
 
@@ -192,14 +192,14 @@ TEST(RecoveryLadderReuse, BudgetRungPinnedCaseReplaysAndRecordsReuse) {
   ASSERT_TRUE(r.feasible) << r.message << "\n" << r.diagnostics.to_string();
   EXPECT_TRUE(r.routing.success);
 
-  // Same rung as before the incremental kernel: rung 1, raised budgets,
-  // no channel widening (the winning fabric is the input fabric).
+  // Rung 1, the first channel rung: the winning fabric is a widened copy
+  // of the input fabric.
   const std::string detail = recovered_route_detail(r);
   ASSERT_FALSE(detail.empty()) << r.diagnostics.to_string();
-  EXPECT_NE(detail.find("rung 1"), std::string::npos) << detail;
-  EXPECT_NE(detail.find("raised router budgets"), std::string::npos) << detail;
-  EXPECT_EQ(r.routed_arch.len1_tracks, opts.arch.len1_tracks);
-  EXPECT_EQ(r.routed_arch.len4_tracks, opts.arch.len4_tracks);
+  EXPECT_NE(detail.find("rung 1 (widened channels x1.25"), std::string::npos)
+      << detail;
+  EXPECT_GT(r.routed_arch.len1_tracks, opts.arch.len1_tracks);
+  EXPECT_GT(r.routed_arch.len4_tracks, opts.arch.len4_tracks);
 
   expect_matches_reference_replay(r);
 
@@ -218,14 +218,14 @@ TEST(RecoveryLadderReuse, ChannelBumpPinnedCaseReplaysOnWidenedFabric) {
   ASSERT_TRUE(r.feasible) << r.message << "\n" << r.diagnostics.to_string();
   EXPECT_TRUE(r.routing.success);
 
-  // Rungs 0 and 1 fail while later rungs of the ladder remain, so both
-  // escalate; the first channel rung routes.
+  // Rung 0 fails while later rungs of the ladder remain, so it
+  // escalates; the first channel rung routes.
   EXPECT_EQ(route_actions(r),
-            (std::vector<std::string>{"escalate", "escalate", "recovered"}))
+            (std::vector<std::string>{"escalate", "recovered"}))
       << r.diagnostics.to_string();
   const std::string detail = recovered_route_detail(r);
   ASSERT_FALSE(detail.empty()) << r.diagnostics.to_string();
-  EXPECT_NE(detail.find("rung 2"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("rung 1"), std::string::npos) << detail;
   EXPECT_NE(detail.find("widened channels"), std::string::npos) << detail;
 
   // The winning fabric really is a widened copy — and the replay cross-
@@ -239,6 +239,39 @@ TEST(RecoveryLadderReuse, ChannelBumpPinnedCaseReplaysOnWidenedFabric) {
   FlowResult parallel = run_nanomap(d, opts);
   EXPECT_EQ(r.diagnostics.to_string(), parallel.diagnostics.to_string());
   EXPECT_EQ(serialize_bitmap(r.bitmap), serialize_bitmap(parallel.bitmap));
+}
+
+// The ladder's shape: rung 1 routes the same placement on channels
+// x1.25 with raised budgets (max_iterations x3 with a floor of +40,
+// pres_fac_mult and hist_fac x1.5). Pinned for the default budget and a
+// starved caller's, so a ladder whose channel rungs lose the raised
+// budgets fails here.
+TEST(RecoveryLadder, ChannelRungsCarryRaisedBudgets) {
+  const Design d = pinned_congestion_design();
+  struct Case {
+    int len1_tracks;
+    int caller_iterations;
+    int raised_iterations;
+    int widened_len1;  // ceil(len1_tracks x 1.25)
+  };
+  for (const Case& c : {Case{5, 60, 180, 7}, Case{7, 2, 42, 9}}) {
+    FlowOptions opts = pinned_congestion_options(c.len1_tracks);
+    opts.router.max_iterations = c.caller_iterations;
+    const FlowResult r = run_nanomap(d, opts);
+    ASSERT_TRUE(r.feasible) << r.message << "\n" << r.diagnostics.to_string();
+    EXPECT_NE(recovered_route_detail(r).find("rung 1 (widened channels x1.25"),
+              std::string::npos)
+        << r.diagnostics.to_string();
+
+    EXPECT_EQ(r.routed_router.max_iterations, c.raised_iterations);
+    EXPECT_DOUBLE_EQ(r.routed_router.pres_fac_mult,
+                     1.0 + (opts.router.pres_fac_mult - 1.0) * 1.5);
+    EXPECT_DOUBLE_EQ(r.routed_router.hist_fac, opts.router.hist_fac * 1.5);
+
+    EXPECT_EQ(r.routed_arch.len1_tracks, c.widened_len1);
+    EXPECT_EQ(r.routed_arch.len4_tracks, 4);    // ceil(3 x 1.25)
+    EXPECT_EQ(r.routed_arch.global_tracks, 3);  // max(2 + 1, ceil(2 x 1.25))
+  }
 }
 
 // The benchmark's defect fabric: the paper instance with every channel
@@ -261,7 +294,7 @@ FlowOptions defect_fabric_options(std::uint64_t seed) {
 }
 
 // Maps `circuit` on the defect fabric and checks that placement attempt
-// 0 recovers at rung 2 (the first channel rung) without a reseeded
+// 0 recovers at rung 1 (the first channel rung) without a reseeded
 // placement, that the routing replays on the reference router, and that
 // threads 1 and 4 give the same trail and bitmap.
 FlowResult expect_first_placement_recovers_at_channel_rung(
@@ -276,10 +309,12 @@ FlowResult expect_first_placement_recovers_at_channel_rung(
   for (const FlowEvent& e : r.diagnostics.events) {
     EXPECT_FALSE(e.stage == "place" && e.action == "retry")
         << r.diagnostics.to_string();
-    if (e.stage == "route") EXPECT_EQ(e.attempt, 0) << e.detail;
+    if (e.stage == "route") {
+      EXPECT_EQ(e.attempt, 0) << e.detail;
+    }
   }
   const std::string detail = recovered_route_detail(r);
-  EXPECT_NE(detail.find("routed at rung 2 (widened channels"),
+  EXPECT_NE(detail.find("routed at rung 1 (widened channels"),
             std::string::npos)
       << r.diagnostics.to_string();
   EXPECT_EQ(detail.find("reseeded"), std::string::npos) << detail;
@@ -297,24 +332,23 @@ TEST(RecoveryLadder, DefectFabricWidensChannelsBeforeReseeding) {
   expect_first_placement_recovers_at_channel_rung("Paulin", 1);
 }
 
-// Rung 0 leaves more than max(50, 5%) of the RR nodes overused. That
-// skips the raised-budget rung and goes straight to the first channel
-// rung, which routes the same placement.
+// Rung 0 leaves more than max(50, 5%) of the RR nodes overused. That is
+// no reason to end the climb on rung 0: it escalates as any failed rung
+// does, with no extra hopeless-congestion event, and the first channel
+// rung routes the same placement.
 TEST(RecoveryLadder, DefectFabricHopelessRungSkipsToChannelRung) {
   const FlowResult r =
       expect_first_placement_recovers_at_channel_rung("Biquad", 4);
-  bool hopeless = false;
+  EXPECT_EQ(route_actions(r),
+            (std::vector<std::string>{"escalate", "recovered"}))
+      << r.diagnostics.to_string();
   for (const FlowEvent& e : r.diagnostics.events) {
     if (e.stage != "route") continue;
-    EXPECT_EQ(e.detail.find("rung 1"), std::string::npos)
-        << "the raised-budget rung ran: " << e.detail;
-    if (e.detail.find("congestion too heavy for router budgets") !=
-        std::string::npos) {
-      hopeless = true;
-      EXPECT_EQ(e.action, "escalate") << e.detail;
-    }
+    EXPECT_EQ(e.detail.find("for router budgets"), std::string::npos)
+        << e.detail;
+    EXPECT_EQ(e.detail.find("congestion too heavy"), std::string::npos)
+        << e.detail;
   }
-  EXPECT_TRUE(hopeless) << r.diagnostics.to_string();
 }
 
 }  // namespace

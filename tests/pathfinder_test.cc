@@ -268,10 +268,10 @@ std::vector<std::unique_ptr<ThreadPool>> test_pools() {
 }
 
 TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
-  // Cycle 0 is trivially routable, cycle 1 is congested. The flow's
-  // ladder walk (starved budgets, raised budgets, widened channels) on a
-  // freshly built graph per rung must stay byte-identical to a cold
-  // reference route at every pool width.
+  // Cycle 0 is trivially routable, cycle 1 is congested. A ladder-shaped
+  // walk (starved budgets, raised budgets, widened channels) on a freshly
+  // built graph per rung must stay byte-identical to a cold reference
+  // route at every pool width.
   ArchParams arch = ArchParams::paper_instance();
   arch.direct_links_per_side = 2;
   arch.len1_tracks = 4;
