@@ -1,5 +1,6 @@
 // PathFinder routing throughput: the kernel (route/pathfinder.cc) vs. the
-// retained verbatim seed router (route_nets_reference), on congested
+// reference router (route_nets_reference: the seed router plus the stall
+// rule), on congested
 // narrowed-channel random DAGs. Besides the wall-clock comparison, every
 // run *asserts* byte-identity — trees, delays, iteration counts — between
 // the reference and the kernel, so the benchmark doubles as an end-to-end
@@ -299,7 +300,8 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.field("unit", "milliseconds per routing scenario (lower is better)");
   w.field("reference",
-          "verbatim seed router (route/pathfinder_reference.cc)");
+          "reference router: the seed router plus the stall rule "
+          "(route/pathfinder_reference.cc)");
   w.field("kernel", "PathFinder kernel (route/pathfinder.cc)");
   w.field("fabric",
           "narrowed channels: 2x2-LE SMBs, direct 2, len1 4, len4 2, "

@@ -417,11 +417,12 @@ class FlowEngine {
         *router_used = rung.router;
         return true;
       }
-      // A channel rung that leaves more than 5% of its RR graph overused
-      // will not be saved by the next, wider one: it ends the climb.
-      const bool hopeless =
-          r > 0 && routed->overused_nodes >
-                       std::max<long>(50, static_cast<long>(rr_nodes) / 20);
+      // A channel rung whose overused nodes, summed over the folding
+      // cycles, exceed 5% of one cycle's RR graph will not be saved by
+      // the next, wider one: it ends the climb.
+      const long hopeless_limit =
+          std::max<long>(50, static_cast<long>(rr_nodes) / 20);
+      const bool hopeless = r > 0 && routed->overused_nodes > hopeless_limit;
       const char* action =
           hopeless || r + 1 == ladder_.size() ? "fallback" : "escalate";
       record({"route", cand.level, attempt,
@@ -433,8 +434,13 @@ class FlowEngine {
         record({"route", cand.level, attempt,
                 FlowErrorKind::kRoutingCongestion, action,
                 "congestion too heavy to escalate (" +
-                    std::to_string(routed->overused_nodes) + " of " +
-                    std::to_string(rr_nodes) + " RR nodes overused)"});
+                    std::to_string(routed->overused_nodes) +
+                    " overused nodes summed over " +
+                    std::to_string(cand.clustered.num_cycles) +
+                    " folding cycles > limit " +
+                    std::to_string(hopeless_limit) +
+                    " = max(50, 5% of one cycle's " +
+                    std::to_string(rr_nodes) + " RR nodes))"});
         break;
       }
     }

@@ -1,8 +1,8 @@
-// PathFinder kernel. Byte-identical to the seed router (kept verbatim in
-// pathfinder_reference.cc); it differs only in where the work runs: sink
-// orders are sorted in a serial pre-pass, folding cycles negotiate
-// concurrently on a pool, and the fault and trace hooks run on the
-// calling thread in cycle order (DESIGN.md §5g).
+// PathFinder kernel. Byte-identical to the reference router (the seed
+// router plus the stall rule, pathfinder_reference.cc); it differs only
+// in where the work runs: sink orders are sorted in a serial pre-pass,
+// folding cycles negotiate concurrently on a pool, and the fault and
+// trace hooks run on the calling thread in cycle order (DESIGN.md §5g).
 #include "route/pathfinder.h"
 
 #include <algorithm>
@@ -104,7 +104,9 @@ class CycleRouter {
   //
   // Classical sequential PathFinder negotiation: each iteration rips up
   // and reroutes every net in net order against the occupancy the nets
-  // before it just committed, then bumps history on overused nodes.
+  // before it just committed, then bumps history on overused nodes. It
+  // stops on zero overuse, on the iteration budget, or once kStallWindow
+  // iterations passed without a new strict minimum of the overuse.
   void route_cycle(const std::vector<int>& net_indices,
                    const std::vector<std::vector<int>>& sorted_sinks,
                    CycleOutcome* out) {
@@ -114,6 +116,8 @@ class CycleRouter {
 
     double pres_fac = options_.initial_pres_fac;
     long overused = 0;
+    long best = std::numeric_limits<long>::max();
+    int best_iter = 0;  // iteration that set `best`
     int iter = 0;
     for (iter = 1; iter <= options_.max_iterations; ++iter) {
       ++out->iterations_started;
@@ -133,6 +137,12 @@ class CycleRouter {
         }
       }
       if (overused == 0) break;
+      if (overused < best) {
+        best = overused;
+        best_iter = iter;
+      } else if (iter - best_iter >= kStallWindow) {
+        break;  // stalled: the fold counts it (overused, budget left)
+      }
       pres_fac *= options_.pres_fac_mult;
     }
     out->iterations = std::min(iter, options_.max_iterations);
@@ -370,6 +380,7 @@ RoutingResult route_design(const ClusteredDesign& cd,
 
   // Phase 3, serial in cycle order: emit and trace.
   NM_TRACE_VALUE("route.cycle_tasks", tasks.size());
+  long stalled_cycles = 0;
   std::size_t next_slot = 0;
   for (const CyclePlan& plan : plans) {
     // An empty cycle converges in PathFinder's first iteration.
@@ -387,6 +398,8 @@ RoutingResult route_design(const ClusteredDesign& cd,
       if (out.error) std::rethrow_exception(out.error);
       iters = out.iterations;
       overused = out.overused;
+      // Only the stall rule ends a failing cycle with budget left.
+      if (overused > 0 && iters < options.max_iterations) ++stalled_cycles;
       std::move(out.routes.begin(), out.routes.end(),
                 std::back_inserter(result.nets));
     }
@@ -402,6 +415,11 @@ RoutingResult route_design(const ClusteredDesign& cd,
       NM_TRACE_VALUE("route.wire_nodes_per_cycle", wire_nodes);
     }
   }
+
+  // Recorded only when nonzero, so reports of runs where every cycle
+  // converges keep their bytes.
+  if (stalled_cycles > 0)
+    NM_TRACE_COUNT("route.stalled_cycles", stalled_cycles);
 
   for (const NetRoute& nr : result.nets) {
     for (int n : nr.wire_nodes) {

@@ -7,7 +7,8 @@
 // independent congestion domain on the same RR graph, and a switch's k-set
 // NRAM holds one configuration per cycle. Within a cycle the router
 // iterates rip-up-and-reroute with growing present-congestion and
-// accumulated history costs until no node is over capacity.
+// accumulated history costs until no node is over capacity, its
+// iteration budget is spent, or its overuse stalls (kStallWindow).
 //
 // The hierarchical preference (direct links, then length-1, length-4,
 // global) emerges from the nodes' base costs and delays.
@@ -37,6 +38,13 @@
 namespace nanomap {
 
 class ThreadPool;
+
+// The stall rule (DESIGN.md §5g): a folding cycle gives up once its
+// overused-node count has not reached a new strict minimum in this many
+// consecutive iterations. It reads only the cycle's own history, so the
+// trees stay a pure function of the inputs. Shared by route_design and
+// route_nets_reference; no option sets it.
+inline constexpr int kStallWindow = 10;
 
 struct RouterOptions {
   int max_iterations = 60;       // per folding cycle

@@ -1,6 +1,9 @@
-// Verbatim seed router (see pathfinder_reference.h). The deliberate
+// Seed router (see pathfinder_reference.h). The deliberate
 // differences from the seed file: the entry point is named
-// route_nets_reference; the NM_FAULT_POINT / NM_TRACE_* hooks were
+// route_nets_reference; route_cycle stops a cycle whose overuse stalls
+// for kStallWindow iterations, the rule the kernel applies (DESIGN.md
+// §5g); the relative-epsilon staleness guard replaces the seed's
+// absolute one; the NM_FAULT_POINT / NM_TRACE_* hooks were
 // dropped so differential harnesses can call the reference next to the
 // live router without double-counting fault hits or trace counters; the
 // rip-up batch loop, which served a since-removed batch-size option,
@@ -62,7 +65,8 @@ class ReferenceCycleRouter {
   // Routes all nets of one folding cycle; returns residual overuse count.
   // Classical sequential PathFinder negotiation: every iteration rips up
   // and reroutes each net in net order, committing its occupancy before
-  // the next net searches.
+  // the next net searches, until no node is overused, the budget is
+  // spent or the overuse stalls.
   long route_cycle(const std::vector<int>& net_indices,
                    std::vector<NetRoute>* out, int* iterations_used) {
     std::vector<std::vector<int>> trees(net_indices.size());
@@ -77,6 +81,8 @@ class ReferenceCycleRouter {
 
     double pres_fac = options_.initial_pres_fac;
     long overused = 0;
+    long best = std::numeric_limits<long>::max();
+    int best_iter = 0;
     int iter = 0;
     for (iter = 1; iter <= options_.max_iterations; ++iter) {
       // Every iteration rips up and reroutes all nets.
@@ -97,6 +103,13 @@ class ReferenceCycleRouter {
         }
       }
       if (overused == 0) break;
+      // The stall rule, added after the seed (kStallWindow).
+      if (overused < best) {
+        best = overused;
+        best_iter = iter;
+      } else if (iter - best_iter >= kStallWindow) {
+        break;
+      }
       pres_fac *= options_.pres_fac_mult;
     }
     *iterations_used = std::min(iter, options_.max_iterations);

@@ -1,6 +1,6 @@
-// Reference PathFinder router: a verbatim copy of the seed-repo
-// `route_design`, kept as the executable specification of the routing
-// semantics.
+// Reference PathFinder router: a copy of the seed-repo `route_design`
+// plus the stall rule (kStallWindow), kept as the executable
+// specification of the routing semantics.
 //
 // The kernel (route/pathfinder.cc) must produce *identical*
 // route trees — same A* expansions, same negotiation schedule, same

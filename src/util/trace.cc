@@ -239,6 +239,7 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "route.calls",           // route: route_design invocations
       "route.defect_avoided",  // route/pathfinder: capacity-0 channels kept clean
       "route.reroutes",        // route/pathfinder: net searches (nets x iterations)
+      "route.stalled_cycles",  // route/pathfinder: failing cycles the stall rule stopped
   };
   return sites;
 }

@@ -244,7 +244,7 @@ TEST(FaultInjection, RouteAllocHitsAreFoldingCyclesAtAnyThreadCount) {
 // different depths of the ladder (rung 0, a channel rung, a later level's
 // climb) on a congested fabric where the first level exhausts its ladder,
 // and prove the recovery never ships stale state: the final routing
-// replays byte-identically on the verbatim seed router from the winning
+// replays byte-identically on the reference router from the winning
 // rung's fabric + budgets, and results are threads-1-vs-4 byte-identical.
 TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
   RandomDagSpec spec;

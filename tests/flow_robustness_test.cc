@@ -112,7 +112,7 @@ TEST(FlowRobustness, WideShallowAndNarrowDeepExtremes) {
 // The pinned synthetic-congestion cases from the resilient-flow PR must
 // keep recovering at the same rung. Guarantees under test: the winning
 // rung is unchanged and named in the diagnostics trail, the final routing
-// is byte-identical to a cold run of the verbatim seed router on the
+// is byte-identical to a cold run of the reference router on the
 // winning rung's fabric + budgets, and the bitmap is thread-count
 // invariant.
 
@@ -158,7 +158,7 @@ void expect_routing_identical(const RoutingResult& got,
   EXPECT_EQ(got.usage.global, want.usage.global);
 }
 
-// Re-route the flow's winning placement cold with the verbatim seed
+// Re-route the flow's winning placement cold with the reference
 // router on the winning rung's fabric and budgets; the shipped routing
 // must match byte for byte.
 void expect_matches_reference_replay(const FlowResult& r) {
@@ -349,6 +349,49 @@ TEST(RecoveryLadder, DefectFabricHopelessRungSkipsToChannelRung) {
     EXPECT_EQ(e.detail.find("congestion too heavy"), std::string::npos)
         << e.detail;
   }
+}
+
+// Biquad forced to folding level 2 (10 folding cycles) on narrow
+// channels: placement attempt 0 leaves 74 nodes overused at rung 1, over
+// the limit max(50, 5% of the 200-node RR graph), so the climb ends
+// there; the reseeded placement then routes at rung 2. The exit event
+// states what it compares: an overuse summed over the folding cycles
+// against a share of one cycle's graph.
+TEST(RecoveryLadder, HopelessExitNamesWhatItCompares) {
+  FlowOptions opts;
+  opts.arch = ArchParams::paper_instance();
+  opts.arch.direct_links_per_side = 4;
+  opts.arch.len1_tracks = 8;
+  opts.arch.len4_tracks = 4;
+  opts.arch.global_tracks = 2;
+  opts.forced_folding_level = 2;
+  const FlowResult r = run_nanomap(make_benchmark("Biquad"), opts);
+  ASSERT_TRUE(r.feasible) << r.message << "\n" << r.diagnostics.to_string();
+  ASSERT_EQ(r.clustered.num_cycles, 10);
+
+  // Rung 1's fabric: channels x1.25 (len1 10, len4 5, global 3).
+  ArchParams rung1 = opts.arch;
+  rung1.len1_tracks = 10;
+  rung1.len4_tracks = 5;
+  rung1.global_tracks = 3;
+  const int rr_nodes = RrGraph(r.placement.placement.grid, rung1).size();
+  ASSERT_EQ(rr_nodes, 200);
+
+  std::vector<std::string> hopeless;
+  for (const FlowEvent& e : r.diagnostics.events)
+    if (e.stage == "route" && e.detail.find("too heavy") != std::string::npos) {
+      EXPECT_EQ(e.attempt, 0);
+      EXPECT_EQ(e.action, "fallback");
+      hopeless.push_back(e.detail);
+    }
+  EXPECT_EQ(hopeless,
+            (std::vector<std::string>{
+                "congestion too heavy to escalate (74 overused nodes summed "
+                "over 10 folding cycles > limit 50 = max(50, 5% of one "
+                "cycle's 200 RR nodes))"}))
+      << r.diagnostics.to_string();
+  EXPECT_NE(recovered_route_detail(r).find("rung 2"), std::string::npos)
+      << r.diagnostics.to_string();
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
 
+#include "circuits/benchmarks.h"
 #include "circuits/random_dag.h"
 #include "core/folding.h"
 #include "core/schedule_graph.h"
 #include "core/temporal_cluster.h"
+#include "flow/nanomap_flow.h"
 #include "route/pathfinder.h"
 #include "route/pathfinder_reference.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace nanomap {
 namespace {
@@ -167,7 +172,7 @@ TEST(PathFinder, DeterministicResults) {
 
 // ---------------------------------------------------------------------------
 // Differential route-equivalence harness: the kernel must be
-// byte-identical to the verbatim seed router for any input (DESIGN.md §5g).
+// byte-identical to the reference router for any input (DESIGN.md §5g).
 
 void expect_identical(const RoutingResult& got, const RoutingResult& want,
                       const std::string& ctx) {
@@ -598,6 +603,182 @@ TEST(PathFinderStarvation, ExtremePresFacReportsOveruseHonestly) {
   EXPECT_TRUE(validate_routing(cd, p, rr, r, &why)) << why;
   // The fix lives in the reference router too (identity over divergence).
   expect_identical(r, route_nets_reference(cd, p, rr, opts), "starvation");
+}
+
+// ---------------------------------------------------------------------------
+// The stall rule: a failing cycle gives up once its overused-node count
+// has not reached a new strict minimum in kStallWindow consecutive
+// iterations (DESIGN.md §5g).
+
+// `count` nets of 1-3 sinks each on a width x width grid, dealt to
+// `cycles` folding cycles round-robin, drawn from a seeded mt19937.
+ClusteredDesign random_nets(unsigned seed, int width, int count,
+                            int cycles) {
+  std::mt19937 rng(seed);
+  const int smbs = width * width;
+  std::vector<PlacedNet> nets;
+  for (int i = 0; i < count; ++i) {
+    std::vector<int> sinks;
+    const int from = static_cast<int>(rng() % smbs);
+    for (int s = 1 + static_cast<int>(rng() % 3); s > 0; --s) {
+      const int sink = static_cast<int>(rng() % smbs);
+      if (sink != from) sinks.push_back(sink);
+    }
+    if (sinks.empty()) sinks.push_back((from + 1) % smbs);
+    std::sort(sinks.begin(), sinks.end());
+    sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
+    nets.push_back(net(i, i % cycles, from, std::move(sinks)));
+  }
+  return synthetic(smbs, cycles, std::move(nets));
+}
+
+// Narrow channels on which most random_nets cycles cannot converge.
+ArchParams stall_arch() {
+  ArchParams arch = ArchParams::paper_instance();
+  arch.direct_links_per_side = 1;
+  arch.len1_tracks = 3;
+  arch.len4_tracks = 1;
+  arch.global_tracks = 1;
+  return arch;
+}
+
+// Overused nodes after iterations 1..n of a single-cycle design. A run
+// with max_iterations = k ends after iteration k (n never exceeds the
+// iteration the full run stopped at), and its first k iterations are
+// those of any longer run.
+std::vector<long> overuse_history(const ClusteredDesign& cd,
+                                  const Placement& p, const RrGraph& rr,
+                                  int n) {
+  std::vector<long> history;
+  for (int k = 1; k <= n; ++k) {
+    RouterOptions opts;
+    opts.max_iterations = k;
+    const RoutingResult r = route_design(cd, p, rr, opts);
+    EXPECT_EQ(r.worst_iterations, k);
+    history.push_back(r.overused_nodes);
+  }
+  return history;
+}
+
+// The iteration of the last new strict minimum of `history`.
+int last_new_minimum(const std::vector<long>& history) {
+  long best = std::numeric_limits<long>::max();
+  int at = 0;
+  for (std::size_t i = 0; i < history.size(); ++i)
+    if (history[i] < best) {
+      best = history[i];
+      at = static_cast<int>(i) + 1;
+    }
+  return at;
+}
+
+// Reads one counter of a snapshot; a site never recorded reads 0.
+long counter_of(const std::vector<TraceCounterRow>& counters,
+                const std::string& site) {
+  for (const TraceCounterRow& c : counters)
+    if (c.site == site) return c.value;
+  return 0;
+}
+
+TEST(PathFinder, PlateauedOveruseGivesUpBeforeTheBudget) {
+  // 40 nets over one direct link and one length-1 track: the overuse
+  // sits at its first-iteration value, so the cycle stops after
+  // 1 + kStallWindow of its 60 iterations, as the reference does.
+  ArchParams arch = ArchParams::paper_instance();
+  arch.direct_links_per_side = 1;
+  arch.len1_tracks = 1;
+  arch.len4_tracks = 0;
+  arch.global_tracks = 0;
+  std::vector<PlacedNet> nets;
+  for (int i = 0; i < 40; ++i) nets.push_back(net(i, 0, 0, {1}));
+  ClusteredDesign cd = synthetic(2, 1, std::move(nets));
+  Placement p = row_placement(2, 2);
+  RrGraph rr(p.grid, arch);
+  const RouterOptions opts;
+  TraceCollector collector;
+  RoutingResult r;
+  {
+    TraceScope scope(&collector);
+    r = route_design(cd, p, rr, opts);
+  }
+  EXPECT_FALSE(r.success);
+  EXPECT_GT(r.overused_nodes, 0);
+  EXPECT_LT(r.worst_iterations, opts.max_iterations);
+  EXPECT_EQ(r.worst_iterations, 1 + kStallWindow);
+  const std::vector<long> history =
+      overuse_history(cd, p, rr, r.worst_iterations);
+  EXPECT_EQ(last_new_minimum(history), 1);
+  EXPECT_EQ(history.back(), r.overused_nodes);
+  EXPECT_EQ(counter_of(collector.snapshot().counters, "route.stalled_cycles"),
+            1);
+  expect_identical(r, route_nets_reference(cd, p, rr, opts), "plateau");
+}
+
+TEST(PathFinder, LateNewMinimumKeepsNegotiating) {
+  // This cycle's overuse reaches a new minimum at iteration 16, after
+  // nine iterations without one. The window counts from that minimum,
+  // so negotiation runs on to iteration 16 + kStallWindow: a window
+  // counted from the first iteration would have stopped it at 11.
+  const int width = 5;
+  ClusteredDesign cd = random_nets(36, width, 39, 1);
+  Placement p = row_placement(width * width, width);
+  RrGraph rr(p.grid, stall_arch());
+  const RoutingResult r = route_design(cd, p, rr);
+  EXPECT_FALSE(r.success);
+  const std::vector<long> history =
+      overuse_history(cd, p, rr, r.worst_iterations);
+  const int late = last_new_minimum(history);
+  EXPECT_EQ(late, 16);
+  EXPECT_GT(late, kStallWindow);
+  EXPECT_EQ(r.worst_iterations, late + kStallWindow);
+  expect_identical(r, route_nets_reference(cd, p, rr), "late minimum");
+}
+
+TEST(PathFinder, StalledCyclesMatchAtThreadsOneAndFour) {
+  // Four congested cycles that stop at different iterations: the trees,
+  // the per-cycle iteration counts and the stalled-cycle count are the
+  // same on a 1-thread and a 4-thread pool, and equal the reference.
+  const int width = 5;
+  ClusteredDesign cd = random_nets(7, width, 4 * 39, 4);
+  Placement p = row_placement(width * width, width);
+  RrGraph rr(p.grid, stall_arch());
+  const RoutingResult want = route_nets_reference(cd, p, rr);
+  std::vector<TraceSnapshot> snaps;
+  for (int width_threads : {1, 4}) {
+    ThreadPool pool(width_threads);
+    TraceCollector collector;
+    {
+      TraceScope scope(&collector);
+      expect_identical(route_design(cd, p, rr, {}, &pool), want,
+                       "threads " + std::to_string(width_threads));
+    }
+    snaps.push_back(collector.snapshot());
+  }
+  EXPECT_GE(counter_of(snaps[0].counters, "route.stalled_cycles"), 2);
+  EXPECT_EQ(snaps[0].render(), snaps[1].render());
+  const auto iterations = std::find_if(
+      snaps[0].values.begin(), snaps[0].values.end(),
+      [](const TraceValueRow& v) {
+        return v.site == "route.iterations_per_cycle";
+      });
+  ASSERT_NE(iterations, snaps[0].values.end());
+  EXPECT_EQ(iterations->count, 4);
+  // The cycles stopped at different iterations, all before the budget.
+  EXPECT_LT(iterations->min, iterations->max);
+  EXPECT_LT(iterations->max, RouterOptions{}.max_iterations);
+}
+
+TEST(PathFinder, StalledCyclesCounterReadsZeroOnCleanPaperCircuit) {
+  // Every cycle of a paper circuit on the paper fabric converges within
+  // a few iterations, so the rule never fires and the counter reads 0.
+  FlowOptions opts;
+  opts.collect_trace = true;
+  const FlowResult r = run_nanomap(make_benchmark("Paulin"), opts);
+  ASSERT_TRUE(r.feasible) << r.message;
+  EXPECT_TRUE(r.routing.success);
+  EXPECT_LE(r.routing.worst_iterations, kStallWindow);
+  EXPECT_GT(counter_of(r.report.counters, "route.calls"), 0);
+  EXPECT_EQ(counter_of(r.report.counters, "route.stalled_cycles"), 0);
 }
 
 TEST(PathFinder, UsageCountsByType) {
