@@ -7,8 +7,11 @@
 // Results are written under a host header (hardware threads, build type,
 // the `git describe` passed in).
 //
-//   ./bench/fds_throughput [--git-describe D] [out.json]
+//   ./bench/fds_throughput [--smoke] [--git-describe D] [out.json]
 //   (default out.json: BENCH_fds.json)
+//
+// --smoke (CI) keeps ex1, c5315, Paulin (two planes) and the smallest
+// random DAG with a short timing window; every row still asserts identity.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -49,15 +52,16 @@ std::vector<PlaneScheduleGraph> graphs_for(const Design& d, int level) {
 }
 
 // Schedules every plane once, returning the concatenated stage_of vectors;
-// repeats until >= 0.2 s accumulated (first rep is a cold-cache warm-up).
+// repeats until >= min_seconds accumulated (first rep is a cold-cache
+// warm-up).
 template <typename ScheduleFn>
 double measure_pps(const std::vector<PlaneScheduleGraph>& graphs,
-                   const ArchParams& arch, ScheduleFn schedule,
-                   std::vector<int>* stages_out) {
+                   const ArchParams& arch, double min_seconds,
+                   ScheduleFn schedule, std::vector<int>* stages_out) {
   double seconds = 0.0;
   long pins = 0;
   int reps = 0;
-  while (seconds < 0.2 || reps < 2) {
+  while (seconds < min_seconds || reps < 2) {
     stages_out->clear();
     auto t0 = std::chrono::steady_clock::now();
     long rep_pins = 0;
@@ -79,7 +83,8 @@ double measure_pps(const std::vector<PlaneScheduleGraph>& graphs,
 }
 
 Row measure(const std::string& name,
-            const std::vector<PlaneScheduleGraph>& graphs) {
+            const std::vector<PlaneScheduleGraph>& graphs,
+            double min_seconds) {
   const ArchParams arch = ArchParams::paper_instance_unbounded_k();
   Row row;
   row.name = name;
@@ -90,13 +95,13 @@ Row measure(const std::string& name,
 
   std::vector<int> ref_stages, kernel_stages;
   row.ref_pps = measure_pps(
-      graphs, arch,
+      graphs, arch, min_seconds,
       [](const PlaneScheduleGraph& g, const ArchParams& a) {
         return schedule_plane_reference(g, a);
       },
       &ref_stages);
   row.kernel_pps = measure_pps(
-      graphs, arch,
+      graphs, arch, min_seconds,
       [](const PlaneScheduleGraph& g, const ArchParams& a) {
         return schedule_plane(g, a);
       },
@@ -120,24 +125,34 @@ std::vector<PlaneScheduleGraph> random_dag_graphs(int luts,
 int main(int argc, char** argv) {
   std::string git_describe = "unknown";
   std::string out_path = "BENCH_fds.json";
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--git-describe" && i + 1 < argc)
+    if (arg == "--smoke")
+      smoke = true;
+    else if (arg == "--git-describe" && i + 1 < argc)
       git_describe = argv[++i];
     else
       out_path = arg;
   }
+  const double min_seconds = smoke ? 0.02 : 0.2;
   std::vector<Row> rows;
 
   // The paper's standard circuits at folding level 1 (every plane).
-  for (const std::string& name : benchmark_names())
-    rows.push_back(measure(name, graphs_for(make_benchmark(name), 1)));
+  for (const std::string& name : benchmark_names()) {
+    if (smoke && name != "ex1" && name != "c5315" && name != "Paulin")
+      continue;
+    rows.push_back(
+        measure(name, graphs_for(make_benchmark(name), 1), min_seconds));
+  }
 
   // Random DAG sweep: node counts from "paper-sized" up to the regime
   // where the seed's from-scratch rescoring dominated.
-  for (int luts : {120, 250, 500, 800})
+  for (int luts : {120, 250, 500, 800}) {
+    if (smoke && luts != 120) continue;
     rows.push_back(measure("random-dag" + std::to_string(luts),
-                           random_dag_graphs(luts, 40 + luts)));
+                           random_dag_graphs(luts, 40 + luts), min_seconds));
+  }
 
   // Emit BENCH_fds.json (schema in docs/FORMATS.md) through the shared
   // JSON writer — same escaping and dialect as the --report=json output.
@@ -151,6 +166,7 @@ int main(int argc, char** argv) {
   w.field("reference",
           "retained from-scratch scheduler (core/fds_reference.cc)");
   w.field("kernel", "incremental FDS kernel (core/fds_kernel.h)");
+  w.field("smoke", smoke);
   w.field("hardware_threads",
           static_cast<long>(ThreadPool::hardware_threads()));
   w.field("build_type", NANOMAP_BUILD_TYPE);

@@ -183,11 +183,11 @@ Design make_ex2(int width) {
   return seal(d);
 }
 
-Design make_c5315(int width) {
+GateNetwork make_c5315_gates(int width) {
   NM_CHECK(width >= 4);
   // Gate-level 9-bit ALU in the spirit of ISCAS'85 c5315 (multiple
   // arithmetic/logic sections, barrel shifting, parity and shared output
-  // selection), mapped into 4-LUTs by FlowMap.
+  // selection).
   GateNetwork g;
 
   auto make_bus = [&](const std::string& name, int w) {
@@ -284,7 +284,11 @@ Design make_c5315(int width) {
   for (std::size_t i = 0; i < ch2.size(); ++i)
     g.add_output("r" + std::to_string(i), ch2[i]);
 
-  FlowMapResult mapped = flowmap(g, 4);
+  return g;
+}
+
+Design make_c5315(int width) {
+  FlowMapResult mapped = flowmap(make_c5315_gates(width), 4);
   Design d;
   d.name = "c5315";
   d.net = std::move(mapped.net);

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "map/gate_network.h"
 #include "netlist/rtl_netlist.h"
 
 namespace nanomap {
@@ -35,6 +36,8 @@ Design make_ex1(int width = 16);
 Design make_fir(int taps = 4, int width = 12);
 Design make_ex2(int width = 16);
 Design make_c5315(int width = 9);
+// c5315's gate network before FlowMap (make_c5315 maps it into 4-LUTs).
+GateNetwork make_c5315_gates(int width = 9);
 Design make_biquad(int width = 16);
 Design make_paulin(int width = 16);
 Design make_aspp4(int width = 16);

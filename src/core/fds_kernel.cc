@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "util/trace.h"
@@ -89,22 +90,164 @@ double frame_change_force(const std::vector<double>& dg, double weight,
 
 }  // namespace
 
+// ---------------------------------------------------------------------
+// IncrementalFrames
+// ---------------------------------------------------------------------
+
+IncrementalFrames::IncrementalFrames(const PlaneScheduleGraph& graph)
+    : graph_(graph), topo_(topological_order(graph)) {
+  const std::size_t n = graph.nodes.size();
+  rank_.resize(n);
+  for (std::size_t r = 0; r < n; ++r)
+    rank_[static_cast<std::size_t>(topo_[r])] = static_cast<int>(r);
+  tf_.asap.assign(n, 1);
+  tf_.alap.assign(n, graph.num_stages);
+  raw_alap_.assign(n, graph.num_stages);
+  violation_.assign(n, 0);
+  queued_.assign(n, 0);
+  touched_stamp_.assign(n, 0);
+  heap_.reserve(n);
+  touched_.reserve(n);
+  changed_.reserve(n);
+}
+
+// The per-node steps of compute_time_frames: the forward (ASAP) value
+// from the predecessors' asap, the backward value from the successors' raw
+// backward values, each clamped to [1, S] with the violation recorded.
+int IncrementalFrames::forward_value(int u, const std::vector<int>& stage_of) {
+  const ScheduleNode& sn = graph_.nodes[static_cast<std::size_t>(u)];
+  int stage = 1;
+  for (int pr : sn.preds)
+    stage = std::max(stage, tf_.asap[static_cast<std::size_t>(pr)] +
+                                schedule_gap(graph_, pr, u));
+  const int pin = stage_of[static_cast<std::size_t>(u)];
+  if (pin > 0) stage = std::max(stage, pin);
+  const bool bad = stage > graph_.num_stages || (pin > 0 && stage != pin);
+  set_violation(u, kFwd, bad);
+  return bad ? std::min(stage, graph_.num_stages) : stage;
+}
+
+int IncrementalFrames::backward_value(int u,
+                                      const std::vector<int>& stage_of) {
+  const ScheduleNode& sn = graph_.nodes[static_cast<std::size_t>(u)];
+  int stage = graph_.num_stages;
+  for (int sc : sn.succs)
+    stage = std::min(stage, raw_alap_[static_cast<std::size_t>(sc)] -
+                                schedule_gap(graph_, u, sc));
+  const int pin = stage_of[static_cast<std::size_t>(u)];
+  if (pin > 0) stage = std::min(stage, pin);
+  const bool bad = stage < 1 || (pin > 0 && stage != pin);
+  set_violation(u, kBwd, bad);
+  return bad ? std::max(stage, 1) : stage;
+}
+
+void IncrementalFrames::set_violation(int u, unsigned char bit, bool on) {
+  unsigned char& v = violation_[static_cast<std::size_t>(u)];
+  const bool was = v != 0;
+  v = on ? static_cast<unsigned char>(v | bit)
+         : static_cast<unsigned char>(v & ~bit);
+  num_violating_ += (v != 0) - was;
+}
+
+void IncrementalFrames::touch(int u) {
+  if (touched_stamp_[static_cast<std::size_t>(u)] == touch_stamp_) return;
+  touched_stamp_[static_cast<std::size_t>(u)] = touch_stamp_;
+  touched_.push_back(u);
+}
+
+void IncrementalFrames::reset(const std::vector<int>& stage_of) {
+  NM_CHECK(stage_of.size() == graph_.nodes.size());
+  for (int u : topo_) tf_.asap[static_cast<std::size_t>(u)] =
+      forward_value(u, stage_of);
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it)
+    raw_alap_[static_cast<std::size_t>(*it)] = backward_value(*it, stage_of);
+  for (std::size_t i = 0; i < graph_.nodes.size(); ++i)
+    tf_.alap[i] = std::max(raw_alap_[i], tf_.asap[i]);
+  tf_.feasible = num_violating_ == 0;
+}
+
+const std::vector<int>& IncrementalFrames::repin(
+    int node, const std::vector<int>& stage_of) {
+  ++touch_stamp_;
+  touched_.clear();
+  changed_.clear();
+
+  // Forward: pop in ascending rank, so every predecessor a node reads is
+  // final when the node is recomputed; a node whose asap did not move
+  // queues nothing.
+  const auto by_rank_asc = std::greater<int>();
+  ++queue_stamp_;
+  heap_.push_back(rank_[static_cast<std::size_t>(node)]);
+  queued_[static_cast<std::size_t>(node)] = queue_stamp_;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), by_rank_asc);
+    const int u = topo_[static_cast<std::size_t>(heap_.back())];
+    heap_.pop_back();
+    const int a = forward_value(u, stage_of);
+    if (a == tf_.asap[static_cast<std::size_t>(u)]) continue;
+    tf_.asap[static_cast<std::size_t>(u)] = a;
+    touch(u);
+    for (int sc : graph_.nodes[static_cast<std::size_t>(u)].succs) {
+      if (queued_[static_cast<std::size_t>(sc)] == queue_stamp_) continue;
+      queued_[static_cast<std::size_t>(sc)] = queue_stamp_;
+      heap_.push_back(rank_[static_cast<std::size_t>(sc)]);
+      std::push_heap(heap_.begin(), heap_.end(), by_rank_asc);
+    }
+  }
+
+  const std::size_t asap_moved = touched_.size();
+
+  // Backward, symmetric: descending rank over the raw backward values.
+  ++queue_stamp_;
+  const auto by_rank_desc = std::less<int>();
+  heap_.push_back(rank_[static_cast<std::size_t>(node)]);
+  queued_[static_cast<std::size_t>(node)] = queue_stamp_;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), by_rank_desc);
+    const int u = topo_[static_cast<std::size_t>(heap_.back())];
+    heap_.pop_back();
+    const int r = backward_value(u, stage_of);
+    if (r == raw_alap_[static_cast<std::size_t>(u)]) continue;
+    raw_alap_[static_cast<std::size_t>(u)] = r;
+    touch(u);
+    for (int pr : graph_.nodes[static_cast<std::size_t>(u)].preds) {
+      if (queued_[static_cast<std::size_t>(pr)] == queue_stamp_) continue;
+      queued_[static_cast<std::size_t>(pr)] = queue_stamp_;
+      heap_.push_back(rank_[static_cast<std::size_t>(pr)]);
+      std::push_heap(heap_.begin(), heap_.end(), by_rank_desc);
+    }
+  }
+
+  // The clamp, on the nodes whose asap or raw backward value moved (the
+  // first asap_moved of them are the ones whose asap did).
+  for (std::size_t t = 0; t < touched_.size(); ++t) {
+    const int u = touched_[t];
+    const std::size_t ui = static_cast<std::size_t>(u);
+    const int alap = std::max(raw_alap_[ui], tf_.asap[ui]);
+    if (t < asap_moved || alap != tf_.alap[ui]) changed_.push_back(u);
+    tf_.alap[ui] = alap;
+  }
+  tf_.feasible = num_violating_ == 0;
+  return changed_;
+}
+
+// ---------------------------------------------------------------------
+// FdsScheduler
+// ---------------------------------------------------------------------
+
 FdsScheduler::FdsScheduler(const PlaneScheduleGraph& graph,
                            const ArchParams& arch,
                            const std::vector<StorageOp>& ops,
                            const std::vector<std::vector<int>>& ops_of_node)
-    : graph_(graph), ops_(ops), ops_of_node_(ops_of_node) {
+    : graph_(graph),
+      ops_(ops),
+      ops_of_node_(ops_of_node),
+      inc_frames_(graph),
+      frames_(inc_frames_.frames()) {
   n_ = static_cast<int>(graph.nodes.size());
   s_ = graph.num_stages;
   l_ = static_cast<double>(arch.ff_per_le);
 
-  topo_ = topological_order(graph);
-  prev_asap_.resize(static_cast<std::size_t>(n_));
-  prev_alap_.resize(static_cast<std::size_t>(n_));
-  eff_a_.resize(static_cast<std::size_t>(n_));
-  eff_b_.resize(static_cast<std::size_t>(n_));
-  prev_eff_a_.resize(static_cast<std::size_t>(n_));
-  prev_eff_b_.resize(static_cast<std::size_t>(n_));
   forces_.assign(static_cast<std::size_t>(n_) *
                      (static_cast<std::size_t>(s_) + 1),
                  kInf);
@@ -119,7 +262,6 @@ FdsScheduler::FdsScheduler(const PlaneScheduleGraph& graph,
   lut_changed_prefix_.assign(static_cast<std::size_t>(s_) + 2, 0);
   st_changed_prefix_.assign(static_cast<std::size_t>(s_) + 2, 0);
   op_stamp_.assign(ops.size(), 0);
-  changed_frames_.reserve(static_cast<std::size_t>(n_));
   dirty_list_.reserve(static_cast<std::size_t>(n_));
   touched_ops_.reserve(ops.size());
 }
@@ -129,18 +271,16 @@ bool FdsScheduler::run(std::vector<int>* stage_of_ptr) {
   bool feasible = true;
   NM_TRACE_COUNT("fds.schedule_calls", 1);
 
-  compute_time_frames_into(graph_, stage_of, topo_, &frames_);
+  inc_frames_.reset(stage_of);
   if (!frames_.feasible) feasible = false;
 
   // Iteration 0 state: from-scratch DGs, every node dirty. stage_of is
   // all-zero, so every effective LUT-DG interval is the node's frame.
   dgs_ = compute_dgs(graph_, ops_, stage_of, frames_);
-  for (int i = 0; i < n_; ++i) {
-    eff_a_[static_cast<std::size_t>(i)] =
-        frames_.asap[static_cast<std::size_t>(i)];
-    eff_b_[static_cast<std::size_t>(i)] =
-        frames_.alap[static_cast<std::size_t>(i)];
-  }
+  prev_asap_ = frames_.asap;
+  prev_alap_ = frames_.alap;
+  eff_a_ = prev_eff_a_ = frames_.asap;
+  eff_b_ = prev_eff_b_ = frames_.alap;
 
   int remaining = n_;
   while (remaining > 0) {
@@ -312,29 +452,18 @@ double FdsScheduler::candidate_force(int u, int j,
 }
 
 void FdsScheduler::pin_update(int pinned, const std::vector<int>& stage_of) {
-  // Rotate current frames / effective intervals into the prev_ buffers,
-  // then recompute frames in place (no allocation after the first pin).
-  prev_asap_.swap(frames_.asap);
-  prev_alap_.swap(frames_.alap);
-  prev_eff_a_.swap(eff_a_);
-  prev_eff_b_.swap(eff_b_);
-  compute_time_frames_into(graph_, stage_of, topo_, &frames_);
-  for (int i = 0; i < n_; ++i) {
-    int pin = stage_of[static_cast<std::size_t>(i)];
-    eff_a_[static_cast<std::size_t>(i)] =
-        pin > 0 ? pin : frames_.asap[static_cast<std::size_t>(i)];
-    eff_b_[static_cast<std::size_t>(i)] =
-        pin > 0 ? pin : frames_.alap[static_cast<std::size_t>(i)];
-  }
-
-  changed_frames_.clear();
-  for (int i = 0; i < n_; ++i) {
-    if (frames_.asap[static_cast<std::size_t>(i)] !=
-            prev_asap_[static_cast<std::size_t>(i)] ||
-        frames_.alap[static_cast<std::size_t>(i)] !=
-            prev_alap_[static_cast<std::size_t>(i)])
-      changed_frames_.push_back(i);
-  }
+  // Propagate the pin through the frames. Only the nodes it changed (and
+  // the pinned node, whose pin status flipped) get a new effective
+  // interval; prev_* still hold every node's values from before the pin.
+  const std::vector<int>& changed = inc_frames_.repin(pinned, stage_of);
+  auto update_eff = [this, &stage_of](int i) {
+    const std::size_t ii = static_cast<std::size_t>(i);
+    const int pin = stage_of[ii];
+    eff_a_[ii] = pin > 0 ? pin : frames_.asap[ii];
+    eff_b_[ii] = pin > 0 ? pin : frames_.alap[ii];
+  };
+  for (int c : changed) update_eff(c);
+  update_eff(pinned);
 
   // --- mark dirty DG bins --------------------------------------------
   std::fill(lut_bin_dirty_.begin(), lut_bin_dirty_.end(), 0);
@@ -367,14 +496,14 @@ void FdsScheduler::pin_update(int pinned, const std::vector<int>& stage_of) {
     mark_lut(prev_eff_a_[ci], prev_eff_b_[ci]);
     mark_lut(eff_a_[ci], eff_b_[ci]);
   };
-  for (int c : changed_frames_) mark_eff(c);
+  for (int c : changed) mark_eff(c);
   mark_eff(pinned);
 
   // Storage bins: ops whose distribution inputs (member frames) changed;
   // dirty both their old and new [asap-begin, alap-end] spans.
   ++stamp_;
   touched_ops_.clear();
-  for (int c : changed_frames_) {
+  for (int c : changed) {
     for (int oi : ops_of_node_[static_cast<std::size_t>(c)]) {
       if (op_stamp_[static_cast<std::size_t>(oi)] == stamp_) continue;
       op_stamp_[static_cast<std::size_t>(oi)] = stamp_;
@@ -388,6 +517,17 @@ void FdsScheduler::pin_update(int pinned, const std::vector<int>& stage_of) {
     mark_st(prev_asap_[static_cast<std::size_t>(op.producer)], old_end);
     mark_st(frames_.asap[static_cast<std::size_t>(op.producer)], new_end);
   }
+
+  // Resync: prev_* equal the current frames and intervals again.
+  auto resync = [this](int i) {
+    const std::size_t ii = static_cast<std::size_t>(i);
+    prev_asap_[ii] = frames_.asap[ii];
+    prev_alap_[ii] = frames_.alap[ii];
+    prev_eff_a_[ii] = eff_a_[ii];
+    prev_eff_b_[ii] = eff_b_[ii];
+  };
+  for (int c : changed) resync(c);
+  resync(pinned);
 
   rebuild_dirty_bins(stage_of);
 
@@ -419,7 +559,7 @@ void FdsScheduler::pin_update(int pinned, const std::vector<int>& stage_of) {
   // (a)+(b): frame changes propagate to the node and its neighbors; the
   // pin itself flips the neighbors' pinned-pred/succ checks even when no
   // frame moved.
-  for (int c : changed_frames_) mark_with_neighbors(c);
+  for (int c : changed) mark_with_neighbors(c);
   mark_with_neighbors(pinned);
   // (c): a storage op with a changed member frame invalidates *all* its
   // members (producer and every consumer — including "siblings" of the
@@ -507,11 +647,15 @@ void FdsScheduler::rebuild_dirty_bins(const std::vector<int>& stage_of) {
 
 #ifdef NANOMAP_AUDIT_FDS
 void FdsScheduler::audit_state(const std::vector<int>& stage_of) const {
-  // Frames: the reused-topo recompute must match a fresh one.
+  // Frames: the propagated frames must match a fresh full pass, and the
+  // prev_* copies must have been resynced to them.
   TimeFrames fresh = compute_time_frames(graph_, stage_of);
   NM_CHECK_MSG(fresh.asap == frames_.asap && fresh.alap == frames_.alap &&
                    fresh.feasible == frames_.feasible,
                "audit: incremental frames diverged");
+  NM_CHECK_MSG(prev_asap_ == frames_.asap && prev_alap_ == frames_.alap &&
+                   prev_eff_a_ == eff_a_ && prev_eff_b_ == eff_b_,
+               "audit: prev_ frames out of sync");
 
   // DGs: the dirty-bin rebuild must be bit-identical to a from-scratch
   // compute_dgs (not merely close — the rebuild re-sums each bin in the

@@ -29,12 +29,21 @@
 //     rule (total < best - 1e-12). Ties resolve first-candidate-wins:
 //     lowest force, then lowest node id, then lowest stage.
 //
+//   * Incremental frames. A pin moves only the frames downstream of the
+//     node (ASAP) and upstream of it (ALAP), so IncrementalFrames walks
+//     forward in topological rank from the pinned node and backward in
+//     reverse rank, stopping wherever a node's value does not change,
+//     instead of one full compute_time_frames pass per pin. The nodes it
+//     visits are exactly the ones whose frames may have moved, which also
+//     drives the DG-bin and dirty-node marking below without an O(n) diff.
+//
 // RefineTally maintains the per-stage usage tally of refine_schedule under
 // single-node moves (pure integer deltas — exact), replacing a full
 // tally_stage_usage per candidate stage.
 //
 // -DNANOMAP_AUDIT_FDS=ON (wired into the tsan preset) cross-checks the
-// incremental DGs (bit-exact), every cached force row (bit-exact, against
+// incremental frames (against compute_time_frames), the incremental DGs
+// (bit-exact), every cached force row (bit-exact, against
 // a seed-style full-copy evaluation), the refine windows (against
 // compute_time_frames) and the refine tally (against tally_stage_usage)
 // every iteration.
@@ -49,6 +58,50 @@
 
 namespace nanomap {
 
+// Time frames of one plane kept equal to compute_time_frames(graph,
+// stage_of) while stage_of changes one node at a time. The backward pass
+// of compute_time_frames reads its successors' values before the final
+// alap = max(alap, asap) clamp, so those raw values are kept separately.
+// Feasibility is a count of nodes whose forward or backward value breaks
+// their pin or the stage range. The clamp needs no count of its own:
+// were alap < asap at some node with no such violation anywhere, the
+// successors its backward value came from would lead to a node whose
+// backward value is its own pin or S and still lies below its asap,
+// which is a forward violation there.
+class IncrementalFrames {
+ public:
+  explicit IncrementalFrames(const PlaneScheduleGraph& graph);
+
+  // Recomputes every node (the full pass).
+  void reset(const std::vector<int>& stage_of);
+  // Brings the frames up to date after stage_of[node] changed, visiting
+  // only the nodes the change can reach. Returns the nodes whose asap or
+  // alap changed, in no particular order (valid until the next call).
+  const std::vector<int>& repin(int node, const std::vector<int>& stage_of);
+
+  const TimeFrames& frames() const { return tf_; }
+
+ private:
+  enum : unsigned char { kFwd = 1, kBwd = 2 };
+
+  int forward_value(int u, const std::vector<int>& stage_of);
+  int backward_value(int u, const std::vector<int>& stage_of);
+  void set_violation(int u, unsigned char bit, bool on);
+  void touch(int u);
+
+  const PlaneScheduleGraph& graph_;
+  std::vector<int> topo_, rank_;
+  TimeFrames tf_;
+  std::vector<int> raw_alap_;  // backward values before the asap clamp
+  std::vector<unsigned char> violation_;
+  int num_violating_ = 0;
+
+  std::vector<int> heap_;  // topological ranks
+  std::vector<int> queued_, touched_stamp_;
+  int queue_stamp_ = 0, touch_stamp_ = 0;
+  std::vector<int> touched_, changed_;
+};
+
 // One plane's incremental FDS pin loop. Construct, then run(); the object
 // holds all preallocated scratch, so nothing allocates inside the loop
 // except the first scoring pass.
@@ -57,6 +110,9 @@ class FdsScheduler {
   FdsScheduler(const PlaneScheduleGraph& graph, const ArchParams& arch,
                const std::vector<StorageOp>& ops,
                const std::vector<std::vector<int>>& ops_of_node);
+  // frames_ refers into inc_frames_, so a copy would read the original's.
+  FdsScheduler(const FdsScheduler&) = delete;
+  FdsScheduler& operator=(const FdsScheduler&) = delete;
 
   // Pins every node of `stage_of` (must be all-zero, size n). Returns
   // false if the frame machinery reported infeasibility at any point
@@ -86,8 +142,10 @@ class FdsScheduler {
   double l_ = 1.0;  // arch.ff_per_le (Eq. 14's l; divided, never inverted,
                     // to keep the arithmetic bit-identical to the seed)
 
-  std::vector<int> topo_;
-  TimeFrames frames_;
+  IncrementalFrames inc_frames_;
+  const TimeFrames& frames_;  // inc_frames_'s current frames
+  // Frames and effective intervals as of the previous pin; only the nodes
+  // a pin changed are copied forward.
   std::vector<int> prev_asap_, prev_alap_;
 
   DistributionGraphs dgs_;
@@ -107,7 +165,6 @@ class FdsScheduler {
   std::vector<double> before_, after_;
 
   // Per-pin delta machinery.
-  std::vector<int> changed_frames_;        // nodes whose frames changed
   std::vector<char> lut_bin_dirty_, st_bin_dirty_;
   std::vector<double> old_lut_val_, old_st_val_;
   std::vector<int> lut_changed_prefix_, st_changed_prefix_;

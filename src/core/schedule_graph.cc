@@ -254,29 +254,13 @@ std::vector<int> topological_order(const PlaneScheduleGraph& graph) {
 
 TimeFrames compute_time_frames(const PlaneScheduleGraph& graph,
                                const std::vector<int>& stage_of) {
-  TimeFrames tf;
-  if (graph.nodes.empty()) {
-    NM_CHECK(stage_of.empty());
-    return tf;
-  }
-  compute_time_frames_into(graph, stage_of, topological_order(graph), &tf);
-  return tf;
-}
-
-void compute_time_frames_into(const PlaneScheduleGraph& graph,
-                              const std::vector<int>& stage_of,
-                              const std::vector<int>& topo, TimeFrames* tf_out) {
   const int n = static_cast<int>(graph.nodes.size());
   NM_CHECK(static_cast<int>(stage_of.size()) == n);
-  NM_CHECK(static_cast<int>(topo.size()) == n);
-  const int p = graph.folding_level;
-  const int total_levels = graph.num_stages * p;
-
-  TimeFrames& tf = *tf_out;
-  tf.feasible = true;
+  TimeFrames tf;
   tf.asap.assign(static_cast<std::size_t>(n), 1);
   tf.alap.assign(static_cast<std::size_t>(n), graph.num_stages);
-  if (n == 0) return;
+  if (n == 0) return tf;
+  const std::vector<int> topo = topological_order(graph);
 
   // Forward (ASAP) pass in stage space. A dependent node can follow its
   // predecessor `gap` stages later, where gap is the window-slice
@@ -284,8 +268,6 @@ void compute_time_frames_into(const PlaneScheduleGraph& graph,
   // p-level window at natural alignment), else the slice distance. At the
   // natural alignment (stage == slice) every node is schedulable, so an
   // unpinned graph is always feasible.
-  (void)total_levels;
-  (void)p;
   for (int u : topo) {
     const ScheduleNode& sn = graph.nodes[static_cast<std::size_t>(u)];
     int stage = 1;
@@ -328,6 +310,7 @@ void compute_time_frames_into(const PlaneScheduleGraph& graph,
           tf.asap[static_cast<std::size_t>(i)];
     }
   }
+  return tf;
 }
 
 int schedule_gap(const PlaneScheduleGraph& graph, int a, int b) {

@@ -80,21 +80,14 @@ struct TimeFrames {
   bool feasible = true;   // false if pins violate precedence/level budget
 };
 
+// The full pass. The FDS kernel keeps the same frames current under pins
+// with IncrementalFrames (core/fds_kernel.h); this stays the oracle.
 TimeFrames compute_time_frames(const PlaneScheduleGraph& graph,
                                const std::vector<int>& stage_of);
 
 // Kahn topological order of the schedule graph. Depends only on the graph
-// (never on pins), so callers that recompute frames per pin — the FDS
-// kernel does it n times — compute it once and reuse it.
+// (never on pins).
 std::vector<int> topological_order(const PlaneScheduleGraph& graph);
-
-// Allocation-free variant: writes the frames into `tf` (vectors are
-// resized on first use, reused after) walking the precomputed `topo`
-// order. compute_time_frames is this with a fresh TimeFrames and a fresh
-// topological_order; results are identical.
-void compute_time_frames_into(const PlaneScheduleGraph& graph,
-                              const std::vector<int>& stage_of,
-                              const std::vector<int>& topo, TimeFrames* tf);
 
 // Minimum stage separation between dependent nodes a -> b: 0 when they can
 // share a folding stage (same window slice — the combinational chain fits

@@ -1,55 +1,50 @@
 #include "map/flowmap.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 namespace nanomap {
 namespace {
 
-// Small max-flow network with unit node capacities, rebuilt per labeling
-// query. Sized by the cone, so allocation churn is acceptable; FlowMap
-// stops augmenting once flow exceeds K, which bounds the work per query.
+// Max-flow network with unit node capacities over one labelling cone.
+// flowmap() keeps one as an arena: reset() empties it for the next cone
+// without giving back its storage, and every search marks the vertices it
+// visits with a fresh stamp instead of clearing a per-search vector.
 class FlowGraph {
  public:
-  explicit FlowGraph(int num_vertices)
-      : head_(static_cast<std::size_t>(num_vertices), -1) {}
+  void reset(int num_vertices) {
+    const std::size_t n = static_cast<std::size_t>(num_vertices);
+    head_.assign(n, -1);
+    if (mark_.size() < n) {
+      mark_.resize(n, 0);
+      next_edge_.resize(n, -1);
+    }
+    edges_.clear();
+  }
 
   void add_edge(int from, int to, int capacity) {
     add_half_edge(from, to, capacity);
     add_half_edge(to, from, 0);
   }
 
-  // Ford-Fulkerson with BFS (Edmonds-Karp), aborting once flow > limit.
-  // Returns the achieved flow (possibly limit+1 on abort).
+  // Augments one unit at a time along depth-first paths, stopping once
+  // flow exceeds `limit`. Returns the achieved flow (limit+1 on abort).
+  // The order in which paths are found cannot change the minimum cut
+  // read below: the residual-reachable set is the same for every maximum
+  // flow.
   int max_flow_up_to(int source, int sink, int limit) {
     int flow = 0;
     while (flow <= limit) {
-      if (!bfs_augment(source, sink)) break;
+      if (!dfs_augment(source, sink)) break;
       ++flow;
     }
     return flow;
   }
 
-  // Vertices reachable from `source` in the residual graph.
-  std::vector<bool> residual_reachable(int source) const {
-    std::vector<bool> seen(head_.size(), false);
-    std::vector<int> stack{source};
-    seen[static_cast<std::size_t>(source)] = true;
-    while (!stack.empty()) {
-      int v = stack.back();
-      stack.pop_back();
-      for (int e = head_[static_cast<std::size_t>(v)]; e != -1;
-           e = edges_[static_cast<std::size_t>(e)].next) {
-        const Edge& ed = edges_[static_cast<std::size_t>(e)];
-        if (ed.capacity > 0 && !seen[static_cast<std::size_t>(ed.to)]) {
-          seen[static_cast<std::size_t>(ed.to)] = true;
-          stack.push_back(ed.to);
-        }
-      }
-    }
-    return seen;
-  }
+  // After max_flow_up_to returned at most its limit, the last search
+  // failed having visited exactly the vertices reachable from the source
+  // in the residual graph: the source side of the minimum cut.
+  bool on_source_side(int v) const { return marked(v); }
 
  private:
   struct Edge {
@@ -67,62 +62,77 @@ class FlowGraph {
     edges_.push_back(e);
   }
 
-  bool bfs_augment(int source, int sink) {
-    std::vector<int> parent_edge(head_.size(), -1);
-    std::vector<int> queue{source};
-    std::vector<bool> seen(head_.size(), false);
-    seen[static_cast<std::size_t>(source)] = true;
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      int v = queue[qi];
-      if (v == sink) break;
-      for (int e = head_[static_cast<std::size_t>(v)]; e != -1;
-           e = edges_[static_cast<std::size_t>(e)].next) {
-        const Edge& ed = edges_[static_cast<std::size_t>(e)];
-        if (ed.capacity > 0 && !seen[static_cast<std::size_t>(ed.to)]) {
-          seen[static_cast<std::size_t>(ed.to)] = true;
-          parent_edge[static_cast<std::size_t>(ed.to)] = e;
-          queue.push_back(ed.to);
-        }
+  bool marked(int v) const {
+    return mark_[static_cast<std::size_t>(v)] == stamp_;
+  }
+
+  void visit(int v) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    mark_[vi] = stamp_;
+    next_edge_[vi] = head_[vi];
+  }
+
+  // Iterative DFS for one augmenting path; path_ holds its edges.
+  bool dfs_augment(int source, int sink) {
+    ++stamp_;
+    path_.clear();
+    visit(source);
+    int v = source;
+    while (v != sink) {
+      int& e = next_edge_[static_cast<std::size_t>(v)];
+      while (e != -1 &&
+             (edges_[static_cast<std::size_t>(e)].capacity <= 0 ||
+              marked(edges_[static_cast<std::size_t>(e)].to)))
+        e = edges_[static_cast<std::size_t>(e)].next;
+      if (e == -1) {
+        if (path_.empty()) return false;
+        v = edges_[static_cast<std::size_t>(path_.back() ^ 1)].to;
+        path_.pop_back();
+        continue;
       }
+      path_.push_back(e);
+      v = edges_[static_cast<std::size_t>(e)].to;
+      visit(v);
     }
-    if (!seen[static_cast<std::size_t>(sink)]) return false;
     // All augmenting paths carry one unit (unit node capacities).
-    for (int v = sink; v != source;) {
-      int e = parent_edge[static_cast<std::size_t>(v)];
+    for (int e : path_) {
       edges_[static_cast<std::size_t>(e)].capacity -= 1;
       edges_[static_cast<std::size_t>(e ^ 1)].capacity += 1;
-      v = edges_[static_cast<std::size_t>(e ^ 1)].to;
     }
     return true;
   }
 
   std::vector<int> head_;
   std::vector<Edge> edges_;
+  std::vector<int> mark_;       // == stamp_: visited by the latest search
+  std::vector<int> next_edge_;  // DFS cursor per visited vertex
+  std::vector<int> path_;
+  int stamp_ = 0;
 };
 
 constexpr int kInfCap = 1 << 28;
 
-// Backward transitive fanin of `t` (inclusive), as node ids. Visit
-// bookkeeping is an id-indexed vector, not a hash set: node ids are dense,
-// and index-keyed containers are categorically immune to the
-// iteration-order hazards the determinism suite guards against.
-std::vector<int> collect_cone(const GateNetwork& gates, int t) {
-  std::vector<int> cone;
-  std::vector<int> stack{t};
-  std::vector<char> seen(static_cast<std::size_t>(gates.size()), 0);
-  seen[static_cast<std::size_t>(t)] = 1;
-  while (!stack.empty()) {
-    int v = stack.back();
-    stack.pop_back();
-    cone.push_back(v);
+// Backward transitive fanin of `t` (inclusive) into `cone`, in DFS pop
+// order. `in_cone` is an id-indexed mark (node ids are dense, and
+// index-keyed containers are immune to the iteration-order hazards the
+// determinism suite guards against); a node is in t's cone iff its entry
+// equals t, so the marks never need clearing between cones.
+void collect_cone(const GateNetwork& gates, int t, std::vector<int>* in_cone,
+                  std::vector<int>* stack, std::vector<int>* cone) {
+  cone->clear();
+  stack->assign(1, t);
+  (*in_cone)[static_cast<std::size_t>(t)] = t;
+  while (!stack->empty()) {
+    int v = stack->back();
+    stack->pop_back();
+    cone->push_back(v);
     for (int f : gates.gate(v).fanins) {
-      if (!seen[static_cast<std::size_t>(f)]) {
-        seen[static_cast<std::size_t>(f)] = 1;
-        stack.push_back(f);
+      if ((*in_cone)[static_cast<std::size_t>(f)] != t) {
+        (*in_cone)[static_cast<std::size_t>(f)] = t;
+        stack->push_back(f);
       }
     }
   }
-  return cone;
 }
 
 std::vector<int> unique_fanins(const GateNetwork& gates, int t) {
@@ -141,6 +151,11 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
   const int n = gates.size();
   std::vector<int> label(static_cast<std::size_t>(n), 0);
   std::vector<std::vector<int>> cut(static_cast<std::size_t>(n));
+  // Labelling scratch, shared by every gate's cone.
+  FlowGraph flow;
+  std::vector<int> in_cone(static_cast<std::size_t>(n), -1);
+  std::vector<int> local(static_cast<std::size_t>(n), -1);
+  std::vector<int> stack, cone;
 
   for (int t : gates.topological_order()) {
     const Gate& g = gates.gate(t);
@@ -167,9 +182,8 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
 
     // Build the node-split flow network over the cone of t, collapsing all
     // cone nodes labeled p (plus t itself) into the sink.
-    std::vector<int> cone = collect_cone(gates, t);
-    // node id -> cone index, id-indexed (see collect_cone).
-    std::vector<int> local(static_cast<std::size_t>(gates.size()), -1);
+    collect_cone(gates, t, &in_cone, &stack, &cone);
+    // node id -> cone index, valid for the nodes of this cone.
     for (std::size_t i = 0; i < cone.size(); ++i)
       local[static_cast<std::size_t>(cone[i])] = static_cast<int>(i);
 
@@ -180,10 +194,10 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
     const int num_local = static_cast<int>(cone.size());
     const int source = 2 * num_local;
     const int sink = 2 * num_local + 1;
-    FlowGraph flow(2 * num_local + 2);
+    flow.reset(2 * num_local + 2);
 
     for (int v : cone) {
-      int idx = local[v];
+      int idx = local[static_cast<std::size_t>(v)];
       if (in_sink(v)) continue;
       // Unit node capacity: v_in (2*idx) -> v_out (2*idx+1).
       flow.add_edge(2 * idx, 2 * idx + 1, 1);
@@ -192,7 +206,8 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
       }
       for (int f : gates.gate(v).fanins) {
         NM_CHECK(!in_sink(f));  // labels are monotone along edges
-        flow.add_edge(2 * local[f] + 1, 2 * idx, kInfCap);
+        flow.add_edge(2 * local[static_cast<std::size_t>(f)] + 1, 2 * idx,
+                      kInfCap);
       }
     }
     // In-edges of the collapsed sink set.
@@ -200,22 +215,20 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
       if (!in_sink(v)) continue;
       for (int f : gates.gate(v).fanins) {
         if (in_sink(f)) continue;
-        flow.add_edge(2 * local[f] + 1, sink, kInfCap);
+        flow.add_edge(2 * local[static_cast<std::size_t>(f)] + 1, sink,
+                      kInfCap);
       }
     }
 
     int achieved = flow.max_flow_up_to(source, sink, k);
     if (achieved <= k) {
       label[static_cast<std::size_t>(t)] = p;
-      std::vector<bool> reach = flow.residual_reachable(source);
       std::vector<int>& c = cut[static_cast<std::size_t>(t)];
       for (int v : cone) {
         if (in_sink(v)) continue;
-        int idx = local[v];
-        if (reach[static_cast<std::size_t>(2 * idx)] &&
-            !reach[static_cast<std::size_t>(2 * idx + 1)]) {
+        int idx = local[static_cast<std::size_t>(v)];
+        if (flow.on_source_side(2 * idx) && !flow.on_source_side(2 * idx + 1))
           c.push_back(v);
-        }
       }
       NM_CHECK_MSG(!c.empty() && static_cast<int>(c.size()) <= k,
                    "bad min cut of size " << c.size() << " at gate '"
@@ -238,13 +251,20 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
   }
 
   // Evaluates the covered cone of `t` for one assignment of its cut nodes.
-  auto eval_cone = [&](int t, const std::unordered_map<int, bool>& cut_val) {
-    std::unordered_map<int, bool> memo;
+  // A node is a cut input of t iff its cut_of entry equals t (each t is
+  // covered once), and its memoized value is current iff its memo entry
+  // equals the minterm's stamp.
+  std::vector<int> cut_of(static_cast<std::size_t>(n), -1);
+  std::vector<char> cut_val(static_cast<std::size_t>(n), 0);
+  std::vector<int> memo(static_cast<std::size_t>(n), 0);
+  std::vector<char> memo_val(static_cast<std::size_t>(n), 0);
+  int minterm_stamp = 0;
+  auto eval_cone = [&](int t) {
+    ++minterm_stamp;
     auto rec = [&](auto&& self, int v) -> bool {
-      auto it = cut_val.find(v);
-      if (it != cut_val.end()) return it->second;
-      auto mit = memo.find(v);
-      if (mit != memo.end()) return mit->second;
+      const std::size_t vi = static_cast<std::size_t>(v);
+      if (cut_of[vi] == t) return cut_val[vi] != 0;
+      if (memo[vi] == minterm_stamp) return memo_val[vi] != 0;
       const Gate& gv = gates.gate(v);
       NM_CHECK_MSG(gv.op != GateOp::kInput,
                    "primary input inside covered cone of '"
@@ -252,7 +272,8 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
       bool a = self(self, gv.fanins[0]);
       bool b = gv.fanins.size() > 1 ? self(self, gv.fanins[1]) : false;
       bool r = gate_op_eval(gv.op, a, b);
-      memo[v] = r;
+      memo[vi] = minterm_stamp;
+      memo_val[vi] = r ? 1 : 0;
       return r;
     };
     return rec(rec, t);
@@ -283,11 +304,12 @@ FlowMapResult flowmap(const GateNetwork& gates, int k, int plane) {
 
     std::uint64_t truth = 0;
     const int bits = static_cast<int>(c.size());
+    for (int v : c) cut_of[static_cast<std::size_t>(v)] = t;
     for (std::uint64_t m = 0; m < (std::uint64_t{1} << bits); ++m) {
-      std::unordered_map<int, bool> cut_val;
       for (int i = 0; i < bits; ++i)
-        cut_val[c[static_cast<std::size_t>(i)]] = (m >> i) & 1u;
-      if (eval_cone(t, cut_val)) truth |= (std::uint64_t{1} << m);
+        cut_val[static_cast<std::size_t>(c[static_cast<std::size_t>(i)])] =
+            static_cast<char>((m >> i) & 1u);
+      if (eval_cone(t)) truth |= (std::uint64_t{1} << m);
     }
 
     std::vector<int> fanins;

@@ -6,9 +6,11 @@
 #include "circuits/benchmarks.h"
 #include "circuits/random_dag.h"
 #include "core/fds.h"
+#include "core/fds_kernel.h"
 #include "core/fds_reference.h"
 #include "netlist/plane.h"
 #include "rtl/module_expander.h"
+#include "util/rng.h"
 
 namespace nanomap {
 namespace {
@@ -302,6 +304,103 @@ TEST(Fds, DifferentialSweepMatchesReferenceScheduler) {
         EXPECT_EQ(got.feasible, want.feasible);
         EXPECT_EQ(got.max_le, want.max_le);
         EXPECT_EQ(got.le_count, want.le_count);
+      }
+    }
+  }
+}
+
+// Drives IncrementalFrames through a random pin sequence and checks it
+// against the full pass after every step: asap, alap and feasible equal
+// compute_time_frames, and the reported change list is exactly the set of
+// nodes whose frame moved. Most pins fall inside the node's frame (the
+// kernel's case); the rest land anywhere in [1, S], which drives the
+// range and asap/alap clamps and feasible = false; a few steps re-pin or
+// unpin an already pinned node.
+void check_random_pins(const PlaneScheduleGraph& g, std::uint64_t seed) {
+  const int n = static_cast<int>(g.nodes.size());
+  if (n == 0) return;
+  Rng rng(seed);
+  std::vector<int> stage_of(static_cast<std::size_t>(n), 0);
+  IncrementalFrames inc(g);
+  inc.reset(stage_of);
+  TimeFrames want = compute_time_frames(g, stage_of);
+  ASSERT_EQ(inc.frames().asap, want.asap);
+  ASSERT_EQ(inc.frames().alap, want.alap);
+  ASSERT_EQ(inc.frames().feasible, want.feasible);
+
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+  for (int i = n - 1; i > 0; --i)
+    std::swap(order[static_cast<std::size_t>(i)],
+              order[static_cast<std::size_t>(rng.next_int(0, i))]);
+
+  bool saw_infeasible = false;
+  for (int step = 0; step < n + n / 4; ++step) {
+    int u;
+    int stage;
+    if (step < n && rng.next_int(0, 9) != 0) {
+      u = order[static_cast<std::size_t>(step)];
+      const int a = inc.frames().asap[static_cast<std::size_t>(u)];
+      const int b = inc.frames().alap[static_cast<std::size_t>(u)];
+      stage = rng.next_int(0, 3) != 0 ? rng.next_int(a, b)
+                                      : rng.next_int(1, g.num_stages);
+    } else {
+      u = rng.next_int(0, n - 1);
+      stage = rng.next_int(0, g.num_stages);
+    }
+    const TimeFrames before = inc.frames();
+    stage_of[static_cast<std::size_t>(u)] = stage;
+    std::vector<int> changed = inc.repin(u, stage_of);
+    want = compute_time_frames(g, stage_of);
+    ASSERT_EQ(inc.frames().asap, want.asap) << "step " << step;
+    ASSERT_EQ(inc.frames().alap, want.alap) << "step " << step;
+    ASSERT_EQ(inc.frames().feasible, want.feasible) << "step " << step;
+    saw_infeasible = saw_infeasible || !want.feasible;
+
+    std::vector<int> moved;
+    for (int i = 0; i < n; ++i) {
+      const std::size_t ii = static_cast<std::size_t>(i);
+      if (before.asap[ii] != want.asap[ii] || before.alap[ii] != want.alap[ii])
+        moved.push_back(i);
+    }
+    std::sort(changed.begin(), changed.end());
+    ASSERT_EQ(changed, moved) << "step " << step;
+  }
+  // With more than one stage, some out-of-frame pin must have broken
+  // feasibility along the way (level 0 has a single stage: every pin fits).
+  if (g.num_stages > 1) {
+    EXPECT_TRUE(saw_infeasible);
+  }
+}
+
+TEST(FdsFrames, IncrementalMatchesFullPassOnRandomDags) {
+  for (int seed = 0; seed < 6; ++seed) {
+    RandomDagSpec spec;
+    spec.luts_per_plane = 40 + seed * 23;
+    spec.depth = 6 + seed;
+    spec.regs_per_plane = 4;
+    spec.seed = static_cast<std::uint64_t>(seed) * 7919 + 3;
+    Design d = make_random_design(spec);
+    for (int level : {1, 2, 3, 0}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " level " +
+                   std::to_string(level));
+      check_random_pins(graph_for(d, 0, level),
+                        static_cast<std::uint64_t>(seed * 10 + level));
+    }
+  }
+}
+
+TEST(FdsFrames, IncrementalMatchesFullPassOnPaperCircuits) {
+  for (const std::string& name : benchmark_names()) {
+    Design d = make_benchmark(name);
+    CircuitParams p = extract_circuit_params(d.net);
+    for (int level : {1, 2, 4}) {
+      FoldingConfig cfg = make_folding_config(p, level);
+      for (int plane = 0; plane < p.num_plane; ++plane) {
+        SCOPED_TRACE(name + " level " + std::to_string(level) + " plane " +
+                     std::to_string(plane));
+        check_random_pins(build_schedule_graph(d, plane, cfg),
+                          static_cast<std::uint64_t>(level * 31 + plane));
       }
     }
   }
