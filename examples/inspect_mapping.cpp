@@ -64,11 +64,10 @@ int main(int argc, char** argv) {
       std::printf(" %zu:%d", i, slot_hist[i]);
   std::printf("\n");
 
-  std::printf("\nplacement: grid %dx%d, wirelength %.0f, peak channel "
-              "utilization %.2f\n",
+  std::printf("\nplacement: grid %dx%d, wirelength %.0f, cost %.2f\n",
               r.placement.placement.grid.width,
               r.placement.placement.grid.height, r.placement.wirelength,
-              r.placement.routability.peak_utilization);
+              r.placement.cost);
   std::printf("routing: %zu nets, wire usage direct/len1/len4/global = "
               "%ld/%ld/%ld/%ld\n",
               r.routing.nets.size(), r.routing.usage.direct,

@@ -36,7 +36,6 @@ struct Candidate {
   FoldingConfig cfg;
   DesignSchedule schedule;
   ClusteredDesign clustered;
-  std::vector<FdsResult> plane_results;
   int les = 0;
   double est_delay_ns = 0.0;
 };
@@ -312,7 +311,6 @@ class FlowEngine {
     cand.les = cand.clustered.les_used;
     cand.est_delay_ns =
         estimated_circuit_delay_ns(params_, cand.cfg, options_.arch);
-    cand.plane_results = sched.plane_results;
     cand.schedule = std::move(sched);
     cand.valid = true;
     return cand;
@@ -459,9 +457,9 @@ class FlowEngine {
     result->area_um2 =
         cand.clustered.num_smbs * options_.arch.smb_area_um2();
     result->estimated_delay_ns = cand.est_delay_ns;
-    result->plane_schedules = cand.plane_results;
+    result->plane_schedules = cand.schedule.plane_results;
     if (Trace::enabled()) {
-      for (const FdsResult& fr : cand.plane_results)
+      for (const FdsResult& fr : cand.schedule.plane_results)
         for (std::size_t s = 1; s < fr.le_count.size(); ++s)
           NM_TRACE_VALUE("fds.le_per_stage", fr.le_count[s]);
     }
@@ -529,14 +527,6 @@ class FlowEngine {
         });
       }
       if (!place_ok) return false;
-      if (!placed.screen_passed) {
-        // Advisory only — the router below is the authoritative check.
-        record({"place", cand.level, attempt,
-                FlowErrorKind::kPlacementScreen, "warn",
-                "routability screen high (util " +
-                    fmt(placed.routability.peak_utilization) +
-                    "), routing anyway"});
-      }
       bool fatal = false;
       route_ok = climb_route_ladder(cand, placed, attempt, &routed,
                                     &arch_used, &router_used, &fatal);
@@ -681,7 +671,6 @@ const char* flow_error_kind_name(FlowErrorKind kind) {
     case FlowErrorKind::kNone: return "none";
     case FlowErrorKind::kInput: return "input";
     case FlowErrorKind::kInfeasibleConstraint: return "infeasible-constraint";
-    case FlowErrorKind::kPlacementScreen: return "placement-screen";
     case FlowErrorKind::kRoutingCongestion: return "routing-congestion";
     case FlowErrorKind::kDefectInfeasible: return "defect-infeasible";
     case FlowErrorKind::kResourceExhausted: return "resource-exhausted";
@@ -694,8 +683,7 @@ FlowErrorKind dominant_error_kind(const std::vector<FlowErrorKind>& kinds) {
   static const FlowErrorKind precedence[] = {
       FlowErrorKind::kInternal,          FlowErrorKind::kResourceExhausted,
       FlowErrorKind::kInput,             FlowErrorKind::kDefectInfeasible,
-      FlowErrorKind::kRoutingCongestion, FlowErrorKind::kPlacementScreen,
-      FlowErrorKind::kInfeasibleConstraint,
+      FlowErrorKind::kRoutingCongestion, FlowErrorKind::kInfeasibleConstraint,
   };
   for (FlowErrorKind kind : precedence)
     if (std::find(kinds.begin(), kinds.end(), kind) != kinds.end())

@@ -5,11 +5,12 @@
 //   2. searches folding levels per the user objective, seeding the search
 //      with Eqs. 1-4 and evaluating each candidate with FDS + temporal
 //      clustering (the authoritative area check, flow step 8),
-//   3. runs temporal placement (two-step SA with routability/delay screen),
-//      falling back to the next folding level if the screen or the router
-//      fails (steps 13/14 -> step 2),
-//   4. routes every folding cycle with PathFinder, runs STA, and emits the
-//      per-cycle configuration bitmap.
+//   3. runs temporal placement (two-step SA),
+//   4. routes every folding cycle with PathFinder, climbing the recovery
+//      ladder and falling back to the next folding level when the router
+//      fails (steps 13/14 -> step 2); PathFinder is the only routability
+//      check,
+//   5. runs STA and emits the per-cycle configuration bitmap.
 //
 // Objectives mirror the paper's experiments: area-delay-product
 // minimization (Table 1), delay minimization under an optional area
@@ -48,7 +49,6 @@ enum class FlowErrorKind {
   kNone,                  // feasible result
   kInput,                 // malformed input / options (InputError)
   kInfeasibleConstraint,  // no folding level satisfies the constraints
-  kPlacementScreen,       // routability screen rejected the placement
   kRoutingCongestion,     // PathFinder left overused nodes at every rung
   kDefectInfeasible,      // circuit cannot fit the surviving fabric
                           // (defect matching failed at every level)
@@ -61,9 +61,8 @@ const char* flow_error_kind_name(FlowErrorKind kind);
 // The most actionable failure among `kinds` — one precedence for the
 // flow's trail and the explorer's sweep alike: internal errors beat
 // resource exhaustion beat bad input beat defect infeasibility beat
-// routing congestion beat the placement screen beat plain constraint
-// infeasibility. kNone entries never rank; with nothing ranked the
-// answer is kInfeasibleConstraint.
+// routing congestion beat plain constraint infeasibility. kNone entries
+// never rank; with nothing ranked the answer is kInfeasibleConstraint.
 FlowErrorKind dominant_error_kind(const std::vector<FlowErrorKind>& kinds);
 
 // One retry/escalation/fallback event on the recovery ladder. The trail
@@ -75,8 +74,8 @@ struct FlowEvent {
   int attempt = 0;     // placement attempt (0 = caller's seed, 1.. =
                        // reseeds); a route event names its rung in detail
   FlowErrorKind kind = FlowErrorKind::kNone;
-  std::string action;  // "error", "retry", "escalate", "recovered",
-                       // "fallback", "degrade", "infeasible"
+  std::string action;  // "error", "skip", "retry", "escalate",
+                       // "recovered", "fallback", "degrade", "infeasible"
   std::string detail;  // parameters tried / failure reason
 };
 

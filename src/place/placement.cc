@@ -13,10 +13,6 @@
 namespace nanomap {
 namespace {
 
-// The RISA screen passes a placement whose estimated peak channel
-// utilization is at most this.
-constexpr double kRoutableThreshold = 1.0;
-
 // Kuhn augmenting-path search: can `smb` claim a site (in `order`
 // preference) either directly or by displacing a current holder onto an
 // alternative site?
@@ -101,7 +97,6 @@ std::int64_t net_hpwl(const ClusteredDesign& cd, const Placement& placement,
 // place_design body). Leaves cost and wirelength to place_design, which
 // scores the restarts in fixed point.
 PlacementResult place_single(const ClusteredDesign& cd,
-                             const ArchParams& arch,
                              const PlacementOptions& options,
                              const PlaceLegality* legal) {
   Rng rng(options.seed);
@@ -112,18 +107,13 @@ PlacementResult place_single(const ClusteredDesign& cd,
   // The paper's two-step temporal placement (PAPER.md §1, step 3).
   // Step 1: fast low-precision anneal, hot-started from the random
   // placement. Step 2: high-precision anneal, cool-started from the fast
-  // result so it refines it. Step 3: the RISA screen on the final
-  // placement; the flow only warns on it, since the router is the
-  // authoritative congestion check.
+  // result so it refines it.
   Annealer annealer(cd, result.placement, kTimingWeight, &rng, legal);
   annealer.run(options.fast_effort, AnnealStart::kHot);
   annealer.run(options.detailed_effort, AnnealStart::kCool);
   result.placement = annealer.placement();
   result.moves_attempted = annealer.moves_attempted();
   result.moves_accepted = annealer.moves_accepted();
-  result.routability = estimate_routability(cd, result.placement, arch);
-  result.screen_passed =
-      result.routability.peak_utilization <= kRoutableThreshold;
   return result;
 }
 
@@ -231,87 +221,13 @@ std::int64_t placement_cost(const ClusteredDesign& cd,
   return cost;
 }
 
-RoutabilityEstimate estimate_routability(const ClusteredDesign& cd,
-                                         const Placement& placement,
-                                         const ArchParams& arch) {
-  RoutabilityEstimate est;
-  const int w = placement.grid.width;
-  const int h = placement.grid.height;
-  if (w < 1 || h < 1) return est;
-  // Demand accumulated per channel (one horizontal + one vertical channel
-  // per site), per folding cycle: wires are reconfigured per cycle, so
-  // each cycle is an independent congestion domain.
-  const std::size_t channels = static_cast<std::size_t>(w) *
-                               static_cast<std::size_t>(h) * 2;
-
-  // cd.nets is grouped by (driver, cycle) map order; cycles may interleave,
-  // so accumulate per cycle via bucketing.
-  std::vector<std::vector<const PlacedNet*>> per_cycle(
-      static_cast<std::size_t>(cd.num_cycles));
-  for (const PlacedNet& pn : cd.nets)
-    per_cycle[static_cast<std::size_t>(pn.cycle)].push_back(&pn);
-
-  double peak = 0.0;
-  double total = 0.0;
-  std::vector<double> demand(channels);
-  for (const std::vector<const PlacedNet*>& nets : per_cycle) {
-    std::fill(demand.begin(), demand.end(), 0.0);
-    for (const PlacedNet* pn : nets) {
-      int xmin = placement.x_of(pn->driver_smb);
-      int xmax = xmin;
-      int ymin = placement.y_of(pn->driver_smb);
-      int ymax = ymin;
-      for (int s : pn->sink_smbs) {
-        xmin = std::min(xmin, placement.x_of(s));
-        xmax = std::max(xmax, placement.x_of(s));
-        ymin = std::min(ymin, placement.y_of(s));
-        ymax = std::max(ymax, placement.y_of(s));
-      }
-      // RISA-style: spread the net's expected horizontal wiring (~bbox
-      // width) uniformly over the bbox rows, and vertical over columns.
-      double q = 1.0 + 0.3 * static_cast<double>(pn->sink_smbs.size() - 1);
-      double bw = static_cast<double>(xmax - xmin);
-      double bh = static_cast<double>(ymax - ymin);
-      double rows = bh + 1.0;
-      double cols = bw + 1.0;
-      for (int y = ymin; y <= ymax; ++y)
-        for (int x = xmin; x < xmax; ++x)
-          demand[static_cast<std::size_t>((y * w + x) * 2)] += q / rows;
-      for (int x = xmin; x <= xmax; ++x)
-        for (int y = ymin; y < ymax; ++y)
-          demand[static_cast<std::size_t>((y * w + x) * 2 + 1)] += q / cols;
-    }
-    // Each cycle's total is summed on its own, then folded in cycle
-    // order.
-    double cycle_total = 0.0;
-    for (double d : demand) {
-      peak = std::max(peak, d);
-      cycle_total += d;
-    }
-    total += cycle_total;
-  }
-  const long counted =
-      static_cast<long>(channels) * static_cast<long>(cd.num_cycles);
-
-  // Channel capacity: length-1 tracks plus the per-SMB share of longer
-  // wires and direct links.
-  double capacity = arch.len1_tracks + arch.len4_tracks +
-                    arch.direct_links_per_side + arch.global_tracks;
-  est.peak_utilization = capacity > 0 ? peak / capacity : 1e9;
-  est.avg_utilization =
-      (capacity > 0 && counted > 0) ? (total / counted) / capacity : 0.0;
-  est.routable = est.peak_utilization <= 1.0;
-  return est;
-}
-
 PlacementResult place_design(const ClusteredDesign& cd,
                              const ArchParams& arch,
                              const PlacementOptions& options,
                              ThreadPool* pool) {
-  // Fault boundary for the whole placement stage (including the screen
-  // verdict the flow reads). Sequential code: hit N is the Nth
-  // place_design call regardless of thread count.
-  NM_FAULT_POINT("place.screen");
+  // Fault boundary for the whole placement stage. Sequential code: hit N
+  // is the Nth place_design call regardless of thread count.
+  NM_FAULT_POINT("place.anneal");
   NM_TRACE_COUNT("place.calls", 1);
   const int restarts = std::max(1, options.restarts);
   NM_TRACE_COUNT("place.restarts", restarts);
@@ -340,7 +256,7 @@ PlacementResult place_design(const ClusteredDesign& cd,
     const std::size_t rr = static_cast<std::size_t>(r);
     PlacementOptions per = options;
     per.seed = derive_seed(options.seed, static_cast<std::uint64_t>(r));
-    candidates[rr] = place_single(cd, arch, per, legal);
+    candidates[rr] = place_single(cd, per, legal);
     costs[rr] = placement_cost(cd, candidates[rr].placement, kTimingWeight);
   });
 
@@ -369,8 +285,7 @@ PlacementResult place_design(const ClusteredDesign& cd,
   NM_TRACE_COUNT("place.accepted", result.moves_accepted);
   NM_TRACE_VALUE("place.cost", result.cost);
   NM_LOG(kDebug) << "placement: cost " << result.cost << " wl "
-                 << result.wirelength << " peak-util "
-                 << result.routability.peak_utilization << " (restart "
+                 << result.wirelength << " (restart "
                  << best << " of " << restarts << ")";
   return result;
 }

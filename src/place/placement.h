@@ -11,10 +11,9 @@
 // low-precision pass hot-started from a random placement, then a
 // high-precision pass cool-started from the fast result, so it refines
 // that result rather than melting it. Each pass stops at its exit
-// temperature or once frozen (annealer.h). A RISA-style routability
-// screen then runs once, on the final placement. Its verdict is advisory:
-// the flow records a `placement-screen` warning and routes anyway, since
-// the router is the authoritative congestion check (paper step 13).
+// temperature or once frozen (annealer.h). The flow routes every
+// placement: PathFinder with its recovery ladder is the only congestion
+// check (paper step 13).
 #pragma once
 
 #include <cstdint>
@@ -92,12 +91,6 @@ class PlaceLegality {
   std::vector<char> ok_;  // site-major: [site * num_smbs + smb]
 };
 
-struct RoutabilityEstimate {
-  double peak_utilization = 0.0;  // demand / capacity on the worst channel
-  double avg_utilization = 0.0;
-  bool routable = true;
-};
-
 // The SA objective is fixed point: each net's weight
 // 1 + timing_weight * criticality is quantized to a multiple of
 // 2^-kCostFracBits, so a cost is an exact int64 that sums to the same
@@ -122,8 +115,6 @@ struct PlacementResult {
   Placement placement;
   double cost = 0.0;        // cost_to_double(placement_cost(...))
   double wirelength = 0.0;  // unweighted HPWL sum
-  RoutabilityEstimate routability;
-  bool screen_passed = true;  // screen verdict on the final placement
   long moves_attempted = 0;
   long moves_accepted = 0;
   int winning_restart = 0;  // which seed stream produced this placement
@@ -135,13 +126,6 @@ struct PlacementResult {
 std::int64_t placement_cost(const ClusteredDesign& cd,
                             const Placement& placement,
                             double timing_weight);
-
-// RISA-style channel-demand estimate for a placement. Folding cycles are
-// independent congestion domains: one demand map per cycle, with
-// peak/average reduced in cycle order.
-RoutabilityEstimate estimate_routability(const ClusteredDesign& cd,
-                                         const Placement& placement,
-                                         const ArchParams& arch);
 
 // Full two-step placement of a clustered design. With options.restarts >
 // 1 the independent restarts run as pool tasks (when a pool is given);

@@ -9,8 +9,8 @@
 // (plane cycle x number of planes).
 //
 // When no RoutingResult is supplied, inter-SMB net delays fall back to a
-// Manhattan-distance model over the placement (used by the fast-placement
-// screen, flow step 11); routed delays are used otherwise.
+// Manhattan-distance model over the placement; routed delays are used
+// otherwise.
 #pragma once
 
 #include <vector>
@@ -37,7 +37,7 @@ struct TimingReport {
   std::vector<PathElement> critical_path;
 };
 
-// Distance-based net delay estimate (also used by the router-less screen).
+// Distance-based net delay estimate (the router-less fallback above).
 double manhattan_net_delay_ps(const ArchParams& arch, int dx, int dy);
 
 TimingReport analyze_timing(const Design& design,

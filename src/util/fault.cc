@@ -77,7 +77,7 @@ const std::vector<std::string>& FaultScope::known_sites() {
   static const std::vector<std::string> sites = {
       "fds.schedule",    // core/fds.cc: plane scheduling
       "cluster.verify",  // core/temporal_cluster.cc: clustering invariants
-      "place.screen",    // place/placement.cc: placement + screen verdict
+      "place.anneal",    // place/placement.cc: whole placement stage
       "route.converge",  // route/pathfinder.cc: whole-design routing
       "route.alloc",     // route/pathfinder.cc: per-cycle router setup
       "sta.analyze",     // route/sta.cc: timing analysis

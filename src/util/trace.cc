@@ -271,7 +271,7 @@ const std::vector<std::string>& Trace::known_span_names() {
       "explore",   // flow/explore: whole run_nanomap_explore body
       "fds.plane", // core/fds: one plane's scheduling (any scheduler kind)
       "flow",      // flow: whole run_nanomap body
-      "place",     // flow: placement (all restarts + screen)
+      "place",     // flow: placement (all restarts)
       "route",     // flow: routing ladder for one placement attempt
       "rr_build",  // flow: one RR-graph build inside the routing ladder
       "schedule",  // flow: scheduling of all planes at one level

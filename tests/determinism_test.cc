@@ -9,58 +9,17 @@
 #include <cstring>
 #include <string>
 
-#include "bitstream/bitmap.h"
 #include "circuits/benchmarks.h"
 #include "circuits/random_dag.h"
 #include "core/fds.h"
 #include "flow/nanomap_flow.h"
+#include "flow_fingerprint.h"
 #include "map/bench_format.h"
 #include "netlist/plane.h"
 #include "util/thread_pool.h"
 
 namespace nanomap {
 namespace {
-
-// Exact byte fingerprint of everything the flow emits. Doubles are added
-// by memcpy so the comparison is bit-exact, not epsilon-based.
-std::string fingerprint(const FlowResult& r) {
-  std::string fp;
-  auto add_int = [&](long long v) {
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    fp.append(buf, sizeof v);
-  };
-  auto add_double = [&](double v) {
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    fp.append(buf, sizeof v);
-  };
-
-  // Placement bytes.
-  add_int(r.placement.placement.grid.width);
-  add_int(r.placement.placement.grid.height);
-  for (int site : r.placement.placement.site_of_smb) add_int(site);
-  add_double(r.placement.cost);
-  add_double(r.placement.wirelength);
-
-  // Routed nets: topology and bit-exact delays.
-  add_int(static_cast<long long>(r.routing.nets.size()));
-  for (const NetRoute& nr : r.routing.nets) {
-    add_int(nr.net_index);
-    for (int s : nr.sink_smbs) add_int(s);
-    for (double d : nr.sink_delay_ps) add_double(d);
-    for (int n : nr.wire_nodes) add_int(n);
-  }
-  add_int(r.routing.usage.direct);
-  add_int(r.routing.usage.len1);
-  add_int(r.routing.usage.len4);
-  add_int(r.routing.usage.global);
-
-  // Emitted bitmap, via its stable byte serialization.
-  std::vector<std::uint8_t> bytes = serialize_bitmap(r.bitmap);
-  fp.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return fp;
-}
 
 FlowResult run_with(const Design& d, int threads, int restarts) {
   FlowOptions opts;
@@ -110,8 +69,9 @@ TEST(Determinism, S27AcrossRunsAndThreadCounts) {
 
 // Golden pin of the incremental bounding-box cost kernel: the annealer's
 // cached-bbox deltas are integer-exact reproductions of a from-scratch
-// recompute, so the whole flow output must stay *byte identical*. These
-// FNV-1a hashes of the full fingerprint were captured from the pre-kernel
+// recompute, so the whole flow output must stay *byte identical*. The
+// FNV-1a hashes of the full fingerprint (tests/flow_fingerprint.h,
+// shared with tests/trace_test.cc) were captured from the pre-kernel
 // binary (threads and restarts must not matter either — every cell of
 // the matrix pins the same value), re-captured at default router options
 // when the rip-up batch option was removed, re-captured when the
@@ -119,15 +79,6 @@ TEST(Determinism, S27AcrossRunsAndThreadCounts) {
 // multiples of 2^-20; s27 kept its hash), and re-captured when the
 // detailed anneal became a cool start from the fast result that stops
 // once frozen (s27 kept its hash).
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 TEST(Determinism, GoldenFingerprintAcrossThreadsAndRestarts) {
   struct Case {
     const char* name;

@@ -35,8 +35,8 @@ TEST(FaultPlan, ParsesSiteHitAndKind) {
   EXPECT_EQ(p.nth_hit, 1);
   EXPECT_EQ(p.kind, FaultKind::kCheck);
 
-  p = parse_fault_plan("place.screen:3");
-  EXPECT_EQ(p.site, "place.screen");
+  p = parse_fault_plan("place.anneal:3");
+  EXPECT_EQ(p.site, "place.anneal");
   EXPECT_EQ(p.nth_hit, 3);
 
   p = parse_fault_plan("fds.schedule:2:alloc");
@@ -87,9 +87,13 @@ bool trail_has_kind(const FlowDiagnostics& diag, FlowErrorKind kind) {
 // another level, so the result additionally stays feasible. The plan is
 // armed by a test-owned FaultScope (the run's own, from an empty
 // fault_plan, is a no-op), so the test can read the run's hit counts.
+// The registry is checked both ways: every registered site is hit, and
+// every site hit is registered (a point renamed in code but not in the
+// registry could otherwise never be armed).
 TEST(FaultInjection, EverySiteEveryKindReturnsCleanResult) {
   Design d = make_ex1(4);
-  for (const std::string& site : FaultScope::known_sites()) {
+  const std::vector<std::string>& known = FaultScope::known_sites();
+  for (const std::string& site : known) {
     for (const char* kind : {"check", "input", "alloc"}) {
       FlowOptions opts = small_flow_options();
       FlowResult r;
@@ -101,8 +105,14 @@ TEST(FaultInjection, EverySiteEveryKindReturnsCleanResult) {
         hits = faults.hit_counts();
       }
       EXPECT_FALSE(FaultScope::armed());  // FaultScope disarmed
-      // The site must actually have been exercised.
+      // The site must actually have been exercised...
       EXPECT_GE(hits[site], 1) << site;
+      // ...and every site the run hit must be armable.
+      for (const auto& [hit_site, count] : hits)
+        EXPECT_NE(std::find(known.begin(), known.end(), hit_site),
+                  known.end())
+            << "unregistered fault site " << hit_site << " (hit " << count
+            << " times; add it to FaultScope::known_sites)";
       // The injected failure is recorded with the right typed kind...
       EXPECT_TRUE(trail_has_kind(r.diagnostics, expected_kind(kind)))
           << "site " << site << " kind " << kind << "\n"

@@ -111,33 +111,6 @@ TEST(Placement, SingleSmbDesignTrivial) {
   EXPECT_DOUBLE_EQ(r.cost, 0.0);
 }
 
-TEST(Routability, DenserDesignHasHigherUtilization) {
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  ClusteredDesign flat = cluster_benchmark("c5315", 0, arch);
-  ClusteredDesign folded = cluster_benchmark("c5315", 1, arch);
-  PlacementResult pf = place_design(flat, arch);
-  PlacementResult pg = place_design(folded, arch);
-  // The no-folding c5315 spreads over many SMBs with heavy inter-SMB
-  // traffic; utilization should exceed the folded mapping's.
-  EXPECT_GT(pf.routability.peak_utilization,
-            pg.routability.peak_utilization * 0.8);
-  EXPECT_GT(pf.routability.peak_utilization, 0.0);
-  EXPECT_GE(pf.routability.peak_utilization, pf.routability.avg_utilization);
-}
-
-TEST(Routability, EmptyNetlistIsRoutable) {
-  ArchParams arch = ArchParams::paper_instance();
-  ClusteredDesign cd;
-  cd.num_cycles = 1;
-  cd.num_smbs = 2;
-  Placement p;
-  p.grid = {2, 2};
-  p.site_of_smb = {0, 1};
-  RoutabilityEstimate est = estimate_routability(cd, p, arch);
-  EXPECT_TRUE(est.routable);
-  EXPECT_DOUBLE_EQ(est.peak_utilization, 0.0);
-}
-
 TEST(Grid, SizingHasSlackAndFits) {
   for (int n : {0, 1, 5, 16, 100, 333}) {
     GridSize g = size_grid_for(n);

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "circuits/benchmarks.h"
 #include "flow/nanomap_flow.h"
 #include "map/bench_format.h"
 #include "util/json.h"
@@ -292,6 +293,30 @@ TEST(Report, InfeasibleRunsStillProduceAValidDocument) {
   EXPECT_NE(field(outcome, "error_kind", JsonValue::Kind::kString).string,
             "none");
   EXPECT_FALSE(field(doc, "events", JsonValue::Kind::kArray).items.empty());
+}
+
+// ASPP4 at level 3 places and routes at rung 0 but misses a 30 ns delay
+// constraint (59.52 ns): the run must report the constraint, not a
+// placement-stage warning, as its failure, in the result and the report.
+TEST(Report, MissedDelayConstraintIsReportedAsInfeasibleConstraint) {
+  FlowOptions opts;
+  opts.arch = ArchParams::paper_instance();
+  opts.forced_folding_level = 3;
+  opts.delay_constraint_ns = 30.0;
+  opts.collect_trace = true;
+  FlowResult r = run_nanomap(make_benchmark("ASPP4"), opts);
+  ASSERT_FALSE(r.feasible);
+  EXPECT_EQ(r.error_kind, FlowErrorKind::kInfeasibleConstraint)
+      << flow_error_kind_name(r.error_kind) << "\n"
+      << r.diagnostics.to_string();
+  JsonValue doc = parse_json(r.report.to_json());
+  const JsonValue& outcome = field(doc, "outcome", JsonValue::Kind::kObject);
+  EXPECT_EQ(field(outcome, "error_kind", JsonValue::Kind::kString).string,
+            "infeasible-constraint");
+  for (const JsonValue& e :
+       field(doc, "events", JsonValue::Kind::kArray).items)
+    EXPECT_NE(field(e, "action", JsonValue::Kind::kString).string, "warn")
+        << field(e, "detail", JsonValue::Kind::kString).string;
 }
 
 TEST(Report, BuildRunReportIsExposedForTools) {

@@ -13,63 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <set>
 #include <string>
 
-#include "bitstream/bitmap.h"
 #include "circuits/random_dag.h"
 #include "flow/nanomap_flow.h"
+#include "flow_fingerprint.h"
 #include "map/bench_format.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace nanomap {
 namespace {
-
-// Same byte fingerprint as tests/determinism_test.cc, so the golden
-// hashes pinned there gate this file too.
-std::string fingerprint(const FlowResult& r) {
-  std::string fp;
-  auto add_int = [&](long long v) {
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    fp.append(buf, sizeof v);
-  };
-  auto add_double = [&](double v) {
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    fp.append(buf, sizeof v);
-  };
-  add_int(r.placement.placement.grid.width);
-  add_int(r.placement.placement.grid.height);
-  for (int site : r.placement.placement.site_of_smb) add_int(site);
-  add_double(r.placement.cost);
-  add_double(r.placement.wirelength);
-  add_int(static_cast<long long>(r.routing.nets.size()));
-  for (const NetRoute& nr : r.routing.nets) {
-    add_int(nr.net_index);
-    for (int s : nr.sink_smbs) add_int(s);
-    for (double d : nr.sink_delay_ps) add_double(d);
-    for (int n : nr.wire_nodes) add_int(n);
-  }
-  add_int(r.routing.usage.direct);
-  add_int(r.routing.usage.len1);
-  add_int(r.routing.usage.len4);
-  add_int(r.routing.usage.global);
-  std::vector<std::uint8_t> bytes = serialize_bitmap(r.bitmap);
-  fp.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return fp;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 Design s27_design() {
   return parse_bench_file(NMAP_TEST_DESIGN_DIR "/s27.bench");
